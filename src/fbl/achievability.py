@@ -269,12 +269,12 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau=None, cfg=None, stream_offset=0):
     # their first midpoints
     @functools.lru_cache(maxsize=None)
     def f(gamma):
-        return mc.cp_upper(float(np.sum(table_sel.q_s(gamma))), trials, half)
+        return mc.cp_upper(table_sel.sum_q_s(gamma), trials, half)
 
     best = None
     for t in taus:
         try:
-            gamma = cv._largest_below(f, epsilon - t, -hi - 10.0, hi)
+            gamma = mc.root_find_monotone(f, epsilon - t, (-hi - 10.0, hi), "below")
         except DomainError:
             continue  # type-I budget unreachable at this sample size
         _, log_up = mc.log_mean_bound(table_eval.log_q_l(gamma), half, "upper")

@@ -297,8 +297,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        mc.worker_count()  # reject a bad FBL_THREADS before any work
         _dispatch(args)
-    except (ConfigurationError, DomainError, FileNotFoundError) as exc:
+    except (ConfigurationError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -8,6 +8,7 @@ and converted to linear scale exactly once, here.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from . import channel as ch
@@ -73,6 +74,8 @@ class SweepRequest:
                 raise ConfigurationError(f"bound {b} requires a single transmit antenna")
         if "outage" in self.bounds and self.rate_nats is None:
             raise ConfigurationError("the outage bound needs a rate (rate_bits)")
+        if self.output is not None and os.path.isdir(self.output):
+            raise ConfigurationError(f"output path is a directory: {self.output}")
 
 
 def parse_n_grid(text):

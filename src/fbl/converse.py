@@ -14,7 +14,6 @@ bounds at the configured confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -26,8 +25,6 @@ from .bounds import BoundPoint
 from .errors import DomainError
 
 __all__ = [
-    "ConditionalTailParams",
-    "simo_conditional_tails",
     "SimoTailTable",
     "converse_simo",
     "converse_iso",
@@ -39,47 +36,6 @@ __all__ = [
 # disjoint substream bases so selection and evaluation never share draws
 _SEL_STREAM = 1 << 33
 _EVAL_STREAM = 1 << 34
-
-
-@dataclass(frozen=True)
-class ConditionalTailParams:
-    n: int
-    g: float
-    rho: float
-
-
-def _thresholds(n, a, gamma):
-    """Noncentral chi-square thresholds of the two conditional tails."""
-    head = math.log1p(a) + 1.0 - gamma
-    thr_s = 2.0 * n * (1.0 + a) * head / a
-    thr_l = 2.0 * n * head / a
-    return thr_s, thr_l
-
-
-def simo_conditional_tails(p, gamma):
-    """(P[S_n <= n*gamma | G], P[L_n >= n*gamma | G]) in closed form.
-
-    S_n and L_n are the single-antenna hypothesis-testing statistics; given
-    the fading gain they are affine in scaled noncentral chi-square variates,
-    so both tails reduce to noncentral chi-square CDF evaluations.
-    """
-    n, g, rho = p.n, p.g, p.rho
-    if g < 0:
-        raise DomainError("fading gain must be >= 0")
-    a = rho * g
-    if a == 0.0:
-        return (1.0 if 0.0 <= n * gamma else 0.0, 1.0 if 0.0 >= n * gamma else 0.0)
-    thr_s, thr_l = _thresholds(n, a, gamma)
-    k = 2 * n
-    if thr_s <= 0.0:
-        p_s = 1.0
-    else:
-        p_s = float(sf.noncentral_chi2_sf_batch(np.array([thr_s]), k, np.array([2.0 * n / a]))[0])
-    if thr_l <= 0.0:
-        p_l = 0.0
-    else:
-        p_l = math.exp(sf.noncentral_chi2_logcdf(thr_l, k, 2.0 * n * (1.0 + a) / a))
-    return p_s, p_l
 
 
 class SimoTailTable:
@@ -105,12 +61,7 @@ class SimoTailTable:
         pos = a > 1e-6 / self.n
         self._log_a = np.log(np.where(pos, a, 1.0))
         self._pos = pos
-        if not np.any(pos):
-            self.grid = np.array([1.0])
-            self._log_grid = np.array([0.0])
-            return
-        lo = float(np.min(a[pos]))
-        hi = float(np.max(a[pos]))
+        lo, hi = (float(np.min(a[pos])), float(np.max(a[pos]))) if np.any(pos) else (1.0, 1.0)
         if hi <= lo:
             grid = np.array([lo])
         else:
@@ -118,6 +69,16 @@ class SimoTailTable:
             grid[0], grid[-1] = lo, hi
         self.grid = grid
         self._log_grid = np.log(grid)
+        # linear interpolation is linear in the grid values, so a sum of
+        # q_s over the sample is a dot product with per-grid-point weights
+        size = grid.size
+        if size == 1:
+            self._weights = np.array([float(np.count_nonzero(pos))])
+            return
+        log_a = self._log_a[pos]
+        idx = np.clip(np.searchsorted(self._log_grid, log_a, side="right") - 1, 0, size - 2)
+        frac = np.clip((log_a - self._log_grid[idx]) / np.diff(self._log_grid)[idx], 0.0, 1.0)
+        self._weights = np.bincount(idx, 1.0 - frac, size) + np.bincount(idx + 1, frac, size)
 
     def _grid_thresholds(self, gamma):
         n = self.n
@@ -126,18 +87,25 @@ class SimoTailTable:
         thr_l = 2.0 * n * head / self.grid
         return thr_s, thr_l
 
-    def q_s(self, gamma):
-        """P[S_n <= n*gamma | a_i] for every sample, via grid interpolation."""
+    def _grid_q_s(self, gamma):
         n = self.n
         thr_s, _ = self._grid_thresholds(gamma)
-        vals = np.where(
+        return np.where(
             thr_s <= 0.0,
             1.0,
             sf.noncentral_chi2_sf_batch(np.maximum(thr_s, 0.0), 2 * n, 2.0 * n / self.grid),
         )
-        out = np.interp(self._log_a, self._log_grid, vals)
+
+    def q_s(self, gamma):
+        """P[S_n <= n*gamma | a_i] for every sample, via grid interpolation."""
+        out = np.interp(self._log_a, self._log_grid, self._grid_q_s(gamma))
         out[~self._pos] = 1.0 if gamma >= 0.0 else 0.0
         return out
+
+    def sum_q_s(self, gamma):
+        """The sum of `q_s(gamma)` over the sample, in O(grid) work."""
+        zero_gain = self.a.size - np.count_nonzero(self._pos)
+        return float(self._weights @ self._grid_q_s(gamma)) + (zero_gain if gamma >= 0.0 else 0.0)
 
     def log_q_l(self, gamma):
         """log P[L_n >= n*gamma | a_i] for every sample."""
@@ -168,40 +136,6 @@ def _gain_sampler(spec):
     return draw
 
 
-def _largest_below(f, target, lo, hi, iters=80):
-    """Largest x in [lo, hi] with f(x) <= target, for nondecreasing f."""
-    if f(lo) > target:
-        raise DomainError("target not bracketed from below")
-    if f(hi) <= target:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return lo
-
-
-def _smallest_at_least(f, target, lo, hi, iters=80):
-    """Smallest x in [lo, hi] with f(x) >= target, for nondecreasing f."""
-    if f(hi) < target:
-        raise DomainError("target not bracketed from above")
-    if f(lo) >= target:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
-
-
 def _plug_in_gamma(table, target, lo, hi):
     """Root in [lo, hi] of mean_i q_s(gamma) = target, without a confidence shift.
 
@@ -210,7 +144,7 @@ def _plug_in_gamma(table, target, lo, hi):
     """
 
     def excess(gamma):
-        return float(np.mean(table.q_s(gamma))) - target
+        return table.sum_q_s(gamma) / table.a.size - target
 
     try:
         return optimize.brentq(excess, lo, hi, xtol=1e-12)
@@ -242,11 +176,11 @@ def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
     trials = cfg.samples
 
     def f(gamma):
-        return mc.cp_lower(float(np.sum(table_sel.q_s(gamma))), trials, half)
+        return mc.cp_lower(table_sel.sum_q_s(gamma), trials, half)
 
     hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
     lo = -hi - 10.0
-    gamma = _smallest_at_least(f, epsilon, lo, hi)
+    gamma = mc.root_find_monotone(f, epsilon, (lo, hi), "at_least")
 
     g_eval = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _EVAL_STREAM)
     table_eval = SimoTailTable(n, rho * g_eval)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
     "MCConfig",
@@ -100,9 +100,16 @@ def substream_index(*indices):
 
 
 def worker_count():
+    """Worker threads: FBL_THREADS (a positive integer) if set, else the CPU count."""
     env = os.environ.get("FBL_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ConfigurationError(f"FBL_THREADS must be a positive integer, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -210,22 +217,39 @@ def conservative_quantile(value_sampler, target_prob, direction, cfg, stream_off
     return float(values[k - 1])
 
 
-def root_find_monotone(f, target, bracket, tol=1e-9, max_iter=200):
-    """Bisection on a nondecreasing function; common-random-number friendly."""
+def root_find_monotone(f, target, bracket, side, max_iter=80):
+    """Bisection for where a nondecreasing `f` crosses `target`.
+
+    side='at_least' returns the smallest x in the bracket with f(x) >= target,
+    side='below' the largest x with f(x) <= target, each to within
+    1e-12 * max(1, |hi|). The returned point always satisfies its inequality,
+    so on a step function it lies on the requested side of the jump. Raises
+    DomainError when no point of the bracket satisfies it, and
+    ConvergenceError when `max_iter` halvings do not reach the tolerance.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise DomainError("target not bracketed")
+    if side == "below":
+        if f(lo) > target:
+            raise DomainError("target not bracketed from below")
+        if f(hi) <= target:
+            return hi
+    elif side == "at_least":
+        if f(hi) < target:
+            raise DomainError("target not bracketed from above")
+        if f(lo) >= target:
+            return lo
+    else:
+        raise DomainError("side must be 'below' or 'at_least'")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm - target) <= tol or (hi - lo) <= 1e-10:
-            return mid
-        if fm < target:
+        if fm < target or (side == "below" and fm == target):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            return lo if side == "below" else hi
+    raise ConvergenceError(f"bisection did not reach its tolerance in {max_iter} steps")
 
 
 def log_mean_bound(log_values, delta, side, n_batches=64):

@@ -1,19 +1,22 @@
 """Log-domain special functions and small complex linear algebra.
 
 Everything a bound evaluation needs that could overflow or underflow is kept
-in log domain here: incomplete gamma functions, the noncentral chi-square
-CDF (including an accurate log of its far-left tail), and the product of
-squared principal-angle sines between two subspaces.
+in log domain here: incomplete gamma functions, batched noncentral
+chi-square tails (including an accurate log of the far-left CDF tail), and
+the product of squared principal-angle sines between two subspaces.
 
-All routines are pure and thread-safe.
+All routines are pure and thread-safe, except that `noncentral_chi2_sf_batch`
+watches for warnings with `warnings.catch_warnings`, which is process-wide.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import special as sp
+from scipy import stats
 
 from .errors import ConvergenceError, DomainError
 
@@ -23,8 +26,6 @@ __all__ = [
     "log_reg_lower_inc_gamma",
     "reg_inc_beta",
     "log_complex_multivariate_gamma",
-    "noncentral_chi2_cdf",
-    "noncentral_chi2_logcdf",
     "noncentral_chi2_chernoff",
     "noncentral_chi2_sf_batch",
     "noncentral_chi2_logcdf_batch",
@@ -36,6 +37,14 @@ __all__ = [
 ]
 
 _LN_SQRT_2 = 0.5 * math.log(2.0)
+# below this log value gammainc is replaced by its 1F1 form
+_LOG_TINY = math.log(1e-250)
+# Rows with delta > _LARGE_DELTA_PER_DOF * k use `_chi_quadrature`. Below
+# that, Boost (survival function, within 4e-14 up to delta = 1e6) and the
+# Poisson series (log-CDF) are accurate and cheap; above it the quadrature
+# is, while Boost drifts (4e-12 at delta = 1e10) and then fails, and the
+# series grows long (docs/DECISIONS.md, section 5).
+_LARGE_DELTA_PER_DOF = 100.0
 
 
 def log_gamma(a):
@@ -47,47 +56,24 @@ def log_gamma(a):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_lower_series(a, x):
-    """log of the regularized lower incomplete gamma P(a, x) by series.
-
-    Valid and fast when x < a + 1 (terms decay geometrically). Vectorized
-    over `a`; `x` is scalar.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    term = np.ones_like(a)
-    total = np.ones_like(a)
-    for k in range(1, 100000):
-        term = term * (x / (a + k))
-        total += term
-        if np.all(term < 1e-18 * total):
-            break
-    else:
-        raise ConvergenceError("incomplete gamma series did not converge")
-    return a * math.log(x) - x - sp.gammaln(a + 1.0) + np.log(total)
-
-
 def log_reg_lower_inc_gamma(a, x):
     """log P(a, x), the regularized lower incomplete gamma, accurate in the
     far-left tail (values down to e^-1e6 and below).
 
-    Vectorized over `a`; `x` is a nonnegative scalar.
+    Broadcasts over `a` and `x` (a > 0, x >= 0). Where P underflows the
+    identity P(a, x) = x^a e^-x / Gamma(a + 1) * 1F1(1; a + 1; x) is used in
+    log domain; there x << a, so the 1F1 factor lies in [1, (a + 1) / (a + 1 - x)].
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    scalar = a.shape == (1,)
-    if np.any(a <= 0) or x < 0:
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    if np.any(a <= 0) or np.any(x < 0):
         raise DomainError("log_reg_lower_inc_gamma requires a > 0, x >= 0")
-    out = np.empty_like(a)
-    if x == 0.0:
-        out.fill(-np.inf)
-        return float(out[0]) if scalar else out
-    p = sp.gammainc(a, x)
-    direct = p > 1e-250
-    out[direct] = np.log(p[direct])
-    rest = ~direct
-    if np.any(rest):
-        # underflowed: deep left tail, so x << a and the series is safe
-        out[rest] = _log_lower_series(a[rest], x)
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore"):
+        out = np.log(np.atleast_1d(sp.gammainc(a, x)))
+    deep = (out < _LOG_TINY) & (x > 0.0)
+    if np.any(deep):
+        ad, xd = np.broadcast_to(a, out.shape)[deep], np.broadcast_to(x, out.shape)[deep]
+        out[deep] = ad * np.log(xd) - xd - sp.gammaln(ad + 1.0) + np.log(sp.hyp1f1(1.0, ad + 1.0, xd))
+    return float(out[0]) if a.ndim == 0 else out
 
 
 def _log_upper_cf(a, x, max_iter=100000):
@@ -151,94 +137,6 @@ def log_complex_multivariate_gamma(r, a):
     return float(0.5 * r * (r - 1) * math.log(math.pi) + np.sum(sp.gammaln(a - i + 1.0)))
 
 
-def _poisson_window(mu, tail=1e-14):
-    """Index window [lo, hi] containing all but < `tail` Poisson(mu) mass per side."""
-    if mu == 0.0:
-        return 0, 0
-    from scipy import stats
-
-    lo = int(stats.poisson.ppf(tail, mu))
-    return max(lo - 1, 0), _poisson_window_top(mu, tail)
-
-
-def _poisson_window_top(mu, tail=1e-14):
-    """Upper end of `_poisson_window`, for mu > 0."""
-    from scipy import stats
-
-    return int(stats.poisson.isf(tail, mu)) + 1
-
-
-def _poisson_logpmf(j, mu):
-    if mu == 0.0:
-        return np.where(j == 0, 0.0, -np.inf)
-    return j * math.log(mu) - mu - sp.gammaln(j + 1.0)
-
-
-def noncentral_chi2_cdf(x, k, delta):
-    """CDF of the noncentral chi-square with k dof and noncentrality delta.
-
-    Poisson mixture of central chi-square CDFs, truncated where the Poisson
-    mass outside the window is below 1e-14 on each side of the mode.
-    Absolute error <= 1e-10 for k up to 1e5 and delta up to 1e7.
-    """
-    x = float(x)
-    k = int(k)
-    delta = float(delta)
-    if x < 0 or k < 2 or k % 2 != 0 or delta < 0:
-        raise DomainError("requires x >= 0, even k >= 2, delta >= 0")
-    if x == 0.0:
-        return 0.0
-    mu = 0.5 * delta
-    if mu == 0.0:
-        return float(sp.gammainc(0.5 * k, 0.5 * x))
-    lo, hi = _poisson_window(mu)
-    if hi - lo > 5_000_000:
-        raise ConvergenceError(
-            f"noncentral chi2 truncation window too wide: mu={mu}, window={hi - lo}"
-        )
-    j = np.arange(lo, hi + 1, dtype=float)
-    w = np.exp(_poisson_logpmf(j, mu))
-    body = sp.gammainc(0.5 * k + j, 0.5 * x)
-    val = float(np.dot(w, body))
-    # everything below the window has CDF term <= 1, mass < 1e-14
-    return min(max(val, 0.0), 1.0)
-
-
-def noncentral_chi2_logcdf(x, k, delta):
-    """log of the noncentral chi-square CDF, accurate deep in the left tail.
-
-    Sums Poisson-mixture terms in log domain starting from j = 0; in the far
-    left tail the sum is dominated by small j, so the adaptive scan stops once
-    terms fall 60 nats below the running maximum.
-    """
-    x = float(x)
-    k = int(k)
-    delta = float(delta)
-    if x < 0 or k < 2 or k % 2 != 0 or delta < 0:
-        raise DomainError("requires x >= 0, even k >= 2, delta >= 0")
-    if x == 0.0:
-        return -np.inf
-    mu = 0.5 * delta
-    if mu == 0.0:
-        return float(log_reg_lower_inc_gamma(0.5 * k, 0.5 * x))
-    hi = _poisson_window_top(mu)
-    block = 256
-    best = -np.inf
-    chunks = []
-    start = 0
-    while start <= hi:
-        j = np.arange(start, min(start + block, hi + 1), dtype=float)
-        terms = _poisson_logpmf(j, mu) + log_reg_lower_inc_gamma(0.5 * k + j, 0.5 * x)
-        chunks.append(terms)
-        m = float(np.max(terms))
-        best = max(best, m)
-        if m < best - 60.0 and terms[-1] <= terms[0]:
-            break
-        start += block
-    all_terms = np.concatenate(chunks)
-    return float(sp.logsumexp(all_terms))
-
-
 def noncentral_chi2_chernoff(x, k, delta, side):
     """Vectorized Chernoff exponent: log upper bound on a noncentral chi2 tail.
 
@@ -269,54 +167,52 @@ def noncentral_chi2_chernoff(x, k, delta, side):
     return np.minimum(out, 0.0)
 
 
-def _mixture_rows(x, k, mu, upper_tail):
-    """Poisson-mixture evaluation for a batch of (x_i, mu_i) rows, common k."""
-    out = np.empty_like(x)
-    order = np.argsort(mu)
-    from scipy import stats
+def _chi_quadrature(x, k, delta, log_cdf):
+    """Noncentral chi-square tail from X = (Z + sqrt(delta))^2 + U^2, U ~ chi_{k-1}.
 
-    mu_safe = np.maximum(mu, 1e-300)
-    lo_all = np.where(mu > 0, stats.poisson.ppf(1e-14, mu_safe), 0).astype(np.int64)
-    lo_all = np.maximum(lo_all - 1, 0)
-    hi_all = np.where(mu > 0, stats.poisson.isf(1e-14, mu_safe), 0).astype(np.int64) + 1
+    Given U = u, P[X <= x] = Phi(r - sqrt(delta)) - Phi(-r - sqrt(delta)) with
+    r = sqrt(x - u^2). The mean over u is a trapezoid sum; the integrand is
+    even in u and analytic, so the sum converges exponentially, and when
+    delta >> k it varies slowly over the chi law. Returns the survival
+    function, or the log-CDF when `log_cdf`.
+    """
+    u = np.arange(0.0, math.sqrt(k) + 12.0, 0.25)
+    logw = stats.chi.logpdf(u, k - 1)
+    logw[0] -= math.log(2.0)  # the trapezoid's half weight at u = 0
+    logw -= sp.logsumexp(logw)
+    rest = x[:, None] - u**2
+    root = np.sqrt(np.maximum(rest, 0.0))
+    s = np.sqrt(delta)[:, None]
+    z = ((x - delta)[:, None] - u**2) / (root + s)  # r - sqrt(delta), without cancellation
+    if not log_cdf:
+        return np.where(rest > 0.0, gaussian_q(z) + gaussian_q(root + s), 1.0) @ np.exp(logw)
+    with np.errstate(divide="ignore"):
+        near = sp.log_ndtr(z)
+        log_p = near + np.log1p(-np.exp(sp.log_ndtr(-root - s) - near))
+    return sp.logsumexp(np.where(rest > 0.0, log_p, -np.inf) + logw, axis=1)
 
-    # group rows of similar window size, keeping each (rows x window)
-    # allocation under ~2^23 elements: the window grows like sqrt(mu), and
-    # mu can reach ~1e13 at tiny fading gains
-    start = 0
-    while start < order.size:
-        width0 = int(hi_all[order[start]] - lo_all[order[start]]) + 1
-        group = max(1, min(128, (1 << 23) // max(width0, 1)))
-        idx = order[start : start + group]
-        start += group
-        mu_g = mu[idx]
-        x_g = x[idx]
-        lo = lo_all[idx]
-        hi = hi_all[idx]
-        width = int(np.max(hi - lo)) + 1
-        j = lo[:, None] + np.arange(width)[None, :]
-        mask = j <= hi[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.where(
-                mu_g[:, None] > 0,
-                j * np.log(np.maximum(mu_g[:, None], 1e-300)) - mu_g[:, None] - sp.gammaln(j + 1.0),
-                np.where(j == 0, 0.0, -np.inf),
-            )
-        w = np.where(mask, np.exp(logw), 0.0)
-        a = 0.5 * k + j
-        if upper_tail:
-            body = sp.gammaincc(a, 0.5 * x_g[:, None])
-        else:
-            body = sp.gammainc(a, 0.5 * x_g[:, None])
-        out[idx] = np.sum(w * body, axis=1)
-    return out
+
+def _boost_sf(x, k, delta):
+    """scipy's (Boost) ncx2.sf, and a mask of the rows whose evaluation warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = stats.ncx2.sf(x, k, delta)
+    bad = ~np.isfinite(out)
+    if caught:  # find the rows that warned
+        for i in range(x.size):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                stats.ncx2.sf(x[i], k, delta[i])
+            bad[i] |= bool(caught)
+    return out, bad
 
 
 def noncentral_chi2_sf_batch(x, k, delta):
     """Survival function P[chi'2_k(delta) >= x] for arrays x, delta (common k).
 
     Absolute error ~1e-12: rows provably within 1e-13 of 0 or 1 (by Chernoff)
-    are short-circuited; the rest use the truncated Poisson mixture.
+    are short-circuited; the rest use scipy's ncx2.sf (Boost), except rows
+    with delta > 100 k or whose Boost call warned, which use `_chi_quadrature`.
     """
     x = np.asarray(x, dtype=float)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape).copy()
@@ -330,9 +226,48 @@ def noncentral_chi2_sf_batch(x, k, delta):
     out[is_zero] = 0.0
     out[x <= 0.0] = 1.0
     mid = ~(is_one | is_zero) & (x > 0.0)
-    if np.any(mid):
-        out[mid] = np.clip(_mixture_rows(x[mid], k, 0.5 * delta[mid], upper_tail=True), 0.0, 1.0)
+    large = mid & (delta > _LARGE_DELTA_PER_DOF * k)
+    boost = np.nonzero(mid & ~large)[0]
+    if boost.size:
+        out[boost], bad = _boost_sf(x[boost], k, delta[boost])
+        large[boost[bad]] = True
+    if np.any(large):
+        out[large] = _chi_quadrature(x[large], k, delta[large], log_cdf=False)
+    out[mid] = np.clip(out[mid], 0.0, 1.0)
     return out
+
+
+def _log_cdf_rows(x, k, mu):
+    """log P[chi'2_k(2 mu_i) <= x_i] for a batch of rows, common even k.
+
+    The Poisson-mixture terms log w_j + log P(k/2 + j, x/2) are built as a
+    (rows x block) array per block of j, starting from j = 0, where the far
+    left tail has its mass. A row stops once a block lies more than 60 nats
+    below its largest term and decreases, or passes the 1e-14 upper Poisson
+    quantile; its terms are summed by a running logsumexp.
+    """
+    block = 256
+    hi = np.where(mu > 0, stats.poisson.isf(1e-14, np.maximum(mu, 1e-300)), -1).astype(np.int64) + 1
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+    total = np.full(x.shape, -np.inf)
+    best = np.full(x.shape, -np.inf)
+    rows = np.arange(x.size)
+    start = 0
+    while rows.size:
+        j = np.arange(start, start + block, dtype=float)
+        mu_r = mu[rows, None]
+        with np.errstate(invalid="ignore"):
+            logw = np.where(mu_r > 0, j * log_mu[rows, None] - mu_r - sp.gammaln(j + 1.0), np.where(j == 0, 0.0, -np.inf))
+        terms = logw + log_reg_lower_inc_gamma(0.5 * k + j, 0.5 * x[rows, None])
+        terms = np.where(j <= hi[rows, None], terms, -np.inf)
+        total[rows] = np.logaddexp(total[rows], sp.logsumexp(terms, axis=1))
+        m = np.max(terms, axis=1)
+        best[rows] = np.maximum(best[rows], m)
+        done = ((m < best[rows] - 60.0) & (terms[:, -1] <= terms[:, 0])) | (start + block > hi[rows])
+        rows = rows[~done]
+        start += block
+    return total
 
 
 def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
@@ -341,7 +276,8 @@ def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
     Rows whose Chernoff upper bound falls more than `rel_cutoff` nats below
     the largest row bound are reported as -inf (their contribution to any
     mean over the batch is negligible, and dropping them only understates
-    the mean). The rest are evaluated by the adaptive log-domain mixture.
+    the mean). The rest are evaluated by the log-domain Poisson mixture, or
+    by `_chi_quadrature` where delta > 100 k.
     """
     x = np.asarray(x, dtype=float)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
@@ -352,8 +288,11 @@ def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
     if not np.isfinite(top):
         return out
     keep = ch >= top - rel_cutoff
-    for i in np.nonzero(keep)[0]:
-        out[i] = noncentral_chi2_logcdf(float(x[i]), k, float(delta[i]))
+    large = keep & (delta > _LARGE_DELTA_PER_DOF * k)
+    series = keep & ~large
+    out[series] = _log_cdf_rows(x[series], k, 0.5 * delta[series])
+    if np.any(large):
+        out[large] = _chi_quadrature(x[large], k, delta[large], log_cdf=True)
     return out
 
 

@@ -169,6 +169,27 @@ class TestCommandLine:
         res = _run(["sweep", "--config", "/nonexistent/path.cfg"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_bad_thread_count_exit_code(self, threads):
+        # awgn never starts the sampling pool: the variable is checked up front
+        res = _run(["approx", "awgn", "--snr-db", "0", "--n", "100"], threads=threads)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"error: FBL_THREADS must be a positive integer, got {threads!r}"
+        ]
+
+    def test_output_directory_exit_code(self, tmp_path):
+        res = _run(["approx", "awgn", "--snr-db", "0", "--n", "100", "--output", str(tmp_path)])
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [f"error: output path is a directory: {tmp_path}"]
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        res = _run(["approx", "awgn", "--snr-db", "0", "--n", "100", "--output", str(out)])
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1 and "error:" in res.stderr
+
     def test_outage_row_carries_probability_interval(self):
         res = _run(
             [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from fbl import channel as ch
 from fbl import converse as cv
 from fbl import mc
@@ -38,25 +39,25 @@ class TestSimoConditionalTails:
     def test_zero_gain_degenerate(self):
         for n in (1, 17):
             for gamma, want_s, want_l in ((-1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0)):
-                p = cv.ConditionalTailParams(n=n, g=0.0, rho=2.0)
-                assert cv.simo_conditional_tails(p, gamma) == (want_s, want_l)
+                p = oracles.ConditionalTailParams(n=n, g=0.0, rho=2.0)
+                assert oracles.simo_conditional_tails(p, gamma) == (want_s, want_l)
 
     def test_threshold_at_zero_gives_one(self):
         a = 0.7
-        p = cv.ConditionalTailParams(n=20, g=1.0, rho=a)
+        p = oracles.ConditionalTailParams(n=20, g=1.0, rho=a)
         gamma = math.log1p(a) + 1.0
-        p_s, _ = cv.simo_conditional_tails(p, gamma)
+        p_s, _ = oracles.simo_conditional_tails(p, gamma)
         assert p_s == 1.0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(DomainError):
-            cv.simo_conditional_tails(cv.ConditionalTailParams(n=5, g=-0.1, rho=1.0), 0.0)
+            oracles.simo_conditional_tails(oracles.ConditionalTailParams(n=5, g=-0.1, rho=1.0), 0.0)
 
     def test_direct_sum_monte_carlo_oracle(self):
         # the chi-square reduction is not printed anywhere: check both closed
         # forms against raw Gaussian double sums with exact binomial intervals
         n, a, gamma = 50, 1.0, 0.5
-        p_s, p_l = cv.simo_conditional_tails(cv.ConditionalTailParams(n=n, g=1.0, rho=a), gamma)
+        p_s, p_l = oracles.simo_conditional_tails(oracles.ConditionalTailParams(n=n, g=1.0, rho=a), gamma)
         rng = _rng(1)
         draws, batch = 2_000_000, 100_000
         s_hits = l_hits = 0
@@ -100,11 +101,27 @@ class TestSimoTailTable:
             qs = table.q_s(gamma)
             ql = table.log_q_l(gamma)
             for i in range(a.size):
-                p = cv.ConditionalTailParams(n=n, g=float(a[i]), rho=1.0)
-                p_s, p_l = cv.simo_conditional_tails(p, gamma)
+                p = oracles.ConditionalTailParams(n=n, g=float(a[i]), rho=1.0)
+                p_s, p_l = oracles.simo_conditional_tails(p, gamma)
                 assert qs[i] == pytest.approx(p_s, abs=2e-4)
                 if p_l > 0 and math.log(p_l) > -400:
                     assert ql[i] == pytest.approx(math.log(p_l), abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            0.8 * np.random.default_rng(4).chisquare(4, size=20_000) / 4.0,
+            np.concatenate([np.zeros(30), [1e-12, 1e-9], np.random.default_rng(5).exponential(1.0, 3000)]),
+            np.full(50, 0.7),  # one grid point
+            np.array([0.0, 1e-12]),  # no gain above the degenerate floor
+        ],
+        ids=["chi2", "with-zero-gains", "constant", "all-degenerate"],
+    )
+    def test_weighted_sum_equals_sum_of_interpolated_values(self, a):
+        table = cv.SimoTailTable(60, a)
+        for gamma in (-0.5, 0.0, 0.2, 0.6, 1.0, 3.0):
+            want = float(np.sum(table.q_s(gamma)))
+            assert table.sum_q_s(gamma) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_tiny_gains_treated_as_degenerate(self):
         table = cv.SimoTailTable(100, np.array([1e-12, 1e-11]))

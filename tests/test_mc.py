@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from fbl import mc
-from fbl.errors import ConfigurationError, DomainError
+from fbl.errors import ConfigurationError, ConvergenceError, DomainError
 
 
 def uniform_sampler(rng, size):
@@ -141,15 +141,16 @@ class TestConservativeQuantile:
 
 class TestRootFindMonotone:
     def test_identity(self):
-        assert mc.root_find_monotone(lambda x: x, 0.3, (0.0, 1.0)) == pytest.approx(
-            0.3, abs=1e-9
-        )
+        for side in ("at_least", "below"):
+            got = mc.root_find_monotone(lambda x: x, 0.3, (0.0, 1.0), side)
+            assert got == pytest.approx(0.3, abs=1e-12)
 
     def test_shifted_cdf(self):
         from fbl import specfun as sf
 
-        got = mc.root_find_monotone(lambda x: sf.gaussian_q(-x), 0.5, (-5.0, 5.0))
-        assert got == pytest.approx(0.0, abs=1e-8)
+        for side in ("at_least", "below"):
+            got = mc.root_find_monotone(lambda x: sf.gaussian_q(-x), 0.5, (-5.0, 5.0), side)
+            assert got == pytest.approx(0.0, abs=1e-8)
 
     def test_empirical_cdf_matches_sorted_quantile(self):
         rng = np.random.default_rng(14)
@@ -158,13 +159,49 @@ class TestRootFindMonotone:
         def ecdf(x):
             return np.searchsorted(sample, x, side="right") / sample.size
 
-        got = mc.root_find_monotone(ecdf, 0.25, (0.0, 1.0))
         oracle = sample[int(0.25 * sample.size) - 1]
-        assert abs(got - oracle) < 1e-3
+        got = mc.root_find_monotone(ecdf, 0.25, (0.0, 1.0), "at_least")
+        assert ecdf(got) >= 0.25
+        assert 0.0 <= got - oracle <= 1e-12
+        got = mc.root_find_monotone(ecdf, 0.25, (0.0, 1.0), "below")
+        assert ecdf(got) <= 0.25
+        assert sample[int(0.25 * sample.size)] - got <= 1e-12
 
     def test_bracket_violation(self):
         with pytest.raises(DomainError):
-            mc.root_find_monotone(lambda x: x, 2.0, (0.0, 1.0))
+            mc.root_find_monotone(lambda x: x, 2.0, (0.0, 1.0), "at_least")
+        with pytest.raises(DomainError):
+            mc.root_find_monotone(lambda x: x, -1.0, (0.0, 1.0), "below")
+
+    @pytest.mark.parametrize("target", [0.5, 1.0])
+    def test_step_function_at_least(self, target):
+        def step(x):
+            return 1.0 if x >= 0.3 else 0.0
+
+        got = mc.root_find_monotone(step, target, (0.0, 1.0), "at_least")
+        assert step(got) >= target
+        assert 0.0 <= got - 0.3 <= 1e-12
+
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_step_function_below(self, target):
+        def step(x):
+            return 1.0 if x >= 0.3 else 0.0
+
+        got = mc.root_find_monotone(step, target, (0.0, 1.0), "below")
+        assert step(got) <= target
+        assert 0.0 < 0.3 - got <= 1e-12
+
+    def test_ends_returned_when_already_satisfied(self):
+        assert mc.root_find_monotone(lambda x: x, -1.0, (0.0, 1.0), "at_least") == 0.0
+        assert mc.root_find_monotone(lambda x: x, 2.0, (0.0, 1.0), "below") == 1.0
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(ConvergenceError):
+            mc.root_find_monotone(lambda x: x, 0.3, (0.0, 1.0), "at_least", max_iter=5)
+
+    def test_unknown_side(self):
+        with pytest.raises(DomainError):
+            mc.root_find_monotone(lambda x: x, 0.3, (0.0, 1.0), "nearest")
 
 
 class TestLogMeanBound:

@@ -1,13 +1,16 @@
 """Special-function tests against independent high-precision oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+import oracles
 from fbl import specfun as sf
 from fbl.errors import DomainError
 
@@ -145,29 +148,29 @@ class TestNoncentralChi2Cdf:
             oracle = float(
                 mpmath.gammainc(k / 2, 0, x / 2, regularized=True)
             )
-            assert sf.noncentral_chi2_cdf(x, k, 0.0) == pytest.approx(oracle, abs=1e-12)
+            assert oracles.noncentral_chi2_cdf(x, k, 0.0) == pytest.approx(oracle, abs=1e-12)
 
     def test_at_zero(self):
-        assert sf.noncentral_chi2_cdf(0.0, 6, 11.0) == 0.0
+        assert oracles.noncentral_chi2_cdf(0.0, 6, 11.0) == 0.0
 
     def test_marcum_oracle(self):
         # two degrees of freedom: CDF(x; 2, d) = 1 - Q_1(sqrt(d), sqrt(x))
         oracle = float(1 - _marcum_q1_series(math.sqrt(3.0), math.sqrt(5.0)))
-        assert sf.noncentral_chi2_cdf(5.0, 2, 3.0) == pytest.approx(oracle, abs=1e-10)
+        assert oracles.noncentral_chi2_cdf(5.0, 2, 3.0) == pytest.approx(oracle, abs=1e-10)
 
     def test_monotone_in_x_and_delta(self):
         xs = np.linspace(0.0, 60.0, 25)
         deltas = np.linspace(0.0, 40.0, 9)
         for d in deltas:
-            vals = [sf.noncentral_chi2_cdf(float(x), 10, float(d)) for x in xs]
+            vals = [oracles.noncentral_chi2_cdf(float(x), 10, float(d)) for x in xs]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         for x in xs:
-            vals = [sf.noncentral_chi2_cdf(float(x), 10, float(d)) for d in deltas]
+            vals = [oracles.noncentral_chi2_cdf(float(x), 10, float(d)) for d in deltas]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_large_parameters(self):
         # mean k + delta; CDF at the mean must be strictly inside (0, 1)
-        val = sf.noncentral_chi2_cdf(1.1e5 + 1e6, 100_000, 1e6)
+        val = oracles.noncentral_chi2_cdf(1.1e5 + 1e6, 100_000, 1e6)
         assert 0.5 < val < 1.0
 
     def test_scipy_cross_check(self):
@@ -178,7 +181,7 @@ class TestNoncentralChi2Cdf:
             k = 2 * int(rng.integers(1, 200))
             d = float(rng.uniform(0, 5000))
             x = float(rng.uniform(0, k + d + 4 * math.sqrt(2 * (k + 2 * d))))
-            assert sf.noncentral_chi2_cdf(x, k, d) == pytest.approx(
+            assert oracles.noncentral_chi2_cdf(x, k, d) == pytest.approx(
                 float(stats.ncx2.cdf(x, k, d)) if d > 0 else float(stats.chi2.cdf(x, k)),
                 abs=1e-9,
             )
@@ -187,8 +190,8 @@ class TestNoncentralChi2Cdf:
 class TestNoncentralChi2LogCdf:
     def test_agrees_with_cdf_in_bulk(self):
         for x, k, d in ((30.0, 20, 10.0), (100.0, 40, 80.0)):
-            assert sf.noncentral_chi2_logcdf(x, k, d) == pytest.approx(
-                math.log(sf.noncentral_chi2_cdf(x, k, d)), abs=1e-9
+            assert oracles.noncentral_chi2_logcdf(x, k, d) == pytest.approx(
+                math.log(oracles.noncentral_chi2_cdf(x, k, d)), abs=1e-9
             )
 
     def test_deep_tail_against_multiprecision(self):
@@ -206,7 +209,7 @@ class TestNoncentralChi2LogCdf:
                     break
                 j += 1
             oracle = float(mpmath.log(total))
-        assert sf.noncentral_chi2_logcdf(x, k, d) == pytest.approx(oracle, abs=1e-6)
+        assert oracles.noncentral_chi2_logcdf(x, k, d) == pytest.approx(oracle, abs=1e-6)
 
     def test_chernoff_dominates_logcdf(self):
         rng = np.random.default_rng(1)
@@ -215,7 +218,7 @@ class TestNoncentralChi2LogCdf:
             d = float(rng.uniform(1.0, 2000))
             mean = k + d
             x = float(rng.uniform(0.05 * mean, 0.9 * mean))
-            lc = sf.noncentral_chi2_logcdf(x, k, d)
+            lc = oracles.noncentral_chi2_logcdf(x, k, d)
             ch = float(sf.noncentral_chi2_chernoff(np.array([x]), k, np.array([d]), "lower")[0])
             assert lc <= ch + 1e-9
 
@@ -236,7 +239,7 @@ class TestBatchTails:
         got = sf.noncentral_chi2_logcdf_batch(x, 100, delta)
         for g, xx, dd in zip(got, x, delta):
             if np.isfinite(g):
-                assert g == pytest.approx(sf.noncentral_chi2_logcdf(float(xx), 100, float(dd)), abs=1e-7)
+                assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 100, float(dd)), abs=1e-7)
 
     def test_logcdf_batch_drop_is_conservative(self):
         # rows dropped to -inf must be far below the retained maximum
@@ -245,11 +248,84 @@ class TestBatchTails:
         got = sf.noncentral_chi2_logcdf_batch(x, 60, delta)
         top = np.max(got[np.isfinite(got)])
         for g, xx in zip(got, x):
-            exact = sf.noncentral_chi2_logcdf(float(xx), 60, 500.0)
+            exact = oracles.noncentral_chi2_logcdf(float(xx), 60, 500.0)
             if np.isfinite(g):
                 assert g == pytest.approx(exact, abs=1e-7)
             else:
                 assert exact < top - 40.0
+
+
+def _sd_points(k, delta, multiples):
+    mean, sd = k + delta, math.sqrt(2.0 * (k + 2.0 * delta))
+    return np.array([mean + m * sd for m in multiples if mean + m * sd > 0.0])
+
+
+class TestBatchTailsReferee:
+    """Both batch tails against mpmath quadratures of the Bessel-form density.
+
+    The grid spans n = 10..2000 (k = 2n) and delta = 10..1e12, covering the
+    band delta >= 1e10.5 where Boost's ncx2 warns "Series did not converge"
+    and drifts (0.43 against 0.50 at delta = 1e12).
+    """
+
+    @pytest.mark.parametrize("n", [10, 100, 500, 2000])
+    @pytest.mark.parametrize("delta", [10.0, 1e3, 1e6, 1e11, 1e12])
+    def test_sf_batch(self, n, delta):
+        k = 2 * n
+        x = _sd_points(k, delta, (-3.0, 3.0))
+        got = sf.noncentral_chi2_sf_batch(x, k, np.full(x.shape, delta))
+        want = [oracles.mp_noncentral_chi2_sf(float(xx), k, delta) for xx in x]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # the Bessel series behind the referee does not converge at n = 2000 for
+    # 1e5 <= delta <= 1e9, so that corner of the grid is left out
+    @pytest.mark.parametrize(
+        "n, delta",
+        [(n, d) for n in (10, 100, 500) for d in (10.0, 1e3, 1e6, 1e9, 1e12)]
+        + [(2000, d) for d in (10.0, 1e3, 1e12)],
+    )
+    def test_logcdf_batch(self, n, delta):
+        # the mean, and about 30 and 300 nats down the left tail
+        k = 2 * n
+        x = _sd_points(k, delta, (0.0, -7.7, -24.5))
+        got = sf.noncentral_chi2_logcdf_batch(x, k, np.full(x.shape, delta), rel_cutoff=math.inf)
+        want = [oracles.mp_noncentral_chi2_logcdf(float(xx), k, delta) for xx in x]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_boost_band_is_routed_around(self):
+        k, delta = 1000, 1e12
+        x = _sd_points(k, delta, (0.0,))
+        with pytest.warns(RuntimeWarning):
+            boost = float(stats.ncx2.sf(x[0], k, delta))
+        want = oracles.mp_noncentral_chi2_sf(float(x[0]), k, delta)
+        assert abs(boost - want) > 0.05
+        assert sf.noncentral_chi2_sf_batch(x, k, np.array([delta]))[0] == pytest.approx(want, abs=1e-12)
+
+    def test_rows_whose_boost_call_warns_use_the_quadrature(self, monkeypatch):
+        k, delta = 1000, 1e4
+        x = _sd_points(k, delta, (0.0, 1.0))
+        want = stats.ncx2.sf(x, k, delta)
+
+        def warns_on_second_row(xx, kk, dd):
+            if np.any(np.asarray(xx) == x[1]):
+                warnings.warn("Series did not converge", RuntimeWarning)
+            return np.full(np.shape(xx), 0.25)
+
+        monkeypatch.setattr(stats.ncx2, "sf", warns_on_second_row)
+        got = sf.noncentral_chi2_sf_batch(x, k, np.full(x.shape, delta))
+        assert got[0] == 0.25  # Boost's value is kept where it did not warn
+        assert got[1] == pytest.approx(want[1], abs=1e-13)
+
+    def test_logcdf_batch_matches_scalar_oracle_on_a_simo_grid(self):
+        # rows like those of SimoTailTable.log_q_l at n = 500
+        n, gamma = 500, 0.6
+        a = np.exp(np.linspace(math.log(0.05), math.log(20.0), 40))
+        thr = 2.0 * n * (np.log1p(a) + 1.0 - gamma) / a
+        delta = 2.0 * n * (1.0 + a) / a
+        got = sf.noncentral_chi2_logcdf_batch(thr, 2 * n, delta, rel_cutoff=500.0)
+        for g, xx, dd in zip(got, thr, delta):
+            if np.isfinite(g):
+                assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 2 * n, float(dd)), abs=1e-10)
 
 
 class TestSampleNoncentralChi2:
