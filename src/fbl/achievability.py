@@ -1,6 +1,7 @@
 """Hypothesis-testing (kappa-beta) lower bounds on the maximal coding rate.
 
-The main path draws the squared-sine decoding statistic, takes a conservative
+The main path draws the squared-sine decoding statistic from its exact law
+(Wilks' Lambda with a complex Bartlett factor), takes a conservative
 upper quantile as the decision threshold gamma_n, and bounds the auxiliary
 tail P[prod Beta_j <= gamma_n] in closed form (exact regularized-beta tail
 when the effective transmit rank is 1, Chernoff otherwise). A separate
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -30,8 +30,6 @@ __all__ = [
     "beta_product_log_tail",
     "markov_log_tail",
     "sin2_statistic_sampler",
-    "sample_sin2_statistic",
-    "gamma_n_ach",
     "rate_lower_bound",
     "csir_kappa_beta_simo",
     "tau_grid",
@@ -125,68 +123,38 @@ def _signal_gains(spec, cov, rng, size):
     return gains[..., :m_eff]
 
 
-def sin2_statistic_sampler(spec, cov, n, method):
-    """Batched sampler of the decoding statistic.
+def sin2_statistic_sampler(spec, cov, n):
+    """Batched exact sampler of the decoding statistic.
 
-    method='exact' builds the n x r received matrix and measures the product
-    of squared principal-angle sines against the transmit subspace;
-    method='t-product' draws the per-mode ratio representation, which
-    stochastically dominates the exact statistic (so its upper quantile is a
-    valid, conservative threshold).
+    The statistic, the product of squared principal-angle sines between the
+    n x r received block and the t_eff-dimensional transmit subspace, is
+    Wilks' Lambda det A / det(A + Y1^H Y1), with A ~ CW_r(n - t_eff, I) the
+    Gram of the noise-only rows and Y1 the t_eff x r signal block. It has
+    the law of det W / det(W + X X^H), where d = min(t_eff, r),
+    W ~ CW_d(n - max(t_eff, r), I) and X is d x max(t_eff, r) with CN(0, 1)
+    entries plus sqrt(n * gain_i) at (i, i). With W = L L^H (complex
+    Bartlett factor) the statistic is prod diag(L)^2 / det(Z Z^H), Z = [X | L]
+    (docs/DECISIONS.md, section 6).
     """
     t_eff = _effective_rank(spec, cov)
     r = spec.r
     if n <= t_eff + r:
         raise DomainError("requires n > t_eff + r")
-    if method == "t-product":
+    d, wide = min(t_eff, r), max(t_eff, r)
+    idx = np.arange(d)
 
-        def draw(rng, size):
-            gains = _signal_gains(spec, cov, rng, size)
-            m_eff = gains.shape[-1]
-            s = rng.standard_gamma(n - 1.0, size=(size, m_eff))
-            w = rng.standard_normal((size, m_eff, 2)) * math.sqrt(0.5)
-            sig = (np.sqrt(n * gains) + w[..., 0]) ** 2 + w[..., 1] ** 2
-            return np.prod(s / (sig + s), axis=-1)
+    def draw(rng, size):
+        gains = _signal_gains(spec, cov, rng, size)
+        diag2 = rng.standard_gamma(n - wide - idx, size=(size, d))
+        shape = (size, d, wide + d)
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+        z[:, idx, idx] += np.sqrt(n * gains)
+        z[..., wide:] = np.tril(z[..., wide:], -1)
+        z[:, idx, wide + idx] = np.sqrt(diag2)
+        gram = z @ np.conj(np.swapaxes(z, -1, -2))
+        return np.clip(np.prod(diag2, axis=-1) / np.linalg.det(gram).real, 0.0, 1.0)
 
-        return draw
-    if method == "exact":
-
-        def draw(rng, size):
-            gains = _signal_gains(spec, cov, rng, size)
-            m_eff = gains.shape[-1]
-            y = rng.standard_normal((size, n, r)) + 1j * rng.standard_normal((size, n, r))
-            y *= math.sqrt(0.5)
-            idx = np.arange(m_eff)
-            y[:, idx, idx] += np.sqrt(n * gains)
-            q, _ = np.linalg.qr(y)
-            m_top = q[:, :t_eff, :]
-            if t_eff <= r:
-                g = np.eye(t_eff) - m_top @ np.conj(np.swapaxes(m_top, -1, -2))
-            else:
-                g = np.eye(r) - np.conj(np.swapaxes(m_top, -1, -2)) @ m_top
-            return np.clip(np.linalg.det(g).real, 0.0, 1.0)
-
-        return draw
-    raise DomainError("method must be 'exact' or 't-product'")
-
-
-def _default_method(spec, cov):
-    return "exact" if _effective_rank(spec, cov) == 1 else "t-product"
-
-
-def sample_sin2_statistic(spec, cov, n, method, rng):
-    """One draw of the decoding statistic (scalar convenience wrapper)."""
-    return float(sin2_statistic_sampler(spec, cov, n, method)(rng, 1)[0])
-
-
-def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, method=None, stream_offset=0):
-    """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
-    _check_eps_tau(epsilon, tau)
-    method = method or _default_method(spec, cov)
-    sampler = sin2_statistic_sampler(spec, cov, n, method)
-    return mc.conservative_quantile(
-        sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + _STAT_STREAM
-    )
+    return draw
 
 
 def _check_eps_tau(epsilon, tau):
@@ -202,7 +170,7 @@ def tau_grid(n, epsilon):
     return sorted({t for t in cands if 0.0 < t < epsilon})
 
 
-def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, method=None, stream_offset=0):
+def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
     tau=None runs the default grid search and returns the best point; the
@@ -210,14 +178,13 @@ def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, method=None, str
     """
     if cfg is None:
         raise DomainError("cfg is required")
-    method = method or _default_method(spec, cov)
     t_eff = _effective_rank(spec, cov)
     taus = tau_grid(n, epsilon) if tau is None else [tau]
     if not taus:
         raise ConfigurationError("no feasible tau < epsilon")
     for t in taus:
         _check_eps_tau(epsilon, t)
-    sampler = sin2_statistic_sampler(spec, cov, n, method)
+    sampler = sin2_statistic_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
     best = None
     for t in taus:

@@ -44,8 +44,8 @@ class Rician:
     k_factor: float
 
     def __post_init__(self):
-        if self.k_factor < 0:
-            raise DomainError("k_factor must be >= 0")
+        if not (0.0 <= self.k_factor < math.inf):
+            raise DomainError(f"k_factor must be finite and >= 0, got {self.k_factor}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class Nakagami:
     m_shape: float
 
     def __post_init__(self):
-        if self.m_shape < 0.5:
-            raise DomainError("m_shape must be >= 0.5")
+        if not (0.5 <= self.m_shape < math.inf):
+            raise DomainError(f"m_shape must be finite and >= 0.5, got {self.m_shape}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.t < 1 or self.r < 1:
             raise DomainError("antenna counts must be >= 1")
-        if self.snr <= 0:
-            raise DomainError("snr must be positive (linear scale)")
+        if not (0.0 < self.snr < math.inf):
+            raise DomainError(f"snr must be positive and finite (linear scale), got {self.snr}")
 
     @property
     def m(self):
@@ -145,7 +145,8 @@ def effective_eigenvalues(h, cov, spec):
     """Eigenvalues feeding the capacity/dispersion formulas.
 
     WaterFill: eigenvalues of H H^H (power is allocated downstream).
-    Isotropic/Fixed: top min(t, r) eigenvalues of H^H Q H.
+    Isotropic: (rho/t) times the eigenvalues of the min(t, r)-square Gram of H.
+    Fixed: top min(t, r) eigenvalues of H^H Q H.
     Accepts a single t x r matrix or a stack (..., t, r); returns (..., m).
     """
     h = np.asarray(h)
@@ -154,12 +155,12 @@ def effective_eigenvalues(h, cov, spec):
     if isinstance(cov, WaterFill):
         return gram_eigenvalues(h)
     if isinstance(cov, Isotropic):
-        q = (spec.snr / spec.t) * np.eye(spec.t)
-    elif isinstance(cov, Fixed):
-        cov.validate(spec)
-        q = np.asarray(cov.q)
-    else:
+        small = h if spec.t <= spec.r else np.conj(np.swapaxes(h, -1, -2))
+        return (spec.snr / spec.t) * gram_eigenvalues(small)
+    if not isinstance(cov, Fixed):
         raise DomainError(f"unknown covariance policy: {cov!r}")
+    cov.validate(spec)
+    q = np.asarray(cov.q)
     hh = np.conj(np.swapaxes(h, -1, -2))  # r x t
     gram = hh @ q @ h  # r x r
     vals = np.clip(_descending_eigvalsh(gram).real, 0.0, None)

@@ -67,6 +67,8 @@ class SweepRequest:
             raise ConfigurationError("epsilon must be in (0, 1)")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigurationError("n_grid must be strictly increasing")
+        if not self.n_grid or self.n_grid[0] < 1:
+            raise ConfigurationError("blocklengths must be positive integers")
         for b in self.bounds:
             if b not in BOUND_NAMES:
                 raise ConfigurationError(f"unknown bound: {b}")
@@ -175,24 +177,27 @@ def request_from_mapping(kv):
                 kv.get("fading.kind"), kv.get("fading.k_db"), kv.get("fading.m_shape")
             ),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad channel configuration: {exc}") from exc
-    tau_raw = kv.get("tau", "grid")
-    tau = None if tau_raw in ("grid", "", None) else float(tau_raw)
-    rate_nats = None
-    if "rate_bits" in kv:
-        rate_nats = float(kv["rate_bits"]) * math.log(2.0)
+    try:
+        tau_raw = kv.get("tau", "grid")
+        tau = None if tau_raw in ("grid", "", None) else float(tau_raw)
+        rate_nats = float(kv["rate_bits"]) * math.log(2.0) if "rate_bits" in kv else None
+        epsilon = float(kv.get("epsilon", "1e-3"))
+        seed = int(kv.get("seed", "1"))
+        samples = int(kv.get("samples", "100000"))
+        confidence_delta = float(kv.get("confidence_delta", "0.01"))
+        chunk_size = int(kv.get("chunk_size", "4096"))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad number in configuration: {exc}") from exc
     req = SweepRequest(
         spec=spec,
         cov=_cov_from_key(kv.get("cov")),
-        epsilon=float(kv.get("epsilon", "1e-3")),
+        epsilon=epsilon,
         n_grid=parse_n_grid(kv.get("n_grid", "100")),
         bounds=tuple(b.strip() for b in kv.get("bounds", "").split(",") if b.strip()),
         mc=MCConfig(
-            seed=int(kv.get("seed", "1")),
-            samples=int(kv.get("samples", "100000")),
-            confidence_delta=float(kv.get("confidence_delta", "0.01")),
-            chunk_size=int(kv.get("chunk_size", "4096")),
+            seed=seed, samples=samples, confidence_delta=confidence_delta, chunk_size=chunk_size
         ),
         tau=tau,
         rate_nats=rate_nats,

@@ -115,8 +115,8 @@ def capacity_sampler(spec, cov):
 
 def outage_probability(spec, cov, rate, cfg, stream_offset=0):
     """Monte Carlo estimate of P[C(H) < rate] with a Clopper-Pearson envelope."""
-    if rate < 0:
-        raise DomainError("rate must be >= 0")
+    if not (0.0 <= rate < math.inf):
+        raise DomainError(f"rate must be finite and >= 0, got {rate}")
     sampler = capacity_sampler(spec, cov)
 
     def event(rng, size):

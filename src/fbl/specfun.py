@@ -1,9 +1,8 @@
-"""Log-domain special functions and small complex linear algebra.
+"""Log-domain special functions.
 
 Everything a bound evaluation needs that could overflow or underflow is kept
-in log domain here: incomplete gamma functions, batched noncentral
-chi-square tails (including an accurate log of the far-left CDF tail), and
-the product of squared principal-angle sines between two subspaces.
+in log domain here: incomplete gamma functions and batched noncentral
+chi-square tails (including an accurate log of the far-left CDF tail).
 
 All routines are pure and thread-safe, except that `noncentral_chi2_sf_batch`
 watches for warnings with `warnings.catch_warnings`, which is process-wide.
@@ -24,7 +23,6 @@ __all__ = [
     "log_gamma",
     "log_upper_inc_gamma",
     "log_reg_lower_inc_gamma",
-    "reg_inc_beta",
     "log_complex_multivariate_gamma",
     "noncentral_chi2_chernoff",
     "noncentral_chi2_sf_batch",
@@ -32,8 +30,6 @@ __all__ = [
     "sample_noncentral_chi2",
     "gaussian_q",
     "gaussian_q_inv",
-    "hermitian_eigenvalues",
-    "subspace_sin2",
 ]
 
 _LN_SQRT_2 = 0.5 * math.log(2.0)
@@ -117,13 +113,6 @@ def log_upper_inc_gamma(a, x):
         logp = log_reg_lower_inc_gamma(a, x)
         return float(sp.gammaln(a) + math.log1p(-math.exp(logp)))
     return _log_upper_cf(a, x)
-
-
-def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I_x(a, b): the Beta(a, b) CDF at x."""
-    if not (0.0 <= x <= 1.0) or a <= 0 or b <= 0:
-        raise DomainError("reg_inc_beta requires 0 <= x <= 1, a > 0, b > 0")
-    return float(sp.betainc(a, b, x))
 
 
 def log_complex_multivariate_gamma(r, a):
@@ -325,44 +314,3 @@ def gaussian_q_inv(p):
         raise DomainError("gaussian_q_inv requires p in (0, 1)")
     out = math.sqrt(2.0) * sp.erfcinv(2.0 * p)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def hermitian_eigenvalues(a, rtol=1e-10):
-    """Descending real eigenvalues of a Hermitian matrix.
-
-    Raises DomainError if the input is not Hermitian within `rtol` relative
-    to its Frobenius norm.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("expected a square matrix")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > rtol * max(scale, 1.0):
-        raise DomainError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(a)
-    return vals[::-1].copy()
-
-
-def subspace_sin2(a, b, rank_rtol=1e-12):
-    """Product of squared principal-angle sines between span(a) and span(b).
-
-    Both inputs are orthonormalized by Householder QR; the result is
-    det(I - M M^H) with M the smaller-dimension cross-Gram of the bases.
-    """
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape[0] < a.shape[1] or b.shape[0] < b.shape[1] or a.shape[0] != b.shape[0]:
-        raise DomainError("expected tall matrices with a common row dimension")
-    qa, ra = np.linalg.qr(a)
-    qb, rb = np.linalg.qr(b)
-    for r in (ra, rb):
-        d = np.abs(np.diag(r))
-        if np.any(d <= rank_rtol * max(d.max(), 1.0)):
-            raise DomainError("rank-deficient input")
-    m = qa.conj().T @ qb
-    if m.shape[0] <= m.shape[1]:
-        g = np.eye(m.shape[0]) - m @ m.conj().T
-    else:
-        g = np.eye(m.shape[1]) - m.conj().T @ m
-    val = float(np.linalg.det(g).real)
-    return min(max(val, 0.0), 1.0)

@@ -1,9 +1,11 @@
 """Reference implementations the batched code in `fbl` is tested against.
 
 The scalar forms of the noncentral chi-square tails and of the
-single-antenna conditional tail laws, and multiprecision (mpmath) quadratures
-of the noncentral chi-square density that referee both tails. Nothing in
-`fbl` calls them.
+single-antenna conditional tail laws, multiprecision (mpmath) quadratures
+of the noncentral chi-square density that referee both tails, the
+decoding statistic measured on an explicit n x r received block by QR (the
+referee of the closed-form sampler), and small helpers the tests share.
+Nothing in `fbl` calls them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from scipy import special as sp
 from scipy import stats
 
+from fbl import achievability as ach
+from fbl import mc
 from fbl import specfun as sf
 from fbl.errors import ConvergenceError, DomainError
 
@@ -178,3 +182,96 @@ def mp_noncentral_chi2_logcdf(x, k, delta, dps=20):
         pts = sorted({max(mpmath.mpf(0), x - m * scale) for m in (256, 64, 16, 8, 4, 2, 1, 0.5, 0)} | {mpmath.mpf(0)})
         density = lambda t: mpmath.exp(_mp_log_pdf(t, k, delta)) if t > 0 else mpmath.mpf(0)  # noqa: E731
         return float(mpmath.log(mpmath.quad(density, pts)))
+
+
+def reg_inc_beta(x, a, b):
+    """Regularized incomplete beta I_x(a, b): the Beta(a, b) CDF at x."""
+    if not (0.0 <= x <= 1.0) or a <= 0 or b <= 0:
+        raise DomainError("reg_inc_beta requires 0 <= x <= 1, a > 0, b > 0")
+    return float(sp.betainc(a, b, x))
+
+
+def hermitian_eigenvalues(a, rtol=1e-10):
+    """Descending real eigenvalues of a Hermitian matrix.
+
+    Raises DomainError if the input is not Hermitian within `rtol` relative
+    to its Frobenius norm.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("expected a square matrix")
+    scale = np.linalg.norm(a)
+    if np.linalg.norm(a - a.conj().T) > rtol * max(scale, 1.0):
+        raise DomainError("matrix is not Hermitian within tolerance")
+    vals = np.linalg.eigvalsh(a)
+    return vals[::-1].copy()
+
+
+def subspace_sin2(a, b, rank_rtol=1e-12):
+    """Product of squared principal-angle sines between span(a) and span(b).
+
+    Both inputs are orthonormalized by Householder QR; the result is
+    det(I - M M^H) with M the smaller-dimension cross-Gram of the bases.
+    """
+    a = np.atleast_2d(np.asarray(a))
+    b = np.atleast_2d(np.asarray(b))
+    if a.shape[0] < a.shape[1] or b.shape[0] < b.shape[1] or a.shape[0] != b.shape[0]:
+        raise DomainError("expected tall matrices with a common row dimension")
+    qa, ra = np.linalg.qr(a)
+    qb, rb = np.linalg.qr(b)
+    for r in (ra, rb):
+        d = np.abs(np.diag(r))
+        if np.any(d <= rank_rtol * max(d.max(), 1.0)):
+            raise DomainError("rank-deficient input")
+    m = qa.conj().T @ qb
+    if m.shape[0] <= m.shape[1]:
+        g = np.eye(m.shape[0]) - m @ m.conj().T
+    else:
+        g = np.eye(m.shape[1]) - m.conj().T @ m
+    val = float(np.linalg.det(g).real)
+    return min(max(val, 0.0), 1.0)
+
+
+def qr_sin2_sampler(spec, cov, n):
+    """Batched decoding statistic from an explicit n x r received block.
+
+    Draws the block (CN(0, 1) entries plus sqrt(n * gain_i) at (i, i), the
+    same gains as `ach.sin2_statistic_sampler`), orthonormalizes it by QR and
+    takes det(I - M M^H) with M the top t_eff rows of the basis. O(n r^2)
+    per draw.
+    """
+    t_eff = ach._effective_rank(spec, cov)
+    r = spec.r
+    if n <= t_eff + r:
+        raise DomainError("requires n > t_eff + r")
+
+    def draw(rng, size):
+        gains = ach._signal_gains(spec, cov, rng, size)
+        m_eff = gains.shape[-1]
+        y = rng.standard_normal((size, n, r)) + 1j * rng.standard_normal((size, n, r))
+        y *= math.sqrt(0.5)
+        idx = np.arange(m_eff)
+        y[:, idx, idx] += np.sqrt(n * gains)
+        q, _ = np.linalg.qr(y)
+        m_top = q[:, :t_eff, :]
+        if t_eff <= r:
+            g = np.eye(t_eff) - m_top @ np.conj(np.swapaxes(m_top, -1, -2))
+        else:
+            g = np.eye(r) - np.conj(np.swapaxes(m_top, -1, -2)) @ m_top
+        return np.clip(np.linalg.det(g).real, 0.0, 1.0)
+
+    return draw
+
+
+def sample_sin2_statistic(spec, cov, n, rng):
+    """One draw of the decoding statistic (scalar convenience wrapper)."""
+    return float(ach.sin2_statistic_sampler(spec, cov, n)(rng, 1)[0])
+
+
+def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
+    """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
+    ach._check_eps_tau(epsilon, tau)
+    sampler = ach.sin2_statistic_sampler(spec, cov, n)
+    return mc.conservative_quantile(
+        sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + ach._STAT_STREAM
+    )

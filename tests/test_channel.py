@@ -85,6 +85,19 @@ class TestEffectiveEigenvalues:
             rhs = np.sum(np.log1p(lam[i]))
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
+    def test_isotropic_smaller_gram_matches_full_product(self):
+        # (rho/t) eig(H H^H) or (rho/t) eig(H^H H), whichever Gram is
+        # min(t, r)-square, against the top eigenvalues of H^H Q H
+        for t, r in ((1, 3), (2, 3), (3, 3), (3, 2), (4, 1)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1.7, fading=ch.Rayleigh())
+            h = ch.sample_channel(spec, _rng(11), 500)
+            q = (spec.snr / t) * np.eye(t)
+            full = np.linalg.eigvalsh(np.conj(np.swapaxes(h, -1, -2)) @ q @ h)[..., ::-1]
+            full = full[..., : spec.m]
+            got = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
+            assert got.shape == full.shape
+            np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-12 * float(np.max(full)))
+
     def test_ordering_and_nonnegativity(self):
         spec = ch.ChannelSpec(t=3, r=2, snr=1.0, fading=ch.Rayleigh())
         h = ch.sample_channel(spec, _rng(9), 10_000)

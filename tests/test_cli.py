@@ -179,6 +179,44 @@ class TestCommandLine:
             f"error: FBL_THREADS must be a positive integer, got {threads!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "normal", "--snr-db", "nan", "--n", "50", "--samples", "2000"],
+            ["bound", "ach-simo", "--r", "2", "--snr-db", "nan", *FAST],
+            ["eps-capacity", "--snr-db", "nan", "--samples", "2000"],
+            ["outage", "--snr-db", "0", "--rate-bits", "nan", "--samples", "2000"],
+            ["bound", "conv-simo", "--r", "2", "--snr-db", "0", "--fading", "rician",
+             "--k-db", "nan", *FAST],
+            ["eps-capacity", "--snr-db", "inf", "--samples", "2000"],
+            ["eps-capacity", "--snr-db", "0", "--fading", "nakagami", "--m-shape", "nan",
+             "--samples", "2000"],
+        ],
+        ids=["normal-snr", "ach-simo-snr", "eps-capacity-snr", "outage-rate", "rician-k",
+             "infinite-snr", "nakagami-m"],
+    )
+    def test_non_finite_input_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "nan" in err or "inf" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "ach-simo", "--r", "2", "--snr-db", "0", "--n", "0", "--samples", "2000"],
+            ["eps-capacity", "--snr-db", "1e308", "--samples", "2000"],
+            ["bound", "conv-iso", "--snr-db", "0", "--tau", "abc", *FAST],
+        ],
+        ids=["zero-blocklength", "db-overflow", "bad-tau"],
+    )
+    def test_malformed_input_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_output_directory_exit_code(self, tmp_path):
         res = _run(["approx", "awgn", "--snr-db", "0", "--n", "100", "--output", str(tmp_path)])
         assert res.returncode == 2
