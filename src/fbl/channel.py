@@ -134,9 +134,44 @@ def _descending_eigvalsh(a):
     return vals[..., ::-1]
 
 
+def _abs2(z):
+    return z.real**2 + z.imag**2
+
+
 def gram_eigenvalues(h):
-    """Descending eigenvalues of H H^H for a stack of t x r matrices."""
+    """Descending eigenvalues of the min(t, r)-square Gram of a stack of t x r matrices.
+
+    These are the min(t, r) leading eigenvalues of both H H^H and H^H H.
+    One mode: the squared Frobenius norm. Two modes, with x, y the rows of
+    the 2 x k matrix and a = |x|^2, d = |y|^2, b = <x, y>:
+    lambda_1 = (a + d + sqrt((a - d)^2 + 4|b|^2)) / 2 and
+    lambda_2 = det / lambda_1, where det = sum_{j<k} |x_j y_k - x_k y_j|^2
+    (Cauchy-Binet) is a sum of squares, so lambda_2 keeps its relative
+    accuracy as the channel nears rank one. Three or more modes: LAPACK
+    `eigvalsh` on the Gram. Returns shape (..., min(t, r)).
+    """
     h = np.asarray(h)
+    if h.shape[-2] > h.shape[-1]:
+        # the conjugate of H^H H has the same spectrum
+        h = np.swapaxes(h, -1, -2)
+    m = h.shape[-2]
+    if m == 1:
+        return np.sum(_abs2(h), axis=-1)
+    if m == 2:
+        # one pass over the columns with strided views: far cheaper than
+        # fancy-indexed pairs at the antenna counts in use (O(k^2) pairs)
+        x, y = h[..., 0, :], h[..., 1, :]
+        a = d = det = 0.0
+        b = 0.0j
+        for j in range(h.shape[-1]):
+            a = a + _abs2(x[..., j])
+            d = d + _abs2(y[..., j])
+            b = b + x[..., j] * np.conj(y[..., j])
+            for k in range(j + 1, h.shape[-1]):
+                det = det + _abs2(x[..., j] * y[..., k] - x[..., k] * y[..., j])
+        lam1 = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * _abs2(b)))
+        lam2 = np.minimum(det / np.where(lam1 > 0.0, lam1, 1.0), lam1)
+        return np.stack([lam1, lam2], axis=-1)
     gram = h @ np.conj(np.swapaxes(h, -1, -2))
     return np.clip(_descending_eigvalsh(gram).real, 0.0, None)
 
@@ -144,19 +179,23 @@ def gram_eigenvalues(h):
 def effective_eigenvalues(h, cov, spec):
     """Eigenvalues feeding the capacity/dispersion formulas.
 
-    WaterFill: eigenvalues of H H^H (power is allocated downstream).
+    WaterFill: eigenvalues of H H^H (power is allocated downstream), the
+    spectrum of the min(t, r)-square Gram padded with t - r exact zeros.
     Isotropic: (rho/t) times the eigenvalues of the min(t, r)-square Gram of H.
     Fixed: top min(t, r) eigenvalues of H^H Q H.
-    Accepts a single t x r matrix or a stack (..., t, r); returns (..., m).
+    Accepts a single t x r matrix or a stack (..., t, r); returns (..., m),
+    with m = t under WaterFill and min(t, r) otherwise.
     """
     h = np.asarray(h)
     if h.shape[-2] != spec.t or h.shape[-1] != spec.r:
         raise DomainError("channel dimensions do not match the configured antenna counts")
     if isinstance(cov, WaterFill):
-        return gram_eigenvalues(h)
+        lam = gram_eigenvalues(h)
+        if spec.t > spec.r:
+            lam = np.concatenate([lam, np.zeros(lam.shape[:-1] + (spec.t - spec.r,))], axis=-1)
+        return lam
     if isinstance(cov, Isotropic):
-        small = h if spec.t <= spec.r else np.conj(np.swapaxes(h, -1, -2))
-        return (spec.snr / spec.t) * gram_eigenvalues(small)
+        return (spec.snr / spec.t) * gram_eigenvalues(h)
     if not isinstance(cov, Fixed):
         raise DomainError(f"unknown covariance policy: {cov!r}")
     cov.validate(spec)

@@ -66,7 +66,9 @@ def run_sweep(req):
     for bound in req.bounds:
         for n in req.n_grid:
             offset = _bound_offset(bound, n)
-            if bound == "ach-csit":
+            if bound in ("ach-csit", "ach-simo"):
+                # one bound under two names: ach-simo is the t = 1 case, and
+                # each name keeps its own stream offset from BOUND_NAMES
                 point = ach.rate_lower_bound(
                     spec, chn.WaterFill(), n, req.epsilon, req.tau, cfg, stream_offset=offset
                 )
@@ -74,10 +76,6 @@ def run_sweep(req):
                 cov = req.cov if isinstance(req.cov, (chn.Isotropic, chn.Fixed)) else chn.Isotropic()
                 point = ach.rate_lower_bound(
                     spec, cov, n, req.epsilon, req.tau, cfg, stream_offset=offset
-                )
-            elif bound == "ach-simo":
-                point = ach.rate_lower_bound(
-                    spec, chn.WaterFill(), n, req.epsilon, req.tau, cfg, stream_offset=offset
                 )
             elif bound == "ach-csir-kb":
                 point = ach.csir_kappa_beta_simo(

@@ -223,14 +223,43 @@ def iso_statistic_sampler(spec, n, kind):
     return draw
 
 
+_TILT_MAX_STEPS = 64
+
+
+def _tilt_solve(s, delta, k, c, active):
+    """Row-wise exponential tilt theta >= 0 of sum_i s_i chi'2_k(delta_i) with mean c.
+
+    Under the tilt exp(-theta x) the sum has mean
+    M(theta) = sum_i s_i (k + delta_i / d_i) / d_i, d_i = 1 + 2 theta s_i,
+    which is decreasing and convex in theta. Newton's method from theta = 0
+    therefore rises monotonically to the root of M(theta) = c without
+    overshooting; a row stops moving once M(theta) <= c in floating point.
+    Rows with c >= M(0), and rows not `active`, keep theta = 0. The solve
+    stops when no row's step exceeds 1e-15 theta, or after _TILT_MAX_STEPS
+    steps; a row cut off there keeps its last iterate, which only costs
+    variance (the tilted estimator is unbiased for any theta >= 0).
+    """
+    theta = np.zeros(np.shape(c))
+    for _ in range(_TILT_MAX_STEPS):
+        d = 1.0 + 2.0 * theta[..., None] * s
+        excess = np.sum(s * (k + delta / d) / d, axis=-1) - c
+        slope = -2.0 * np.sum(s * s * (k + 2.0 * delta / d) / (d * d), axis=-1)
+        rising = active & (excess > 0.0)
+        step = np.where(rising, excess / np.where(rising, -slope, 1.0), 0.0)
+        theta = theta + step
+        if not np.any(step > 1e-15 * theta):
+            break
+    return theta
+
+
 def _iso_log_tail_sampler(spec, n, gamma):
     """Tilted importance sampler of log contributions to P[L_n >= n*gamma].
 
     Conditional on the channel draw, the event is a left tail of a sum of
     scaled noncentral chi-squares; each row is exponentially tilted to put
-    the sum's mean at the threshold, which keeps the estimator's relative
-    variance bounded. Unbiased for any tilt, so the tilt root-find only
-    affects variance.
+    the sum's mean at the threshold (`_tilt_solve`), which keeps the
+    estimator's relative variance bounded. Unbiased for any tilt, so the
+    tilt solve only affects variance.
     """
     cov = ch.Isotropic()
     k = 2 * n
@@ -245,24 +274,7 @@ def _iso_log_tail_sampler(spec, n, gamma):
         c = n * np.sum(np.where(pos, np.log1p(lam) + 1.0, 0.0), axis=-1) - n * gamma
         ok = c > 0.0
         c_safe = np.where(ok, c, 1.0)
-
-        def tilted_mean(theta):
-            d = 1.0 + 2.0 * theta[..., None] * s
-            return np.sum(s * (k + delta / d) / d, axis=-1)
-
-        lo = np.zeros(size)
-        hi = np.ones(size)
-        for _ in range(200):
-            too_big = tilted_mean(hi) > c_safe
-            if not np.any(too_big):
-                break
-            hi = np.where(too_big, 2.0 * hi, hi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            above = tilted_mean(mid) > c_safe
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        theta = 0.5 * (lo + hi)
+        theta = _tilt_solve(s, delta, k, c_safe, ok)
 
         d = 1.0 + 2.0 * theta[..., None] * s
         x = (s / d) * sf.sample_noncentral_chi2(k, delta / d, rng)

@@ -1,9 +1,11 @@
 """Fading models, channel sampling, and effective eigenvalues."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from fbl import channel as ch
 from fbl import mc
 from fbl.errors import DomainError
@@ -121,3 +123,78 @@ class TestEffectiveEigenvalues:
             ch.Fixed(q=np.array([[1.0, 0.5], [0.4, 1.0]])).validate(spec)  # not Hermitian
         with pytest.raises(DomainError):
             ch.Fixed(q=np.diag([2.0, 2.0])).validate(spec)  # trace over budget
+
+
+def _gram(h):
+    return h @ np.conj(np.swapaxes(h, -1, -2))
+
+
+class TestGramEigenvalues:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_lapack_oracle_every_shape(self, t, r):
+        spec = ch.ChannelSpec(t=t, r=r, snr=1.7, fading=ch.Rayleigh())
+        h = ch.sample_channel(spec, _rng(20 + 4 * t + r), 200)
+        small = h if t <= r else np.conj(np.swapaxes(h, -1, -2))
+        for cov, want_len in ((ch.WaterFill(), t), (ch.Isotropic(), min(t, r))):
+            got = ch.effective_eigenvalues(h, cov, spec)
+            assert got.shape == (200, want_len)
+            for i in range(200):
+                if isinstance(cov, ch.WaterFill):
+                    want = oracles.hermitian_eigenvalues(_gram(h[i]))
+                else:
+                    want = (1.7 / t) * oracles.hermitian_eigenvalues(_gram(small[i]))
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12 * want[0])
+
+    def test_exact_zeros(self):
+        x = np.array([1.0 + 2.0j, -0.5j, 3.0])
+        # a zero row, a repeated row and an exact rank-1 outer product of
+        # Gaussian integers: every 2 x 2 minor is exactly 0
+        u = np.array([1.0 + 2.0j, 3.0 - 1.0j])
+        v = np.array([2.0, 1.0j, -1.0 + 1.0j])
+        for h in (np.stack([x, 0.0 * x]), np.stack([x, x]), np.stack([x, 2.0 * x]), np.outer(u, v)):
+            lam = ch.gram_eigenvalues(h)
+            assert lam[1] == 0.0
+            assert lam[0] == pytest.approx(np.sum(np.abs(h) ** 2), rel=1e-15)
+            assert ch.gram_eigenvalues(h.T)[1] == 0.0
+        assert np.all(ch.gram_eigenvalues(np.zeros((5, 2, 3))) == 0.0)
+        for t, r in ((3, 1), (1, 3), (4, 2)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1.0, fading=ch.Rayleigh())
+            h = ch.sample_channel(spec, _rng(40), 50)
+            lam = ch.effective_eigenvalues(h, ch.WaterFill(), spec)
+            assert lam.shape == (50, t)
+            assert np.all(lam[:, min(t, r):] == 0.0)
+            if min(t, r) == 1:
+                np.testing.assert_allclose(lam[:, 0], np.sum(np.abs(h) ** 2, axis=(-2, -1)), rtol=1e-15)
+
+    def test_near_rank_one_against_multiprecision(self):
+        # lambda_2 / lambda_1 down to ~1e-14: LAPACK on the Gram loses the
+        # small eigenvalue, the Cauchy-Binet determinant keeps it
+        rng = _rng(41)
+        worst = 0.0
+        for scale in (1e-4, 1e-5, 1e-6, 1e-7):
+            for _ in range(10):
+                x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                c = rng.standard_normal() + 1j * rng.standard_normal()
+                y = c * x + scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                h = np.stack([x, y])
+                got = ch.gram_eigenvalues(h)
+                with mpmath.workdps(60):
+                    hm = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in h])
+                    g = hm * hm.H
+                    tr = mpmath.re(g[0, 0] + g[1, 1])
+                    det = mpmath.re(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+                    lam2 = 2 * det / (tr + mpmath.sqrt(tr * tr - 4 * det))
+                assert got[1] / got[0] < 1e-6
+                worst = max(worst, abs(float((got[1] - lam2) / lam2)))
+        assert worst < 1e-6
+
+    def test_output_shapes(self):
+        for t, r in ((1, 1), (2, 3), (3, 2), (3, 3)):
+            m = min(t, r)
+            h = _rng(42).standard_normal((4, 5, t, r)) + 0j
+            assert ch.gram_eigenvalues(h[0, 0]).shape == (m,)
+            assert ch.gram_eigenvalues(h[0]).shape == (5, m)
+            stacked = ch.gram_eigenvalues(h)
+            assert stacked.shape == (4, 5, m)
+            np.testing.assert_array_equal(stacked[2, 3], ch.gram_eigenvalues(h[2, 3]))

@@ -262,6 +262,72 @@ class TestConverseIso:
         assert near <= far + 0.02
 
 
+def _tilt_inputs(lam, n, gamma):
+    """Per-row (s, delta, c, ok) of the conv-iso tilted sampler."""
+    pos = lam > 0.0
+    lam_safe = np.where(pos, lam, 1.0)
+    s = np.where(pos, 0.5 * lam_safe, 0.0)
+    delta = np.where(pos, 2.0 * n * (1.0 + lam_safe) / lam_safe, 0.0)
+    c = n * np.sum(np.where(pos, np.log1p(lam) + 1.0, 0.0), axis=-1) - n * gamma
+    return s, delta, c, c > 0.0
+
+
+def _tilted_mean(theta, s, delta, k):
+    d = 1.0 + 2.0 * theta[..., None] * s
+    return np.sum(s * (k + delta / d) / d, axis=-1)
+
+
+class TestTiltSolve:
+    def test_solves_tilted_mean_below_untilted_mean(self):
+        for n in (10, 100, 1000):
+            k = 2 * n
+            h = ch.sample_channel(FIG3_SPEC, _rng(20), 2000)
+            lam = ch.effective_eigenvalues(h, ch.Isotropic(), FIG3_SPEC)
+            lam[:5] = 0.0  # channels with no usable mode
+            for gamma in (-2.0, 0.0, 1.0, 2.0, 3.0):
+                s, delta, c, ok = _tilt_inputs(lam, n, gamma)
+                c = np.where(ok, c, 1.0)
+                theta = cv._tilt_solve(s, delta, k, c, ok)
+                m0 = _tilted_mean(np.zeros(c.shape), s, delta, k)
+                below = ok & (c < m0)
+                assert np.all(theta[~below] == 0.0)
+                assert np.all(theta[below] > 0.0)
+                rel = np.abs(_tilted_mean(theta, s, delta, k) - c) / c
+                assert np.all(rel[below] <= 1e-12)
+
+    def test_deep_targets_and_inactive_rows(self):
+        # targets down to 1e-8 of the untilted mean, and rows switched off
+        n, k = 200, 400
+        h = ch.sample_channel(FIG3_SPEC, _rng(21), 500)
+        lam = ch.effective_eigenvalues(h, ch.Isotropic(), FIG3_SPEC)
+        s, delta, _, _ = _tilt_inputs(lam, n, 0.0)
+        m0 = _tilted_mean(np.zeros(500), s, delta, k)
+        c = m0 * np.exp(np.linspace(math.log(1e-8), math.log(1.5), 500))
+        active = np.arange(500) % 7 != 0
+        theta = cv._tilt_solve(s, delta, k, c, active)
+        below = active & (c < m0)
+        assert np.all(theta[~below] == 0.0)
+        rel = np.abs(_tilted_mean(theta, s, delta, k) - c) / c
+        assert np.all(rel[below] <= 1e-12)
+
+    def test_tilted_estimator_matches_plain_monte_carlo(self):
+        # P[L_n >= n gamma] about 0.05 on a 2x2 channel at n = 10: the mean of
+        # the importance weights and the plain hit rate agree within their
+        # joint confidence interval
+        spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
+        n, size = 10, 200_000
+        plain = cv.iso_statistic_sampler(spec, n, "L")
+        gamma = float(np.quantile(plain(_rng(22), 50_000), 0.95))
+        hits = plain(_rng(23), size) >= gamma
+        p_plain = float(np.mean(hits))
+        se_plain = math.sqrt(p_plain * (1.0 - p_plain) / size)
+        w = np.exp(cv._iso_log_tail_sampler(spec, n, gamma)(_rng(24), size))
+        p_tilt = float(np.mean(w))
+        se_tilt = float(np.std(w) / math.sqrt(size))
+        assert 0.03 < p_plain < 0.07
+        assert abs(p_tilt - p_plain) <= 4.0 * math.hypot(se_plain, se_tilt)
+
+
 class TestAsymptoticConstants:
     cfg = mc.MCConfig(seed=8, samples=100_000)
 
