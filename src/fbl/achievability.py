@@ -232,8 +232,8 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau=None, cfg=None, stream_offset=0):
     trials = cfg.samples
     hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
 
-    # the bisections for different tau start from the same bracket and share
-    # their first midpoints
+    # the root searches for different tau start from the same bracket and
+    # share its two end evaluations
     @functools.lru_cache(maxsize=None)
     def f(gamma):
         return mc.cp_upper(table_sel.sum_q_s(gamma), trials, half)

@@ -4,7 +4,6 @@ Two evaluations are provided: a semi-analytic single-transmit-antenna bound
 (exact conditional tail laws given the fading gain, Monte Carlo only over the
 gain) and a bound for isotropic codebooks (per-mode noncentral chi-square
 sampling, with exponentially tilted importance sampling for the deep tail).
-Also here: the log-domain asymptotic constants used by the property tests.
 
 Every statistical shortcut is biased in the direction that enlarges
 (weakens) the converse value, so reported numbers remain honest upper
@@ -29,8 +28,6 @@ __all__ = [
     "converse_simo",
     "converse_iso",
     "iso_statistic_sampler",
-    "log_c_csirt",
-    "log_c_csir",
 ]
 
 # disjoint substream bases so selection and evaluation never share draws
@@ -305,50 +302,3 @@ def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
     return BoundPoint(
         n=n, epsilon=epsilon, rate_nats=float(rate), side="upper", ci=(float(nominal), float(rate))
     )
-
-
-def _log_bracket(p, x):
-    """log( x^p e^{-x} + Gamma(p, x) ), handling x = 0."""
-    first = -np.inf if x == 0.0 else p * math.log(x) - x
-    return float(np.logaddexp(first, sf.log_upper_inc_gamma(p, x)))
-
-
-def log_c_csirt(spec, n, cfg, stream_offset=0):
-    """log of the CSIRT converse constant at blocklength n (Monte Carlo mean)."""
-    if n < 1:
-        raise DomainError("requires n >= 1")
-    m = spec.m
-    bracket = _log_bracket(float(n), float(n - 1)) - sf.log_gamma(float(n))
-
-    def det_sampler(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        gram = h @ np.conj(np.swapaxes(h, -1, -2))
-        eye = np.eye(spec.t)
-        return np.linalg.det(eye + spec.snr * gram).real
-
-    vals = mc.sample_values(det_sampler, cfg, stream_offset)
-    return float(m * bracket + math.log(np.mean(vals)))
-
-
-def log_c_csir(spec, n, cfg, stream_offset=0):
-    """log of the CSIR converse constant at blocklength n (Monte Carlo mean)."""
-    r = spec.r
-    if n < r:
-        raise DomainError("requires n >= r")
-    expo = ((r + 1) ** 2) // 4
-
-    def moment_sampler(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        fro2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
-        return (1.0 + spec.snr * fro2) ** expo
-
-    vals = mc.sample_values(moment_sampler, cfg, stream_offset)
-    total = (
-        r * (r - 1) * math.log(math.pi)
-        - sf.log_complex_multivariate_gamma(r, float(n))
-        - sf.log_complex_multivariate_gamma(r, float(r))
-        + math.log(np.mean(vals))
-    )
-    for i in range(1, r + 1):
-        total += _log_bracket(float(n + r - 2 * i + 1), float(n + r - 2 * i))
-    return float(total)

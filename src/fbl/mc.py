@@ -217,39 +217,100 @@ def conservative_quantile(value_sampler, target_prob, direction, cfg, stream_off
     return float(values[k - 1])
 
 
+# steps the root search may take beyond bisection's count on the same bracket
+_SLACK_STEPS = 3
+
+
+def _log_value(v):
+    return math.log(max(v, 1e-300))
+
+
+def _interpolate(lo, v_lo, hi, v_hi, dropped):
+    """Root of the inverse quadratic through the bracket ends and `dropped`
+    when it lies inside the bracket, else of the secant through the ends."""
+    if dropped is not None and dropped[1] not in (v_lo, v_hi):
+        c, v_c = dropped
+        x = (
+            lo * v_hi * v_c / ((v_lo - v_hi) * (v_lo - v_c))
+            + hi * v_lo * v_c / ((v_hi - v_lo) * (v_hi - v_c))
+            + c * v_lo * v_hi / ((v_c - v_lo) * (v_c - v_hi))
+        )
+        if lo < x < hi:
+            return x
+    return (lo * v_hi - hi * v_lo) / (v_hi - v_lo)
+
+
 def root_find_monotone(f, target, bracket, side, max_iter=80):
-    """Bisection for where a nondecreasing `f` crosses `target`.
+    """Safeguarded bracketing search for where a nondecreasing `f` crosses `target`.
 
     side='at_least' returns the smallest x in the bracket with f(x) >= target,
     side='below' the largest x with f(x) <= target, each to within
-    1e-12 * max(1, |hi|). The returned point always satisfies its inequality,
-    so on a step function it lies on the requested side of the jump. Raises
-    DomainError when no point of the bracket satisfies it, and
-    ConvergenceError when `max_iter` halvings do not reach the tolerance.
+    1e-12 * max(1, |hi|). Every step keeps a bracket [lo, hi] whose ends lie
+    on either side of the crossing, so the returned end always satisfies its
+    inequality, and on a step function it lies on the requested side of the
+    jump.
+
+    A step interpolates log f, since the callers' f are probabilities that
+    span many orders of magnitude: inverse quadratic through the two ends and
+    the end dropped last, else the secant. As in ITP (Oliveira and Takahashi,
+    ACM TOMS 2020) the point is moved toward the midpoint by
+    max(0.2 w^2 / w0, tol / 2), w the bracket width and w0 its first width,
+    so that it lands past the crossing and both ends close in; and it is
+    projected into a window about the midpoint that shrinks like bisection,
+    which bounds the count at `_SLACK_STEPS` steps more than bisection's. As
+    in Brent's method, a step that did not halve the bracket is followed by a
+    bisection. On the Fig. 2 selection functions this takes 10-23 steps
+    where bisection takes 44 (docs/DECISIONS.md, section 5). Raises
+    DomainError when no point of the bracket satisfies the inequality, and
+    ConvergenceError when `max_iter` steps do not reach the tolerance.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if side == "below":
-        if f(lo) > target:
-            raise DomainError("target not bracketed from below")
-        if f(hi) <= target:
-            return hi
-    elif side == "at_least":
-        if f(hi) < target:
-            raise DomainError("target not bracketed from above")
-        if f(lo) >= target:
-            return lo
-    else:
+    if side not in ("below", "at_least"):
         raise DomainError("side must be 'below' or 'at_least'")
-    for _ in range(max_iter):
+    at_least = side == "at_least"
+    f_lo, f_hi = f(lo), f(hi)
+    if at_least and f_hi < target:
+        raise DomainError("target not bracketed from above")
+    if not at_least and f_lo > target:
+        raise DomainError("target not bracketed from below")
+    if at_least and f_lo >= target:
+        return lo
+    if not at_least and f_hi <= target:
+        return hi
+    log_target = _log_value(target)
+    v_lo, v_hi = _log_value(f_lo) - log_target, _log_value(f_hi) - log_target
+    width0 = hi - lo
+    # half the smallest tolerance the stopping rule can apply in the bracket
+    eps = 0.5e-12 * (1.0 if lo <= 0.0 <= hi else max(1.0, min(abs(lo), abs(hi))))
+    n_max = max(math.ceil(math.log2(width0 / (2.0 * eps))), 0) + _SLACK_STEPS
+    dropped = None  # (x, log-domain value) of the end the last step replaced
+    last_width = 2.0 * width0
+    for j in range(max_iter):
+        width = hi - lo
+        tol = 1e-12 * max(1.0, abs(hi))
+        if width <= tol:
+            return hi if at_least else lo
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm < target or (side == "below" and fm == target):
-            lo = mid
+        x = mid
+        if width <= 0.5 * last_width and v_hi > v_lo:
+            x_f = _interpolate(lo, v_lo, hi, v_hi, dropped)
+            push = max(0.2 * width * width / width0, 0.5 * tol)
+            if push < abs(mid - x_f):
+                x = x_f + math.copysign(push, mid - x_f)
+        radius = max(math.ldexp(eps, n_max - j) - 0.5 * width, 0.0)
+        x = min(max(x, mid - radius), mid + radius)
+        last_width = width
+        fx = f(x)
+        v = _log_value(fx) - log_target
+        if fx > target or (at_least and fx == target):
+            dropped = (hi, v_hi)
+            hi, v_hi = x, v
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            return lo if side == "below" else hi
-    raise ConvergenceError(f"bisection did not reach its tolerance in {max_iter} steps")
+            dropped = (lo, v_lo)
+            lo, v_lo = x, v
+    if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+        return hi if at_least else lo
+    raise ConvergenceError(f"root search did not reach its tolerance in {max_iter} steps")
 
 
 def log_mean_bound(log_values, delta, side, n_batches=64):

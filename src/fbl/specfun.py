@@ -1,8 +1,8 @@
 """Log-domain special functions.
 
 Everything a bound evaluation needs that could overflow or underflow is kept
-in log domain here: incomplete gamma functions and batched noncentral
-chi-square tails (including an accurate log of the far-left CDF tail).
+in log domain here: batched noncentral chi-square tails (including an
+accurate log of the far-left CDF tail) and their sampler.
 
 All routines are pure and thread-safe, except that `noncentral_chi2_sf_batch`
 watches for warnings with `warnings.catch_warnings`, which is process-wide.
@@ -17,13 +17,9 @@ import numpy as np
 from scipy import special as sp
 from scipy import stats
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
-    "log_upper_inc_gamma",
-    "log_reg_lower_inc_gamma",
-    "log_complex_multivariate_gamma",
     "noncentral_chi2_chernoff",
     "noncentral_chi2_sf_batch",
     "noncentral_chi2_logcdf_batch",
@@ -32,98 +28,12 @@ __all__ = [
     "gaussian_q_inv",
 ]
 
-_LN_SQRT_2 = 0.5 * math.log(2.0)
-# below this log value gammainc is replaced by its 1F1 form
-_LOG_TINY = math.log(1e-250)
-# Rows with delta > _LARGE_DELTA_PER_DOF * k use `_chi_quadrature`. Below
-# that, Boost (survival function, within 4e-14 up to delta = 1e6) and the
-# Poisson series (log-CDF) are accurate and cheap; above it the quadrature
-# is, while Boost drifts (4e-12 at delta = 1e10) and then fails, and the
-# series grows long (docs/DECISIONS.md, section 5).
+# Survival-function rows with delta > _LARGE_DELTA_PER_DOF * k use
+# `_chi_quadrature`: Boost is within 4e-14 up to delta = 1e6, then drifts
+# (4e-12 at delta = 1e10) and fails (docs/DECISIONS.md, section 5).
 _LARGE_DELTA_PER_DOF = 100.0
-
-
-def log_gamma(a):
-    """Natural log of the Gamma function, a > 0."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0):
-        raise DomainError("log_gamma requires a > 0")
-    out = sp.gammaln(a)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_reg_lower_inc_gamma(a, x):
-    """log P(a, x), the regularized lower incomplete gamma, accurate in the
-    far-left tail (values down to e^-1e6 and below).
-
-    Broadcasts over `a` and `x` (a > 0, x >= 0). Where P underflows the
-    identity P(a, x) = x^a e^-x / Gamma(a + 1) * 1F1(1; a + 1; x) is used in
-    log domain; there x << a, so the 1F1 factor lies in [1, (a + 1) / (a + 1 - x)].
-    """
-    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
-    if np.any(a <= 0) or np.any(x < 0):
-        raise DomainError("log_reg_lower_inc_gamma requires a > 0, x >= 0")
-    with np.errstate(divide="ignore"):
-        out = np.log(np.atleast_1d(sp.gammainc(a, x)))
-    deep = (out < _LOG_TINY) & (x > 0.0)
-    if np.any(deep):
-        ad, xd = np.broadcast_to(a, out.shape)[deep], np.broadcast_to(x, out.shape)[deep]
-        out[deep] = ad * np.log(xd) - xd - sp.gammaln(ad + 1.0) + np.log(sp.hyp1f1(1.0, ad + 1.0, xd))
-    return float(out[0]) if a.ndim == 0 else out
-
-
-def _log_upper_cf(a, x, max_iter=100000):
-    """log Gamma(a, x) via the Lentz continued fraction, for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / max(b, tiny)
-    h = d
-    for i in range(1, max_iter):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return a * math.log(x) - x + math.log(h)
-    raise ConvergenceError("incomplete gamma continued fraction did not converge")
-
-
-def log_upper_inc_gamma(a, x):
-    """Natural log of the (unregularized) upper incomplete gamma Gamma(a, x).
-
-    Series/continued-fraction switching in log domain; accurate for a up to
-    ~1e5 including deep tails on either side.
-    """
-    a = float(a)
-    x = float(x)
-    if a <= 0 or x < 0:
-        raise DomainError("log_upper_inc_gamma requires a > 0, x >= 0")
-    if x == 0.0:
-        return float(sp.gammaln(a))
-    if x < a + 1.0:
-        # Q = 1 - P with P < ~0.6 here, so log1p is well conditioned
-        logp = log_reg_lower_inc_gamma(a, x)
-        return float(sp.gammaln(a) + math.log1p(-math.exp(logp)))
-    return _log_upper_cf(a, x)
-
-
-def log_complex_multivariate_gamma(r, a):
-    """log of the complex multivariate gamma function of order r at a."""
-    r = int(r)
-    if r < 1:
-        raise DomainError("order must be a positive integer")
-    if a <= r - 1:
-        raise DomainError("requires a > r - 1")
-    i = np.arange(1, r + 1)
-    return float(0.5 * r * (r - 1) * math.log(math.pi) + np.sum(sp.gammaln(a - i + 1.0)))
+# `_chi_quadrature` works on blocks of this many rows, to bound its memory
+_QUAD_ROWS = 64
 
 
 def noncentral_chi2_chernoff(x, k, delta, side):
@@ -137,15 +47,11 @@ def noncentral_chi2_chernoff(x, k, delta, side):
     k = float(k)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
     mean = k + delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(
-            delta > 0.0,
-            (-k + np.sqrt(k * k + 4.0 * delta * np.maximum(x, 0.0))) / (2.0 * np.where(delta > 0, delta, 1.0)),
-            x / k,
-        )
-        u = np.maximum(u, 1e-300)
-        s = (u - 1.0) / (2.0 * u)
-        expo = delta * s * u + 0.5 * k * np.log(u) - s * x
+    xp = np.maximum(x, 0.0)
+    # the saddle point u = (-k + sqrt(k^2 + 4 delta x)) / (2 delta), in a form
+    # that does not cancel when delta x << k^2
+    u = np.maximum(2.0 * xp / (k + np.sqrt(k * k + 4.0 * delta * xp)), 1e-300)
+    expo = 0.5 * delta * (u - 1.0) + 0.5 * k * np.log(u) - 0.5 * (u - 1.0) / u * xp
     if side == "lower":
         out = np.where(x < mean, expo, 0.0)
         out = np.where(x <= 0.0, -np.inf, out)
@@ -156,29 +62,47 @@ def noncentral_chi2_chernoff(x, k, delta, side):
     return np.minimum(out, 0.0)
 
 
-def _chi_quadrature(x, k, delta, log_cdf):
-    """Noncentral chi-square tail from X = (Z + sqrt(delta))^2 + U^2, U ~ chi_{k-1}.
+def _chi_quadrature(x, k, delta):
+    """log P[chi'2_k(delta) <= x] from X = (Z + sqrt(delta))^2 + U^2, U ~ chi_{k-1}.
 
-    Given U = u, P[X <= x] = Phi(r - sqrt(delta)) - Phi(-r - sqrt(delta)) with
-    r = sqrt(x - u^2). The mean over u is a trapezoid sum; the integrand is
-    even in u and analytic, so the sum converges exponentially, and when
-    delta >> k it varies slowly over the chi law. Returns the survival
-    function, or the log-CDF when `log_cdf`.
+    Given U = u, P[X <= x] = Phi(r - sqrt(delta)) - Phi(-r - sqrt(delta))
+    with r = sqrt(x - u^2). The substitution u = sqrt(x) sin(phi), so that
+    r = sqrt(x) cos(phi) and du = r dphi, turns the mean over u into an
+    integral over phi in [0, phi_max], phi_max = asin(min(1, (sqrt(k) + 12) /
+    sqrt(x))), beyond which the chi law has no mass. The integrand is an
+    analytic function of sin(phi)^2, so the trapezoid rule on a fixed number
+    of nodes converges exponentially. Where phi_max < pi/2 the nodes hold the
+    whole chi law, and the sum is divided by its own total weight. Rows are
+    taken in blocks of `_QUAD_ROWS`.
     """
-    u = np.arange(0.0, math.sqrt(k) + 12.0, 0.25)
-    logw = stats.chi.logpdf(u, k - 1)
-    logw[0] -= math.log(2.0)  # the trapezoid's half weight at u = 0
-    logw -= sp.logsumexp(logw)
-    rest = x[:, None] - u**2
-    root = np.sqrt(np.maximum(rest, 0.0))
-    s = np.sqrt(delta)[:, None]
-    z = ((x - delta)[:, None] - u**2) / (root + s)  # r - sqrt(delta), without cancellation
-    if not log_cdf:
-        return np.where(rest > 0.0, gaussian_q(z) + gaussian_q(root + s), 1.0) @ np.exp(logw)
-    with np.errstate(divide="ignore"):
+    intervals = max(256, math.ceil(4.0 * (math.sqrt(k) + 12.0)))
+    frac = np.arange(intervals + 1) / intervals
+    log_trap = np.full(intervals + 1, -math.log(intervals))
+    log_trap[[0, -1]] -= math.log(2.0)
+    log_norm = -(0.5 * (k - 1) - 1.0) * math.log(2.0) - sp.gammaln(0.5 * (k - 1))
+    out = np.empty(x.shape)
+    for b in range(0, x.size, _QUAD_ROWS):
+        xb, db = x[b : b + _QUAD_ROWS, None], delta[b : b + _QUAD_ROWS, None]
+        root_x = np.sqrt(xb)
+        phi_max = np.arcsin(np.minimum(1.0, (math.sqrt(k) + 12.0) / root_x))
+        sin2 = np.sin(phi_max * frac) ** 2
+        r = root_x * np.cos(phi_max * frac)
+        s = np.sqrt(db)
+        # chi_{k-1} log density at u, the Jacobian r and the trapezoid weight
+        log_w = (
+            0.5 * sp.xlogy(k - 2, xb * sin2) - 0.5 * xb * sin2 + log_norm + np.log(r) + np.log(phi_max) + log_trap
+        )
+        z = ((xb - db) - xb * sin2) / (r + s)  # r - sqrt(delta), without cancellation
         near = sp.log_ndtr(z)
-        log_p = near + np.log1p(-np.exp(sp.log_ndtr(-root - s) - near))
-    return sp.logsumexp(np.where(rest > 0.0, log_p, -np.inf) + logw, axis=1)
+        gap = np.full(near.shape, -np.inf)  # log of Phi(-r - sqrt(delta)) / Phi(z), <= 0
+        np.subtract(sp.log_ndtr(-r - s), near, out=gap, where=near > -np.inf)
+        with np.errstate(divide="ignore"):
+            log_p = near + np.log1p(-np.exp(np.minimum(gap, 0.0)))
+        whole = phi_max[:, 0] < 0.5 * math.pi
+        out[b : b + _QUAD_ROWS] = sp.logsumexp(log_w + log_p, axis=1) - np.where(
+            whole, sp.logsumexp(log_w, axis=1), 0.0
+        )
+    return out
 
 
 def _boost_sf(x, k, delta):
@@ -221,42 +145,9 @@ def noncentral_chi2_sf_batch(x, k, delta):
         out[boost], bad = _boost_sf(x[boost], k, delta[boost])
         large[boost[bad]] = True
     if np.any(large):
-        out[large] = _chi_quadrature(x[large], k, delta[large], log_cdf=False)
+        out[large] = -np.expm1(_chi_quadrature(x[large], k, delta[large]))
     out[mid] = np.clip(out[mid], 0.0, 1.0)
     return out
-
-
-def _log_cdf_rows(x, k, mu):
-    """log P[chi'2_k(2 mu_i) <= x_i] for a batch of rows, common even k.
-
-    The Poisson-mixture terms log w_j + log P(k/2 + j, x/2) are built as a
-    (rows x block) array per block of j, starting from j = 0, where the far
-    left tail has its mass. A row stops once a block lies more than 60 nats
-    below its largest term and decreases, or passes the 1e-14 upper Poisson
-    quantile; its terms are summed by a running logsumexp.
-    """
-    block = 256
-    hi = np.where(mu > 0, stats.poisson.isf(1e-14, np.maximum(mu, 1e-300)), -1).astype(np.int64) + 1
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu)
-    total = np.full(x.shape, -np.inf)
-    best = np.full(x.shape, -np.inf)
-    rows = np.arange(x.size)
-    start = 0
-    while rows.size:
-        j = np.arange(start, start + block, dtype=float)
-        mu_r = mu[rows, None]
-        with np.errstate(invalid="ignore"):
-            logw = np.where(mu_r > 0, j * log_mu[rows, None] - mu_r - sp.gammaln(j + 1.0), np.where(j == 0, 0.0, -np.inf))
-        terms = logw + log_reg_lower_inc_gamma(0.5 * k + j, 0.5 * x[rows, None])
-        terms = np.where(j <= hi[rows, None], terms, -np.inf)
-        total[rows] = np.logaddexp(total[rows], sp.logsumexp(terms, axis=1))
-        m = np.max(terms, axis=1)
-        best[rows] = np.maximum(best[rows], m)
-        done = ((m < best[rows] - 60.0) & (terms[:, -1] <= terms[:, 0])) | (start + block > hi[rows])
-        rows = rows[~done]
-        start += block
-    return total
 
 
 def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
@@ -265,23 +156,17 @@ def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
     Rows whose Chernoff upper bound falls more than `rel_cutoff` nats below
     the largest row bound are reported as -inf (their contribution to any
     mean over the batch is negligible, and dropping them only understates
-    the mean). The rest are evaluated by the log-domain Poisson mixture, or
-    by `_chi_quadrature` where delta > 100 k.
+    the mean). The rest are evaluated by `_chi_quadrature`.
     """
     x = np.asarray(x, dtype=float)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
     out = np.full_like(x, -np.inf)
     ch = noncentral_chi2_chernoff(x, k, delta, "lower")
-    ch = np.where(x <= 0.0, -np.inf, ch)
     top = float(np.max(ch)) if ch.size else -np.inf
     if not np.isfinite(top):
         return out
     keep = ch >= top - rel_cutoff
-    large = keep & (delta > _LARGE_DELTA_PER_DOF * k)
-    series = keep & ~large
-    out[series] = _log_cdf_rows(x[series], k, 0.5 * delta[series])
-    if np.any(large):
-        out[large] = _chi_quadrature(x[large], k, delta[large], log_cdf=True)
+    out[keep] = _chi_quadrature(x[keep], k, delta[keep])
     return out
 
 

@@ -4,8 +4,9 @@ The scalar forms of the noncentral chi-square tails and of the
 single-antenna conditional tail laws, multiprecision (mpmath) quadratures
 of the noncentral chi-square density that referee both tails, the
 decoding statistic measured on an explicit n x r received block by QR (the
-referee of the closed-form sampler), and small helpers the tests share.
-Nothing in `fbl` calls them.
+referee of the closed-form sampler), log-domain incomplete and multivariate
+gamma functions with the asymptotic converse constants built on them, and
+small helpers the tests share. Nothing in `fbl` calls them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy import special as sp
 from scipy import stats
 
 from fbl import achievability as ach
+from fbl import channel as ch
 from fbl import mc
 from fbl import specfun as sf
 from fbl.errors import ConvergenceError, DomainError
@@ -89,7 +91,7 @@ def noncentral_chi2_logcdf(x, k, delta):
         return -np.inf
     mu = 0.5 * delta
     if mu == 0.0:
-        return float(sf.log_reg_lower_inc_gamma(0.5 * k, 0.5 * x))
+        return float(log_reg_lower_inc_gamma(0.5 * k, 0.5 * x))
     hi = _poisson_window_top(mu)
     block = 256
     best = -np.inf
@@ -97,7 +99,7 @@ def noncentral_chi2_logcdf(x, k, delta):
     start = 0
     while start <= hi:
         j = np.arange(start, min(start + block, hi + 1), dtype=float)
-        terms = _poisson_logpmf(j, mu) + sf.log_reg_lower_inc_gamma(0.5 * k + j, 0.5 * x)
+        terms = _poisson_logpmf(j, mu) + log_reg_lower_inc_gamma(0.5 * k + j, 0.5 * x)
         chunks.append(terms)
         m = float(np.max(terms))
         best = max(best, m)
@@ -275,3 +277,140 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     return mc.conservative_quantile(
         sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + ach._STAT_STREAM
     )
+
+
+# Log-domain gamma functions and the asymptotic converse constants of the
+# property tests (criterion 8).
+
+# below this log value gammainc is replaced by its 1F1 form
+_LOG_TINY = math.log(1e-250)
+
+
+def log_gamma(a):
+    """Natural log of the Gamma function, a > 0."""
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0):
+        raise DomainError("log_gamma requires a > 0")
+    out = sp.gammaln(a)
+    return float(out) if out.ndim == 0 else out
+
+
+def log_reg_lower_inc_gamma(a, x):
+    """log P(a, x), the regularized lower incomplete gamma, accurate in the
+    far-left tail (values down to e^-1e6 and below).
+
+    Broadcasts over `a` and `x` (a > 0, x >= 0). Where P underflows the
+    identity P(a, x) = x^a e^-x / Gamma(a + 1) * 1F1(1; a + 1; x) is used in
+    log domain; there x << a, so the 1F1 factor lies in [1, (a + 1) / (a + 1 - x)].
+    """
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    if np.any(a <= 0) or np.any(x < 0):
+        raise DomainError("log_reg_lower_inc_gamma requires a > 0, x >= 0")
+    with np.errstate(divide="ignore"):
+        out = np.log(np.atleast_1d(sp.gammainc(a, x)))
+    deep = (out < _LOG_TINY) & (x > 0.0)
+    if np.any(deep):
+        ad, xd = np.broadcast_to(a, out.shape)[deep], np.broadcast_to(x, out.shape)[deep]
+        out[deep] = ad * np.log(xd) - xd - sp.gammaln(ad + 1.0) + np.log(sp.hyp1f1(1.0, ad + 1.0, xd))
+    return float(out[0]) if a.ndim == 0 else out
+
+
+def _log_upper_cf(a, x, max_iter=100000):
+    """log Gamma(a, x) via the Lentz continued fraction, for x >= a + 1."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / max(b, tiny)
+    h = d
+    for i in range(1, max_iter):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return a * math.log(x) - x + math.log(h)
+    raise ConvergenceError("incomplete gamma continued fraction did not converge")
+
+
+def log_upper_inc_gamma(a, x):
+    """Natural log of the (unregularized) upper incomplete gamma Gamma(a, x).
+
+    Series/continued-fraction switching in log domain; accurate for a up to
+    ~1e5 including deep tails on either side.
+    """
+    a = float(a)
+    x = float(x)
+    if a <= 0 or x < 0:
+        raise DomainError("log_upper_inc_gamma requires a > 0, x >= 0")
+    if x == 0.0:
+        return float(sp.gammaln(a))
+    if x < a + 1.0:
+        # Q = 1 - P with P < ~0.6 here, so log1p is well conditioned
+        logp = log_reg_lower_inc_gamma(a, x)
+        return float(sp.gammaln(a) + math.log1p(-math.exp(logp)))
+    return _log_upper_cf(a, x)
+
+
+def log_complex_multivariate_gamma(r, a):
+    """log of the complex multivariate gamma function of order r at a."""
+    r = int(r)
+    if r < 1:
+        raise DomainError("order must be a positive integer")
+    if a <= r - 1:
+        raise DomainError("requires a > r - 1")
+    i = np.arange(1, r + 1)
+    return float(0.5 * r * (r - 1) * math.log(math.pi) + np.sum(sp.gammaln(a - i + 1.0)))
+
+
+def _log_bracket(p, x):
+    """log( x^p e^{-x} + Gamma(p, x) ), handling x = 0."""
+    first = -np.inf if x == 0.0 else p * math.log(x) - x
+    return float(np.logaddexp(first, log_upper_inc_gamma(p, x)))
+
+
+def log_c_csirt(spec, n, cfg, stream_offset=0):
+    """log of the CSIRT converse constant at blocklength n (Monte Carlo mean)."""
+    if n < 1:
+        raise DomainError("requires n >= 1")
+    m = spec.m
+    bracket = _log_bracket(float(n), float(n - 1)) - log_gamma(float(n))
+
+    def det_sampler(rng, size):
+        h = ch.sample_channel(spec, rng, size)
+        gram = h @ np.conj(np.swapaxes(h, -1, -2))
+        eye = np.eye(spec.t)
+        return np.linalg.det(eye + spec.snr * gram).real
+
+    vals = mc.sample_values(det_sampler, cfg, stream_offset)
+    return float(m * bracket + math.log(np.mean(vals)))
+
+
+def log_c_csir(spec, n, cfg, stream_offset=0):
+    """log of the CSIR converse constant at blocklength n (Monte Carlo mean)."""
+    r = spec.r
+    if n < r:
+        raise DomainError("requires n >= r")
+    expo = ((r + 1) ** 2) // 4
+
+    def moment_sampler(rng, size):
+        h = ch.sample_channel(spec, rng, size)
+        fro2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
+        return (1.0 + spec.snr * fro2) ** expo
+
+    vals = mc.sample_values(moment_sampler, cfg, stream_offset)
+    total = (
+        r * (r - 1) * math.log(math.pi)
+        - log_complex_multivariate_gamma(r, float(n))
+        - log_complex_multivariate_gamma(r, float(r))
+        + math.log(np.mean(vals))
+    )
+    for i in range(1, r + 1):
+        total += _log_bracket(float(n + r - 2 * i + 1), float(n + r - 2 * i))
+    return float(total)

@@ -245,8 +245,8 @@ def test_criterion_7_oracle_equivalences():
 
 def test_criterion_8_asymptotic_constants():
     spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
-    csirt = [cv.log_c_csirt(spec, n, CFG) - 0.5 * spec.m * math.log(n) for n in (10, 100, 1000)]
-    csir = [cv.log_c_csir(spec, n, CFG) - 0.5 * spec.r**2 * math.log(n) for n in (10, 100, 1000)]
+    csirt = [oracles.log_c_csirt(spec, n, CFG) - 0.5 * spec.m * math.log(n) for n in (10, 100, 1000)]
+    csir = [oracles.log_c_csir(spec, n, CFG) - 0.5 * spec.r**2 * math.log(n) for n in (10, 100, 1000)]
     d1 = max(csirt) - min(csirt)
     d2 = max(csir) - min(csir)
     _report(8, d1 < 1.5 and d2 < 1.5, f"normalized drifts: csirt {d1:.2f}, csir {d2:.2f} nats")

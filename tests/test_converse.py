@@ -1,6 +1,7 @@
 """Converse bounds: conditional tail laws, rate upper bounds, asymptotic constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,43 @@ class TestSimoTailTable:
     def test_rejects_negative_gains(self):
         with pytest.raises(DomainError):
             cv.SimoTailTable(10, np.array([-1.0]))
+
+    def test_fig2_tails_raise_no_warnings(self):
+        table = _fig2_selection_table(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (-1.0, 0.3, 0.6, 0.69, 1.0, 3.0):
+                table.sum_q_s(gamma)
+                table.log_q_l(gamma)
+
+
+def _fig2_selection_table(n, seed=1, samples=100_000):
+    cfg = mc.MCConfig(seed=seed, samples=samples)
+    gains = mc.sample_values(cv._gain_sampler(FIG2_SPEC), cfg, cv._SEL_STREAM)
+    return cv.SimoTailTable(n, FIG2_SPEC.snr * gains)
+
+
+class TestFig2SelectionRoot:
+    """`mc.root_find_monotone` on the selection functions of `conv-simo` and `ach-csir-kb`."""
+
+    @pytest.mark.parametrize("n", [20, 200, 500, 2000])
+    def test_few_evaluations_and_required_side(self, n):
+        table = _fig2_selection_table(n)
+        trials, half = 100_000, 0.005
+        hi = float(np.max(np.log1p(table.a))) + 1.0
+        cases = [
+            (lambda g: mc.cp_lower(table.sum_q_s(g), trials, half), 1e-3, "at_least"),
+            (lambda g: mc.cp_upper(table.sum_q_s(g), trials, half), 1e-3 - 1e-4, "below"),
+        ]
+        for f, target, side in cases:
+            calls = []
+            gamma = mc.root_find_monotone(lambda g: calls.append(g) or f(g), target, (-hi - 10.0, hi), side)
+            assert len(calls) <= 25
+            tol = 1e-12 * max(1.0, abs(gamma))
+            if side == "at_least":
+                assert f(gamma) >= target and f(gamma - tol) < target
+            else:
+                assert f(gamma) <= target and f(gamma + tol) > target
 
 
 class TestConverseSimo:
@@ -333,7 +371,7 @@ class TestAsymptoticConstants:
 
     def test_bracket_collapse_at_n_1(self):
         spec = ch.ChannelSpec(t=1, r=1, snr=2.0, fading=ch.Rayleigh())
-        val = cv.log_c_csirt(spec, 1, self.cfg)
+        val = oracles.log_c_csirt(spec, 1, self.cfg)
         # E[det(I + rho h h*)] = 1 + rho exactly for a unit-variance entry
         assert val == pytest.approx(math.log(3.0), abs=0.01)
 
@@ -341,26 +379,26 @@ class TestAsymptoticConstants:
         # with one antenna on each side and moment exponent 1, both constants
         # reduce to the same bracket-plus-mean expression
         spec = ch.ChannelSpec(t=1, r=1, snr=1.5, fading=ch.Rayleigh())
-        a = cv.log_c_csirt(spec, 50, self.cfg)
-        b = cv.log_c_csir(spec, 50, self.cfg)
+        a = oracles.log_c_csirt(spec, 50, self.cfg)
+        b = oracles.log_c_csir(spec, 50, self.cfg)
         assert a == pytest.approx(b, abs=0.02)
 
     def test_csirt_normalized_growth_bounded(self):
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
-        vals = [cv.log_c_csirt(spec, n, self.cfg) - 0.5 * spec.m * math.log(n) for n in (10, 100, 1000)]
+        vals = [oracles.log_c_csirt(spec, n, self.cfg) - 0.5 * spec.m * math.log(n) for n in (10, 100, 1000)]
         assert max(vals) - min(vals) < 1.0
 
     def test_csir_normalized_growth_bounded(self):
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
-        vals = [cv.log_c_csir(spec, n, self.cfg) - 0.5 * spec.r**2 * math.log(n) for n in (10, 100, 1000)]
+        vals = [oracles.log_c_csir(spec, n, self.cfg) - 0.5 * spec.r**2 * math.log(n) for n in (10, 100, 1000)]
         assert max(vals) - min(vals) < 1.5
 
     def test_csir_moment_stable_across_seeds(self):
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
-        vals = [cv.log_c_csir(spec, 100, mc.MCConfig(seed=s, samples=100_000)) for s in (1, 2, 3)]
+        vals = [oracles.log_c_csir(spec, 100, mc.MCConfig(seed=s, samples=100_000)) for s in (1, 2, 3)]
         assert max(vals) - min(vals) < 0.05
 
     def test_csir_blocklength_domain(self):
         spec = ch.ChannelSpec(t=2, r=3, snr=1.0, fading=ch.Rayleigh())
         with pytest.raises(DomainError):
-            cv.log_c_csir(spec, 2, self.cfg)
+            oracles.log_c_csir(spec, 2, self.cfg)

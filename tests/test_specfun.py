@@ -19,40 +19,40 @@ mpmath.mp.dps = 50
 
 class TestLogGamma:
     def test_gamma_one(self):
-        assert sf.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert oracles.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_gamma_five(self):
-        assert sf.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
+        assert oracles.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
 
     def test_gamma_half(self):
-        assert sf.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
+        assert oracles.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            sf.log_gamma(0.0)
+            oracles.log_gamma(0.0)
         with pytest.raises(DomainError):
-            sf.log_gamma(-1.0)
+            oracles.log_gamma(-1.0)
 
     @given(st.floats(min_value=1e-3, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_matches_multiprecision(self, a):
         oracle = float(mpmath.log(mpmath.gamma(a)))
-        got = sf.log_gamma(a)
+        got = oracles.log_gamma(a)
         assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 class TestLogUpperIncGamma:
     def test_at_zero(self):
-        assert sf.log_upper_inc_gamma(1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert oracles.log_upper_inc_gamma(1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_exponential_tail(self):
         for x in (0.5, 3.0, 40.0):
-            assert sf.log_upper_inc_gamma(1.0, x) == pytest.approx(-x, rel=1e-12)
+            assert oracles.log_upper_inc_gamma(1.0, x) == pytest.approx(-x, rel=1e-12)
 
     def test_series_oracle_a50_x49(self):
         # independent oracle: direct high-precision upper incomplete gamma
         oracle = float(mpmath.log(mpmath.gammainc(50, 49, mpmath.inf)))
-        assert sf.log_upper_inc_gamma(50.0, 49.0) == pytest.approx(oracle, rel=1e-10)
+        assert oracles.log_upper_inc_gamma(50.0, 49.0) == pytest.approx(oracle, rel=1e-10)
 
     @given(
         st.floats(min_value=0.5, max_value=2e3),
@@ -61,7 +61,7 @@ class TestLogUpperIncGamma:
     @settings(max_examples=50, deadline=None)
     def test_matches_multiprecision(self, a, x):
         oracle = mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x), mpmath.inf))
-        got = sf.log_upper_inc_gamma(a, x)
+        got = oracles.log_upper_inc_gamma(a, x)
         assert got == pytest.approx(float(oracle), rel=1e-8, abs=1e-8)
 
     def test_large_parameters_scipy_reference(self):
@@ -76,7 +76,7 @@ class TestLogUpperIncGamma:
             if q < 1e-290:
                 continue
             oracle = math.log(q) + scisp.gammaln(a)
-            assert sf.log_upper_inc_gamma(a, x) == pytest.approx(oracle, rel=1e-10, abs=1e-8)
+            assert oracles.log_upper_inc_gamma(a, x) == pytest.approx(oracle, rel=1e-10, abs=1e-8)
 
 
 class TestLogRegLowerIncGamma:
@@ -89,7 +89,7 @@ class TestLogRegLowerIncGamma:
         oracle = mpmath.log(
             mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x), regularized=True)
         )
-        got = sf.log_reg_lower_inc_gamma(a, x)
+        got = oracles.log_reg_lower_inc_gamma(a, x)
         assert got == pytest.approx(float(oracle), rel=1e-8, abs=1e-8)
 
 
@@ -110,12 +110,12 @@ class TestRegIncBeta:
 
 class TestLogComplexMultivariateGamma:
     def test_rank_one_reduces_to_gamma(self):
-        assert sf.log_complex_multivariate_gamma(1, 7.3) == pytest.approx(
-            sf.log_gamma(7.3), rel=1e-12
+        assert oracles.log_complex_multivariate_gamma(1, 7.3) == pytest.approx(
+            oracles.log_gamma(7.3), rel=1e-12
         )
 
     def test_rank_two(self):
-        assert sf.log_complex_multivariate_gamma(2, 3.0) == pytest.approx(
+        assert oracles.log_complex_multivariate_gamma(2, 3.0) == pytest.approx(
             math.log(2.0 * math.pi), rel=1e-12
         )
 
@@ -123,12 +123,12 @@ class TestLogComplexMultivariateGamma:
         oracle = mpmath.mpf(math.pi) ** 3
         for i in range(1, 4):
             oracle *= mpmath.gamma(10 - i + 1)
-        got = sf.log_complex_multivariate_gamma(3, 10.0)
+        got = oracles.log_complex_multivariate_gamma(3, 10.0)
         assert got == pytest.approx(float(mpmath.log(oracle)), rel=1e-12)
 
     def test_rejects_small_argument(self):
         with pytest.raises(DomainError):
-            sf.log_complex_multivariate_gamma(3, 2.0)
+            oracles.log_complex_multivariate_gamma(3, 2.0)
 
 
 def _marcum_q1_series(a, b, terms=2000):
@@ -211,6 +211,16 @@ class TestNoncentralChi2LogCdf:
             oracle = float(mpmath.log(total))
         assert oracles.noncentral_chi2_logcdf(x, k, d) == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-8])
+    def test_chernoff_small_noncentrality_does_not_cancel(self, delta):
+        # the saddle point must not cancel to 0 when delta * x << k^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sf.noncentral_chi2_chernoff(np.array([1.0]), 1000, np.array([delta]), "lower")[0]
+        # the central exponent (k/2) ln(x/k) + (k - x)/2 at k = 1000, x = 1
+        assert got == pytest.approx(500.0 * math.log(1e-3) + 499.5, abs=1e-6)
+        assert got == pytest.approx(-2954.4, abs=0.1)
+
     def test_chernoff_dominates_logcdf(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -263,9 +273,10 @@ def _sd_points(k, delta, multiples):
 class TestBatchTailsReferee:
     """Both batch tails against mpmath quadratures of the Bessel-form density.
 
-    The grid spans n = 10..2000 (k = 2n) and delta = 10..1e12, covering the
-    band delta >= 1e10.5 where Boost's ncx2 warns "Series did not converge"
-    and drifts (0.43 against 0.50 at delta = 1e12).
+    The grid spans n = 10..2000 (k = 2n; the log-CDF also n = 2, 3, 5) and
+    delta = 10..1e12, covering the band delta >= 1e10.5 where Boost's ncx2
+    warns "Series did not converge" and drifts (0.43 against 0.50 at
+    delta = 1e12).
     """
 
     @pytest.mark.parametrize("n", [10, 100, 500, 2000])
@@ -282,7 +293,8 @@ class TestBatchTailsReferee:
     @pytest.mark.parametrize(
         "n, delta",
         [(n, d) for n in (10, 100, 500) for d in (10.0, 1e3, 1e6, 1e9, 1e12)]
-        + [(2000, d) for d in (10.0, 1e3, 1e12)],
+        + [(2000, d) for d in (10.0, 1e3, 1e12)]
+        + [(n, d) for n in (2, 3, 5) for d in (10.0, 1e3, 1e6, 1e9, 1e12)],
     )
     def test_logcdf_batch(self, n, delta):
         # the mean, and about 30 and 300 nats down the left tail
@@ -291,6 +303,18 @@ class TestBatchTailsReferee:
         got = sf.noncentral_chi2_logcdf_batch(x, k, np.full(x.shape, delta), rel_cutoff=math.inf)
         want = [oracles.mp_noncentral_chi2_logcdf(float(xx), k, delta) for xx in x]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    # thresholds inside or below the chi bulk, where a grid in u that stops
+    # at sqrt(x) loses accuracy (+1.1e-6 nats at the first point, +0.66 at
+    # the second); each also lies deep in the left tail
+    @pytest.mark.parametrize(
+        "n, x, delta",
+        [(3, 2.0, 700.0), (5, 0.3, 20.0), (2, 0.05, 5.0), (10, 4.0, 3e3), (500, 900.0, 10.0), (500, 300.0, 2e3)],
+    )
+    def test_logcdf_batch_deep_tail(self, n, x, delta):
+        got = sf.noncentral_chi2_logcdf_batch(np.array([x]), 2 * n, np.array([delta]), rel_cutoff=math.inf)
+        want = oracles.mp_noncentral_chi2_logcdf(x, 2 * n, delta, dps=40)
+        assert got[0] == pytest.approx(want, abs=1e-9)
 
     def test_boost_band_is_routed_around(self):
         k, delta = 1000, 1e12
