@@ -2,9 +2,9 @@
 
 The main path draws the squared-sine decoding statistic from its exact law
 (Wilks' Lambda with a complex Bartlett factor), takes a conservative
-upper quantile as the decision threshold gamma_n, and bounds the auxiliary
-tail P[prod Beta_j <= gamma_n] in closed form (exact regularized-beta tail
-when the effective transmit rank is 1, Chernoff otherwise). A separate
+upper quantile as the decision threshold gamma_n, and computes the auxiliary
+tail P[prod Beta_j <= gamma_n] exactly for every effective transmit rank,
+as a hypoexponential tail summed by uniformization. A separate
 receiver-side-information bound for t = 1 reuses the converse module's exact
 conditional tail laws.
 """
@@ -15,7 +15,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize
 from scipy import special as scisp
 
 from . import channel as ch
@@ -28,7 +27,6 @@ from .outage import water_fill_batch
 __all__ = [
     "BoundPoint",
     "beta_product_log_tail",
-    "markov_log_tail",
     "sin2_statistic_sampler",
     "rate_lower_bound",
     "csir_kappa_beta_simo",
@@ -40,9 +38,7 @@ _STAT_STREAM = 1 << 35
 
 def _effective_rank(spec, cov):
     """Transmit rank t* of the signaling scheme."""
-    if isinstance(cov, ch.WaterFill):
-        return spec.t
-    if isinstance(cov, ch.Isotropic):
+    if isinstance(cov, (ch.WaterFill, ch.Isotropic)):
         return spec.t
     if isinstance(cov, ch.Fixed):
         ev = np.linalg.eigvalsh(np.asarray(cov.q))
@@ -50,64 +46,53 @@ def _effective_rank(spec, cov):
     raise DomainError(f"unknown covariance policy: {cov!r}")
 
 
-def markov_log_tail(n, t_eff, r, log_gamma_n):
-    """Closed-form Markov bound on ln P[prod Beta_j <= gamma_n]."""
-    return min(0.0, r * t_eff * math.log(n) + (n - t_eff - r) * log_gamma_n)
-
-
-def _log_beta_tail_int_b(log_x, a, b):
-    """ln I_x(a, b) for integer b, exact via the binomial-tail expansion."""
-    if log_x >= 0.0:
-        return 0.0
-    one_minus = -math.expm1(log_x)
-    log_1mx = math.log(one_minus) if one_minus > 0 else -np.inf
-    nn = a + b - 1
-    k = np.arange(b)
-    terms = (
-        scisp.gammaln(nn + 1.0)
-        - scisp.gammaln(a + k + 1.0)
-        - scisp.gammaln(b - k)
-        + (a + k) * log_x
-        + (b - 1 - k) * log_1mx
-    )
-    return float(scisp.logsumexp(terms))
-
-
 def beta_product_log_tail(n, t_eff, r, log_gamma_n):
-    """Upper bound on ln P[prod_{j=1}^r Beta(n - t_eff - j + 1, t_eff) <= gamma_n].
+    """ln P[prod_{j=1}^r Beta(n - t_eff - j + 1, t_eff) <= gamma_n], exactly.
 
-    Exact when t_eff = 1 (the product is Beta(n - r, r) in distribution);
-    otherwise a Chernoff bound minimized over the tilt, never worse than the
-    Markov closed form.
+    -ln of the product is hypoexponential: a sum of t_eff * r independent
+    exponentials with integer rates lam_min + nu, lam_min = n - t_eff - r + 1
+    and nu = (r - j) + i for j = 1..r, i < t_eff. With x = -ln gamma_n and
+    e^{-lam_min x} taken out, the tail is a Poisson(big * x) mixture, over
+    the step count m, of the mass that the nonnegative step matrix
+    P = I + (T + lam_min I) / big leaves in the phases (uniformization of
+    the generator T at big = t_eff + r - 1), so every term is positive. The
+    rows e_1 P^m are built by doubling until a closed-form bound on the
+    terms past the last row is below 1e-17 of the sum. That bound is added,
+    so truncation can only raise the result (docs/DECISIONS.md, section 8).
     """
     if not (n > t_eff + r) or t_eff < 1 or r < 1:
         raise DomainError("requires n > t_eff + r, t_eff >= 1, r >= 1")
-    if log_gamma_n > 0.0:
+    if not (log_gamma_n <= 0.0):
         raise DomainError("gamma_n must be in (0, 1]")
     if log_gamma_n == 0.0:
         return 0.0
     if log_gamma_n == -np.inf:
         return -np.inf
-    if t_eff == 1:
-        return _log_beta_tail_int_b(log_gamma_n, n - r, r)
-    a_j = n - t_eff - np.arange(1, r + 1) + 1.0
-
-    def objective(alpha):
-        return float(
-            alpha * log_gamma_n
-            + np.sum(
-                scisp.gammaln(a_j - alpha)
-                + scisp.gammaln(a_j + t_eff)
-                - scisp.gammaln(a_j - alpha + t_eff)
-                - scisp.gammaln(a_j)
-            )
-        )
-
-    hi = n - t_eff - r + 1.0
-    res = optimize.minimize_scalar(
-        objective, bounds=(1e-9, hi - 1e-9), method="bounded", options={"xatol": 1e-10}
-    )
-    return min(0.0, float(res.fun), markov_log_tail(n, t_eff, r, log_gamma_n))
+    x = -log_gamma_n
+    lam_min = n - t_eff - r + 1.0
+    nu = np.add.outer(np.arange(r), np.arange(t_eff)).ravel()
+    big = t_eff + r - 1.0
+    mu = big * x
+    # the superdiagonal rate_k / big of P is factored out: the mass in phase k
+    # after m steps is c_k * rows[m, k], and rows[m, k] <= C(m, k - 1)
+    log_c = np.concatenate(([0.0], np.cumsum(np.log((lam_min + nu[:-1]) / big))))
+    c = np.exp(log_c - log_c.max())
+    # past the last row M the Poisson-weighted C(m, k - 1) sum to
+    # mu^(k-1)/(k-1)! * P[Pois(mu) > M - k + 1], and P[Pois(mu) > a] = gammainc(a + 1, mu)
+    j = np.arange(nu.size)
+    moments = np.exp(j * math.log(mu) - scisp.gammaln(j + 1.0))
+    step = np.diag(1.0 - nu / big) + np.eye(nu.size, k=1)
+    rows = np.eye(1, nu.size)
+    while True:
+        m = np.arange(rows.shape[0])
+        weights = np.exp(m * math.log(mu) - mu - scisp.gammaln(m + 1.0))
+        head = c @ (weights @ rows)
+        rest = c @ (moments * scisp.gammainc(np.maximum(m[-1] - j + 1, 0), mu))
+        if rest <= 1e-17 * head:
+            break
+        rows = np.concatenate([rows, rows @ step])
+        step = step @ step
+    return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
 def _signal_gains(spec, cov, rng, size):
@@ -170,6 +155,16 @@ def tau_grid(n, epsilon):
     return sorted({t for t in cands if 0.0 < t < epsilon})
 
 
+def _taus(n, epsilon, tau):
+    """The tau values to try, the default grid or the caller's tau, each checked."""
+    taus = tau_grid(n, epsilon) if tau is None else [tau]
+    if not taus:
+        raise ConfigurationError("no feasible tau < epsilon")
+    for t in taus:
+        _check_eps_tau(epsilon, t)
+    return taus
+
+
 def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
@@ -179,11 +174,7 @@ def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0)
     if cfg is None:
         raise DomainError("cfg is required")
     t_eff = _effective_rank(spec, cov)
-    taus = tau_grid(n, epsilon) if tau is None else [tau]
-    if not taus:
-        raise ConfigurationError("no feasible tau < epsilon")
-    for t in taus:
-        _check_eps_tau(epsilon, t)
+    taus = _taus(n, epsilon, tau)
     sampler = sin2_statistic_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
     best = None
@@ -218,11 +209,7 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau=None, cfg=None, stream_offset=0):
         raise ConfigurationError("receiver-CSI kappa-beta bound requires t = 1")
     if cfg is None:
         raise DomainError("cfg is required")
-    taus = tau_grid(n, epsilon) if tau is None else [tau]
-    if not taus:
-        raise ConfigurationError("no feasible tau < epsilon")
-    for t in taus:
-        _check_eps_tau(epsilon, t)
+    taus = _taus(n, epsilon, tau)
     rho = spec.snr
     half = 0.5 * cfg.confidence_delta
     g_sel = mc.sample_values(cv._gain_sampler(spec), cfg, stream_offset + cv._SEL_STREAM)

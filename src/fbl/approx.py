@@ -13,7 +13,7 @@ from . import specfun as sf
 from .errors import DomainError
 from .outage import capacity_dispersion, water_fill_batch
 
-__all__ = ["NormalApprox", "normal_approx_rate", "awgn_reference_rate"]
+__all__ = ["NormalApprox", "awgn_reference_rate"]
 
 
 class NormalApprox:
@@ -73,11 +73,6 @@ class NormalApprox:
         # small n can push the approximation below zero rate; keep the solve exact
         r0 = optimize.brentq(lambda r: self.outage_cdf(r, n) - epsilon, -r_max, r_max, xtol=1e-12)
         return r0 + math.log(n) / (2.0 * n)
-
-
-def normal_approx_rate(spec, cov, n, epsilon, cfg, stream_offset=0):
-    """One-shot normal-approximation rate in nats."""
-    return NormalApprox(spec, cov, cfg, stream_offset).rate(n, epsilon)
 
 
 def awgn_reference_rate(rho, n, epsilon):

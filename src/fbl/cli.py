@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import achievability as ach
 from . import approx as ap
@@ -214,8 +215,6 @@ def _apply_overrides(req, args):
             chunk_size=req.mc.chunk_size,
         )
     if changes:
-        from dataclasses import replace
-
         req = replace(req, **changes)
     return req
 

@@ -16,8 +16,6 @@ from . import mc
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
-    "PowerAllocation",
-    "water_fill",
     "water_fill_batch",
     "capacity_dispersion",
     "capacity_sampler",
@@ -25,15 +23,6 @@ __all__ = [
     "epsilon_capacity",
     "QuantileEstimate",
 ]
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-eigenmode powers v and the water level gamma_bar."""
-
-    v: np.ndarray
-    gamma_bar: float
-    outage_certain: bool = False
 
 
 def water_fill_batch(lam, rho):
@@ -63,20 +52,6 @@ def water_fill_batch(lam, rho):
     v = np.clip(diff, 0.0, None)
     v = np.where(any_active[..., None], v, 0.0)
     return v, gamma_bar
-
-
-def water_fill(eigs, rho):
-    """Water-filling power allocation for one descending eigenvalue vector."""
-    lam = np.asarray(eigs, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise DomainError("expected a 1-D eigenvalue vector")
-    if np.any(np.diff(lam) > 0) or np.any(lam < 0):
-        raise DomainError("eigenvalues must be nonnegative and descending")
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    v, gamma_bar = water_fill_batch(lam[None, :], rho)
-    certain = not np.any(lam > 0)
-    return PowerAllocation(v=v[0], gamma_bar=float(gamma_bar[0]), outage_certain=certain)
 
 
 def capacity_dispersion(eigs, alloc):

@@ -4,9 +4,12 @@ The scalar forms of the noncentral chi-square tails and of the
 single-antenna conditional tail laws, multiprecision (mpmath) quadratures
 of the noncentral chi-square density that referee both tails, the
 decoding statistic measured on an explicit n x r received block by QR (the
-referee of the closed-form sampler), log-domain incomplete and multivariate
-gamma functions with the asymptotic converse constants built on them, and
-small helpers the tests share. Nothing in `fbl` calls them.
+referee of the closed-form sampler), the Markov and Chernoff bounds, the
+rank-one binomial sum and an mpmath matrix exponential that referee the
+beta-product tail, water-filling of one eigenvalue vector, log-domain
+incomplete and multivariate gamma functions with the asymptotic converse
+constants built on them, and small helpers the tests share. Nothing in
+`fbl` calls them.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy import optimize
 from scipy import special as sp
 from scipy import stats
 
 from fbl import achievability as ach
 from fbl import channel as ch
 from fbl import mc
+from fbl import outage as og
 from fbl import specfun as sf
 from fbl.errors import ConvergenceError, DomainError
 
@@ -277,6 +282,109 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     return mc.conservative_quantile(
         sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + ach._STAT_STREAM
     )
+
+
+# Referees of `ach.beta_product_log_tail`: the bounds it replaced, the
+# exact rank-one form it replaced, and a multiprecision matrix exponential.
+
+
+def markov_log_tail(n, t_eff, r, log_gamma_n):
+    """Closed-form Markov bound on ln P[prod Beta_j <= gamma_n]."""
+    return min(0.0, r * t_eff * math.log(n) + (n - t_eff - r) * log_gamma_n)
+
+
+def chernoff_log_tail(n, t_eff, r, log_gamma_n):
+    """Chernoff bound on ln P[prod Beta_j <= gamma_n], minimized over the tilt.
+
+    Uses E[Beta(a, b)^-s] = Gamma(a - s) Gamma(a + b) / (Gamma(a - s + b) Gamma(a)).
+    """
+    a_j = n - t_eff - np.arange(1, r + 1) + 1.0
+
+    def objective(alpha):
+        return float(
+            alpha * log_gamma_n
+            + np.sum(
+                sp.gammaln(a_j - alpha)
+                + sp.gammaln(a_j + t_eff)
+                - sp.gammaln(a_j - alpha + t_eff)
+                - sp.gammaln(a_j)
+            )
+        )
+
+    hi = n - t_eff - r + 1.0
+    res = optimize.minimize_scalar(
+        objective, bounds=(1e-9, hi - 1e-9), method="bounded", options={"xatol": 1e-10}
+    )
+    return min(0.0, float(res.fun))
+
+
+def log_beta_tail_int_b(log_x, a, b):
+    """ln I_x(a, b) for integer b, exact via the binomial-tail expansion.
+
+    For t_eff = 1 the beta product is Beta(n - r, r) in law, so this is
+    ln P[prod Beta_j <= x] with a = n - r, b = r.
+    """
+    if log_x >= 0.0:
+        return 0.0
+    one_minus = -math.expm1(log_x)
+    log_1mx = math.log(one_minus) if one_minus > 0 else -np.inf
+    nn = a + b - 1
+    k = np.arange(b)
+    terms = (
+        sp.gammaln(nn + 1.0)
+        - sp.gammaln(a + k + 1.0)
+        - sp.gammaln(b - k)
+        + (a + k) * log_x
+        + (b - 1 - k) * log_1mx
+    )
+    return float(sp.logsumexp(terms))
+
+
+def mp_beta_product_log_tail(n, t_eff, r, log_gamma_n, dps=80):
+    """ln P[prod Beta_j <= gamma_n] as an mpmath matrix exponential.
+
+    -ln of the product is hypoexponential: phases with rates
+    n - t_eff - j + 1 + i (j = 1..r, i < t_eff) passed in turn, so the tail
+    is the row sum e_1^T exp(T x) 1 of the bidiagonal generator T at
+    x = -ln gamma_n. T has nonnegative off-diagonal entries, so every
+    squaring in mpmath's scaled Taylor `expm` adds positive terms.
+    """
+    rates = [n - t_eff - j + 1 + i for j in range(1, r + 1) for i in range(t_eff)]
+    k = len(rates)
+    with mpmath.workdps(dps):
+        gen = mpmath.zeros(k, k)
+        for p, rate in enumerate(rates):
+            gen[p, p] = -rate
+            if p + 1 < k:
+                gen[p, p + 1] = rate
+        e = mpmath.expm(gen * -mpmath.mpf(log_gamma_n))
+        return float(mpmath.log(mpmath.fsum(e[0, q] for q in range(k))))
+
+
+# Water-filling for one eigenvalue vector, through `og.water_fill_batch`.
+
+
+@dataclass(frozen=True)
+class PowerAllocation:
+    """Per-eigenmode powers v and the water level gamma_bar."""
+
+    v: np.ndarray
+    gamma_bar: float
+    outage_certain: bool = False
+
+
+def water_fill(eigs, rho):
+    """Water-filling power allocation for one descending eigenvalue vector."""
+    lam = np.asarray(eigs, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise DomainError("expected a 1-D eigenvalue vector")
+    if np.any(np.diff(lam) > 0) or np.any(lam < 0):
+        raise DomainError("eigenvalues must be nonnegative and descending")
+    if rho <= 0:
+        raise DomainError("rho must be positive")
+    v, gamma_bar = og.water_fill_batch(lam[None, :], rho)
+    certain = not np.any(lam > 0)
+    return PowerAllocation(v=v[0], gamma_bar=float(gamma_bar[0]), outage_certain=certain)
 
 
 # Log-domain gamma functions and the asymptotic converse constants of the

@@ -220,7 +220,7 @@ def test_criterion_7_oracle_equivalences():
     for n_e, t_eff, r_e in ((20, 2, 1), (50, 2, 2), (300, 3, 2)):
         for lg in (-0.05, -0.5, -2.0):
             chern = ach.beta_product_log_tail(n_e, t_eff, r_e, lg)
-            ok_e &= chern <= ach.markov_log_tail(n_e, t_eff, r_e, lg) + 1e-12
+            ok_e &= chern <= oracles.markov_log_tail(n_e, t_eff, r_e, lg) + 1e-12
     # g = 0.75 leaves ~5e-4 tail mass, resolvable with 2e6 draws
     n_e, t_eff, r_e, g = 50, 2, 2, 0.75
     draws = 2_000_000

