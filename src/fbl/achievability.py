@@ -17,12 +17,11 @@ import math
 import numpy as np
 from scipy import special as scisp
 
-from . import channel as ch
 from . import converse as cv
 from . import mc
+from . import outage as og
 from .bounds import BoundPoint
 from .errors import ConfigurationError, DomainError
-from .outage import water_fill_batch
 
 __all__ = [
     "BoundPoint",
@@ -34,16 +33,6 @@ __all__ = [
 ]
 
 _STAT_STREAM = 1 << 35
-
-
-def _effective_rank(spec, cov):
-    """Transmit rank t* of the signaling scheme."""
-    if isinstance(cov, (ch.WaterFill, ch.Isotropic)):
-        return spec.t
-    if isinstance(cov, ch.Fixed):
-        ev = np.linalg.eigvalsh(np.asarray(cov.q))
-        return int(np.sum(ev > 1e-12 * max(float(ev.max()), 1.0)))
-    raise DomainError(f"unknown covariance policy: {cov!r}")
 
 
 def beta_product_log_tail(n, t_eff, r, log_gamma_n):
@@ -95,19 +84,6 @@ def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
-def _signal_gains(spec, cov, rng, size):
-    """Per-mode noncentrality gains of the decoding statistic, shape (size, m_eff)."""
-    h = ch.sample_channel(spec, rng, size)
-    lam = ch.effective_eigenvalues(h, cov, spec)
-    if isinstance(cov, ch.WaterFill):
-        v, _ = water_fill_batch(lam, spec.snr)
-        gains = v * lam
-    else:
-        gains = lam
-    m_eff = min(_effective_rank(spec, cov), spec.r)
-    return gains[..., :m_eff]
-
-
 def sin2_statistic_sampler(spec, cov, n):
     """Batched exact sampler of the decoding statistic.
 
@@ -121,15 +97,14 @@ def sin2_statistic_sampler(spec, cov, n):
     Bartlett factor) the statistic is prod diag(L)^2 / det(Z Z^H), Z = [X | L]
     (docs/DECISIONS.md, section 6).
     """
-    t_eff = _effective_rank(spec, cov)
-    r = spec.r
+    t_eff, r = spec.t, spec.r
     if n <= t_eff + r:
         raise DomainError("requires n > t_eff + r")
     d, wide = min(t_eff, r), max(t_eff, r)
     idx = np.arange(d)
 
     def draw(rng, size):
-        gains = _signal_gains(spec, cov, rng, size)
+        gains = og.mode_gains(spec, cov, rng, size)[..., :d]
         diag2 = rng.standard_gamma(n - wide - idx, size=(size, d))
         shape = (size, d, wide + d)
         z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
@@ -165,15 +140,12 @@ def _taus(n, epsilon, tau):
     return taus
 
 
-def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0):
+def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
     tau=None runs the default grid search and returns the best point; the
     statistic sample is drawn once and reused across the grid.
     """
-    if cfg is None:
-        raise DomainError("cfg is required")
-    t_eff = _effective_rank(spec, cov)
     taus = _taus(n, epsilon, tau)
     sampler = sin2_statistic_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
@@ -184,7 +156,7 @@ def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0)
         )
         gamma = float(values[k - 1])
         log_gamma = math.log(gamma) if gamma > 0.0 else -np.inf
-        tail = beta_product_log_tail(n, t_eff, spec.r, min(log_gamma, 0.0))
+        tail = beta_product_log_tail(n, spec.t, spec.r, min(log_gamma, 0.0))
         rate = max(0.0, (math.log(t) - tail) / n)
         if best is None or rate > best.rate_nats:
             best = BoundPoint(
@@ -193,7 +165,7 @@ def rate_lower_bound(spec, cov, n, epsilon, tau=None, cfg=None, stream_offset=0)
     return best
 
 
-def csir_kappa_beta_simo(spec, n, epsilon, tau=None, cfg=None, stream_offset=0):
+def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     """Receiver-side-information achievability bound for t = 1.
 
     The information density under the true and auxiliary channels reduces,
@@ -207,8 +179,6 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau=None, cfg=None, stream_offset=0):
     """
     if spec.t != 1:
         raise ConfigurationError("receiver-CSI kappa-beta bound requires t = 1")
-    if cfg is None:
-        raise DomainError("cfg is required")
     taus = _taus(n, epsilon, tau)
     rho = spec.snr
     half = 0.5 * cfg.confidence_delta

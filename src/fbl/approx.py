@@ -11,7 +11,7 @@ from . import channel as ch
 from . import mc
 from . import specfun as sf
 from .errors import DomainError
-from .outage import capacity_dispersion, water_fill_batch
+from .outage import capacity_dispersion, mode_gains
 
 __all__ = ["NormalApprox", "awgn_reference_rate"]
 
@@ -33,18 +33,11 @@ class NormalApprox:
     """
 
     def __init__(self, spec, cov, cfg, stream_offset=0):
-        if not isinstance(cov, (ch.WaterFill, ch.Isotropic, ch.Fixed)):
+        if not isinstance(cov, (ch.WaterFill, ch.Isotropic)):
             raise DomainError(f"unknown covariance policy: {cov!r}")
 
         def cv_sampler(rng, size):
-            h = ch.sample_channel(spec, rng, size)
-            lam = ch.effective_eigenvalues(h, cov, spec)
-            if isinstance(cov, ch.WaterFill):
-                alloc, _ = water_fill_batch(lam, spec.snr)
-            else:
-                alloc = np.ones_like(lam)
-            c, v = capacity_dispersion(lam, alloc)
-            return np.stack([c, v], axis=-1)
+            return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
 
         pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
         self.c = pairs[:, 0]

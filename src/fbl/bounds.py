@@ -14,6 +14,12 @@ class BoundPoint:
     and the nominal estimate it was adjusted from, so one end is rate_nats.
     side is 'lower' for achievability, 'upper' for converses,
     'estimate' for approximations.
+
+    Two rows read differently. An 'outage' row (side 'outage') carries the
+    requested rate as rate_nats and the Clopper-Pearson interval on the
+    outage probability, not a rate, as ci. An 'eps-capacity' row (side
+    'estimate') carries the empirical epsilon-quantile of the capacity and
+    its order-statistic interval in nats, which brackets rate_nats.
     """
 
     n: int

@@ -21,7 +21,6 @@ __all__ = [
     "ChannelSpec",
     "WaterFill",
     "Isotropic",
-    "Fixed",
     "sample_channel",
     "effective_eigenvalues",
     "gram_eigenvalues",
@@ -89,25 +88,6 @@ class Isotropic:
     """Q = (rho/t) I_t."""
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """User-supplied t x t Hermitian PSD covariance with trace <= rho."""
-
-    q: np.ndarray
-
-    def validate(self, spec):
-        q = np.asarray(self.q)
-        if q.shape != (spec.t, spec.t):
-            raise DomainError("covariance shape must be t x t")
-        if np.linalg.norm(q - q.conj().T) > 1e-10 * max(np.linalg.norm(q), 1.0):
-            raise DomainError("covariance must be Hermitian")
-        ev = np.linalg.eigvalsh(q)
-        if ev.min() < -1e-10 * max(ev.max(), 1.0):
-            raise DomainError("covariance must be PSD")
-        if np.trace(q).real > spec.snr * (1.0 + 1e-10):
-            raise DomainError("covariance trace exceeds the power budget")
-
-
 def sample_channel(spec, rng, size=1):
     """Draw `size` i.i.d. channel matrices; returns shape (size, t, r)."""
     shape = (size, spec.t, spec.r)
@@ -127,11 +107,6 @@ def sample_channel(spec, rng, size=1):
         phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
         return np.sqrt(power) * np.exp(1j * phase)
     raise DomainError(f"unknown fading model: {fading!r}")
-
-
-def _descending_eigvalsh(a):
-    vals = np.linalg.eigvalsh(a)
-    return vals[..., ::-1]
 
 
 def _abs2(z):
@@ -173,7 +148,7 @@ def gram_eigenvalues(h):
         lam2 = np.minimum(det / np.where(lam1 > 0.0, lam1, 1.0), lam1)
         return np.stack([lam1, lam2], axis=-1)
     gram = h @ np.conj(np.swapaxes(h, -1, -2))
-    return np.clip(_descending_eigvalsh(gram).real, 0.0, None)
+    return np.clip(np.linalg.eigvalsh(gram)[..., ::-1].real, 0.0, None)
 
 
 def effective_eigenvalues(h, cov, spec):
@@ -182,7 +157,6 @@ def effective_eigenvalues(h, cov, spec):
     WaterFill: eigenvalues of H H^H (power is allocated downstream), the
     spectrum of the min(t, r)-square Gram padded with t - r exact zeros.
     Isotropic: (rho/t) times the eigenvalues of the min(t, r)-square Gram of H.
-    Fixed: top min(t, r) eigenvalues of H^H Q H.
     Accepts a single t x r matrix or a stack (..., t, r); returns (..., m),
     with m = t under WaterFill and min(t, r) otherwise.
     """
@@ -196,11 +170,4 @@ def effective_eigenvalues(h, cov, spec):
         return lam
     if isinstance(cov, Isotropic):
         return (spec.snr / spec.t) * gram_eigenvalues(h)
-    if not isinstance(cov, Fixed):
-        raise DomainError(f"unknown covariance policy: {cov!r}")
-    cov.validate(spec)
-    q = np.asarray(cov.q)
-    hh = np.conj(np.swapaxes(h, -1, -2))  # r x t
-    gram = hh @ q @ h  # r x r
-    vals = np.clip(_descending_eigvalsh(gram).real, 0.0, None)
-    return vals[..., : spec.m]
+    raise DomainError(f"unknown covariance policy: {cov!r}")

@@ -10,18 +10,13 @@ FBL_THREADS worker count. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
 
-from . import achievability as ach
-from . import approx as ap
-from . import channel as chn
 from . import config as cf
-from . import converse as cv
 from . import mc
-from . import outage as og
-from .bounds import BoundPoint
 from .errors import ConfigurationError, ConvergenceError, DomainError
 
 CSV_HEADER = "bound,n,rate_nats,rate_bits,ci_lo,ci_hi,side,seed,samples"
@@ -34,97 +29,30 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _row(bound, n, rate_nats, ci, side, seed, samples):
-    lo, hi = ci if ci is not None else (rate_nats, rate_nats)
+def _row(bound, point, seed, samples):
+    lo, hi = point.ci if point.ci is not None else (point.rate_nats, point.rate_nats)
     cells = [
         bound,
-        str(n),
-        _fmt(rate_nats),
-        _fmt(rate_nats / _LN2),
+        str(point.n),
+        _fmt(point.rate_nats),
+        _fmt(point.rate_nats / _LN2),
         _fmt(lo),
         _fmt(hi),
-        side,
+        point.side,
         str(seed),
         str(samples),
     ]
     return ",".join(cells)
 
 
-def _point_row(bound, point, seed, samples):
-    return _row(bound, point.n, point.rate_nats, point.ci, point.side, seed, samples)
-
-
-def _bound_offset(bound, n):
-    return mc.substream_index(cf.BOUND_NAMES.index(bound), n)
-
-
 def run_sweep(req):
     """Evaluate every requested bound on the blocklength grid; returns CSV lines."""
     req.validate()
-    spec, cfg = req.spec, req.mc
     rows = []
-    normal_cache = None
     for bound in req.bounds:
-        for n in req.n_grid:
-            offset = _bound_offset(bound, n)
-            if bound in ("ach-csit", "ach-simo"):
-                # one bound under two names: ach-simo is the t = 1 case, and
-                # each name keeps its own stream offset from BOUND_NAMES
-                point = ach.rate_lower_bound(
-                    spec, chn.WaterFill(), n, req.epsilon, req.tau, cfg, stream_offset=offset
-                )
-            elif bound == "ach-nocsi":
-                cov = req.cov if isinstance(req.cov, (chn.Isotropic, chn.Fixed)) else chn.Isotropic()
-                point = ach.rate_lower_bound(
-                    spec, cov, n, req.epsilon, req.tau, cfg, stream_offset=offset
-                )
-            elif bound == "ach-csir-kb":
-                point = ach.csir_kappa_beta_simo(
-                    spec, n, req.epsilon, req.tau, cfg, stream_offset=offset
-                )
-            elif bound == "conv-simo":
-                point = cv.converse_simo(spec, n + 1, req.epsilon, cfg, stream_offset=offset)
-            elif bound == "conv-iso":
-                point = cv.converse_iso(spec, n, req.epsilon, cfg, stream_offset=offset)
-            elif bound == "normal":
-                if normal_cache is None:
-                    normal_cache = ap.NormalApprox(
-                        spec, req.cov, cfg, stream_offset=_bound_offset("normal", 0)
-                    )
-                rate = normal_cache.rate(n, req.epsilon)
-                point = BoundPoint(n=n, epsilon=req.epsilon, rate_nats=rate, side="estimate")
-            elif bound == "awgn":
-                rate = ap.awgn_reference_rate(spec.snr, n, req.epsilon)
-                point = BoundPoint(n=n, epsilon=req.epsilon, rate_nats=rate, side="estimate")
-            elif bound == "outage":
-                est = og.outage_probability(spec, req.cov, req.rate_nats, cfg, stream_offset=offset)
-                rows.append(
-                    _row(
-                        bound,
-                        n,
-                        req.rate_nats,
-                        (est.cp_lower, est.cp_upper),
-                        "outage",
-                        cfg.seed,
-                        cfg.samples,
-                    )
-                )
-                continue
-            elif bound == "eps-capacity":
-                q = og.epsilon_capacity(spec, req.cov, req.epsilon, cfg, stream_offset=offset)
-                if q.ci_hi - q.ci_lo < 1e-9 * max(1.0, abs(q.value)):
-                    print(
-                        "warning: capacity quantile is epsilon-independent "
-                        "(degenerate fading?)",
-                        file=sys.stderr,
-                    )
-                rows.append(
-                    _row(bound, n, q.value, (q.ci_lo, q.ci_hi), "estimate", cfg.seed, cfg.samples)
-                )
-                continue
-            else:
-                raise ConfigurationError(f"unknown bound: {bound}")
-            rows.append(_point_row(bound, point, cfg.seed, cfg.samples))
+        offset = functools.partial(mc.substream_index, cf.BOUND_NAMES.index(bound))
+        points = cf.BOUNDS[bound].evaluate(req, offset)
+        rows += [_row(bound, point, req.mc.seed, req.mc.samples) for point in points]
     return rows
 
 
@@ -164,7 +92,7 @@ def _sweep_args(parser):
     parser.add_argument("--output", help="CSV output path (default stdout)")
 
 
-def _request_from_args(args, bounds, rate_bits=None):
+def _request_from_args(args, bound):
     kv = {
         "antennas": f"{args.t}x{args.r}",
         "snr_db": str(args.snr_db),
@@ -176,7 +104,7 @@ def _request_from_args(args, bounds, rate_bits=None):
         "samples": str(args.samples),
         "chunk_size": str(args.chunk_size),
         "confidence_delta": str(args.confidence_delta),
-        "bounds": ",".join(bounds),
+        "bounds": bound,
     }
     if args.k_db is not None:
         kv["fading.k_db"] = str(args.k_db)
@@ -188,8 +116,8 @@ def _request_from_args(args, bounds, rate_bits=None):
         kv["n_grid"] = str(args.n)
     else:
         kv["n_grid"] = "100"
-    if rate_bits is not None:
-        kv["rate_bits"] = str(rate_bits)
+    if getattr(args, "rate_bits", None) is not None:
+        kv["rate_bits"] = str(args.rate_bits)
     if args.output:
         kv["output"] = args.output
     return cf.request_from_mapping(kv)
@@ -208,15 +136,20 @@ def _apply_overrides(req, args):
     if getattr(args, "samples", None) is not None:
         mc_changes["samples"] = args.samples
     if mc_changes:
-        changes["mc"] = mc.MCConfig(
-            seed=mc_changes.get("seed", req.mc.seed),
-            samples=mc_changes.get("samples", req.mc.samples),
-            confidence_delta=req.mc.confidence_delta,
-            chunk_size=req.mc.chunk_size,
-        )
+        changes["mc"] = replace(req.mc, **mc_changes)
     if changes:
         req = replace(req, **changes)
     return req
+
+
+# the subcommands that evaluate one bound of config.BOUNDS on a channel given
+# by flags, in the order `fbl --help` lists them
+_BOUND_COMMANDS = {
+    "outage": "outage probability at a rate",
+    "eps-capacity": "epsilon-capacity (outage capacity)",
+    "bound": "one achievability/converse bound",
+    "approx": "normal approximation or AWGN reference",
+}
 
 
 def build_parser():
@@ -226,28 +159,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("outage", help="outage probability at a rate")
-    _channel_args(p)
-    _mc_args(p)
-    _sweep_args(p)
-    p.add_argument("--rate-bits", type=float, required=True)
-
-    p = sub.add_parser("eps-capacity", help="epsilon-capacity (outage capacity)")
-    _channel_args(p)
-    _mc_args(p)
-    _sweep_args(p)
-
-    p = sub.add_parser("bound", help="one achievability/converse bound")
-    p.add_argument("name", choices=[b for b in cf.BOUND_NAMES if b not in ("normal", "awgn", "outage", "eps-capacity")])
-    _channel_args(p)
-    _mc_args(p)
-    _sweep_args(p)
-
-    p = sub.add_parser("approx", help="normal approximation or AWGN reference")
-    p.add_argument("name", choices=["normal", "awgn"])
-    _channel_args(p)
-    _mc_args(p)
-    _sweep_args(p)
+    for command, help_text in _BOUND_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        names = [b for b, entry in cf.BOUNDS.items() if entry.command == command]
+        if len(names) > 1:
+            p.add_argument("name", choices=names)
+        _channel_args(p)
+        _mc_args(p)
+        _sweep_args(p)
+        if command == "outage":
+            p.add_argument("--rate-bits", type=float, required=True)
 
     p = sub.add_parser("sweep", help="run a sweep from a config file")
     p.add_argument("--config", required=True)
@@ -267,27 +188,15 @@ def build_parser():
 
 
 def _dispatch(args):
-    if args.command in ("outage", "eps-capacity"):
-        bound = "outage" if args.command == "outage" else "eps-capacity"
-        req = _request_from_args(args, [bound], rate_bits=getattr(args, "rate_bits", None))
-        _emit(run_sweep(req), req.output)
-        return
-    if args.command in ("bound", "approx"):
-        req = _request_from_args(args, [args.name])
-        _emit(run_sweep(req), req.output)
-        return
-    if args.command == "sweep":
+    if args.command in _BOUND_COMMANDS:
+        # a command that takes a single bound is named after it
+        req = _request_from_args(args, getattr(args, "name", args.command))
+    elif args.command == "sweep":
         with open(args.config) as fh:
-            req = cf.parse_config_text(fh.read())
-        req = _apply_overrides(req, args)
-        _emit(run_sweep(req), req.output)
-        return
-    if args.command == "figure":
-        req = cf.figure_preset(args.name, seed=args.seed)
-        req = _apply_overrides(req, args)
-        _emit(run_sweep(req), req.output)
-        return
-    raise ConfigurationError(f"unknown command: {args.command}")
+            req = _apply_overrides(cf.parse_config_text(fh.read()), args)
+    else:
+        req = _apply_overrides(cf.figure_preset(args.name, seed=args.seed), args)
+    _emit(run_sweep(req), req.output)
 
 
 def main(argv=None):

@@ -1,4 +1,5 @@
-"""Sweep requests, flat key-value config files, and figure presets.
+"""The table of bounds, sweep requests, flat key-value config files, and
+figure presets.
 
 Config files are plain text, one `key = value` per line, '#' comments.
 SNR and the Rician K-factor are accepted in dB on all external interfaces
@@ -9,14 +10,23 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
+from . import achievability as ach
+from . import approx as ap
 from . import channel as ch
+from . import converse as cv
+from . import outage as og
+from .bounds import BoundPoint
 from .errors import ConfigurationError
 from .mc import MCConfig
 
 __all__ = [
     "SweepRequest",
+    "Bound",
+    "BOUNDS",
     "BOUND_NAMES",
     "parse_n_grid",
     "format_n_grid",
@@ -26,20 +36,97 @@ __all__ = [
     "db_to_linear",
 ]
 
-BOUND_NAMES = [
-    "ach-csit",
-    "ach-nocsi",
-    "ach-simo",
-    "ach-csir-kb",
-    "conv-simo",
-    "conv-iso",
-    "normal",
-    "awgn",
-    "outage",
-    "eps-capacity",
-]
 
-SIMO_ONLY = {"ach-simo", "ach-csir-kb", "conv-simo"}
+@dataclass(frozen=True)
+class Bound:
+    """One entry of BOUNDS.
+
+    evaluate(req, offset) returns one BoundPoint per n of req.n_grid, where
+    offset(n) is the bound's random-stream offset at blocklength n; command
+    is the CLI subcommand that takes the name; t1_only marks the bounds that
+    need a single transmit antenna.
+    """
+
+    evaluate: Callable
+    command: str
+    t1_only: bool = False
+
+
+def _per_n(point):
+    """An evaluate that calls point(req, n, stream_offset) at each n of the grid."""
+    return lambda req, offset: [point(req, n, offset(n)) for n in req.n_grid]
+
+
+# The evaluators look each bound function up in its module at call time, so
+# a wrapper installed on the module attribute (a tracer) sees every call.
+def _kappa_beta(cov):
+    def point(req, n, s):
+        return ach.rate_lower_bound(req.spec, cov, n, req.epsilon, req.tau, req.mc, stream_offset=s)
+
+    return _per_n(point)
+
+
+def _csir_kappa_beta(req, n, s):
+    return ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau, req.mc, stream_offset=s)
+
+
+def _converse_simo(req, n, s):
+    return cv.converse_simo(req.spec, n + 1, req.epsilon, req.mc, stream_offset=s)
+
+
+def _converse_iso(req, n, s):
+    return cv.converse_iso(req.spec, n, req.epsilon, req.mc, stream_offset=s)
+
+
+def _estimate(req, n, rate):
+    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=rate, side="estimate")
+
+
+def _normal(req, offset):
+    # one channel sample set serves the whole grid
+    approx = ap.NormalApprox(req.spec, req.cov, req.mc, stream_offset=offset(0))
+    return [_estimate(req, n, approx.rate(n, req.epsilon)) for n in req.n_grid]
+
+
+def _awgn(req, n, s):
+    return _estimate(req, n, ap.awgn_reference_rate(req.spec.snr, n, req.epsilon))
+
+
+def _outage(req, n, s):
+    est = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=s)
+    ci = (est.cp_lower, est.cp_upper)
+    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=req.rate_nats, side="outage", ci=ci)
+
+
+def _eps_capacity(req, n, s):
+    q = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=s)
+    if q.ci_hi - q.ci_lo < 1e-9 * max(1.0, abs(q.value)):
+        print(
+            "warning: capacity quantile is epsilon-independent (degenerate fading?)",
+            file=sys.stderr,
+        )
+    return BoundPoint(
+        n=n, epsilon=req.epsilon, rate_nats=q.value, side="estimate", ci=(q.ci_lo, q.ci_hi)
+    )
+
+
+# Every bound name. The position of a name fixes its stream offset, so new
+# names go at the end.
+BOUNDS = {
+    "ach-csit": Bound(_kappa_beta(ch.WaterFill()), "bound"),
+    "ach-nocsi": Bound(_kappa_beta(ch.Isotropic()), "bound"),
+    # the t = 1 case of ach-csit, under its own stream offset
+    "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", t1_only=True),
+    "ach-csir-kb": Bound(_per_n(_csir_kappa_beta), "bound", t1_only=True),
+    "conv-simo": Bound(_per_n(_converse_simo), "bound", t1_only=True),
+    "conv-iso": Bound(_per_n(_converse_iso), "bound"),
+    "normal": Bound(_normal, "approx"),
+    "awgn": Bound(_per_n(_awgn), "approx"),
+    "outage": Bound(_per_n(_outage), "outage"),
+    "eps-capacity": Bound(_per_n(_eps_capacity), "eps-capacity"),
+}
+
+BOUND_NAMES = list(BOUNDS)
 
 
 def db_to_linear(x_db):
@@ -70,9 +157,9 @@ class SweepRequest:
         if not self.n_grid or self.n_grid[0] < 1:
             raise ConfigurationError("blocklengths must be positive integers")
         for b in self.bounds:
-            if b not in BOUND_NAMES:
+            if b not in BOUNDS:
                 raise ConfigurationError(f"unknown bound: {b}")
-            if b in SIMO_ONLY and self.spec.t != 1:
+            if BOUNDS[b].t1_only and self.spec.t != 1:
                 raise ConfigurationError(f"bound {b} requires a single transmit antenna")
         if "outage" in self.bounds and self.rate_nats is None:
             raise ConfigurationError("the outage bound needs a rate (rate_bits)")

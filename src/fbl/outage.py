@@ -1,5 +1,5 @@
 """Water-filling, instantaneous capacity/dispersion, outage probability,
-and epsilon-capacity under the three input-covariance policies.
+and epsilon-capacity under the isotropic and water-filling input covariances.
 
 Rates are in nats throughout; conversion to bits happens at I/O boundaries.
 """
@@ -17,6 +17,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "water_fill_batch",
+    "mode_gains",
     "capacity_dispersion",
     "capacity_sampler",
     "outage_probability",
@@ -54,22 +55,32 @@ def water_fill_batch(lam, rho):
     return v, gamma_bar
 
 
-def capacity_dispersion(eigs, alloc):
+def mode_gains(spec, cov, rng, size):
+    """Per-mode SNR gains v * lambda of `size` channel draws, shape (size, m).
+
+    Isotropic: the effective eigenvalues themselves (m = min(t, r)).
+    WaterFill: the water-filling powers v times the eigenvalues of H H^H
+    (m = t, the modes past min(t, r) have gain 0).
+    """
+    lam = ch.effective_eigenvalues(ch.sample_channel(spec, rng, size), cov, spec)
+    if isinstance(cov, ch.WaterFill):
+        v, _ = water_fill_batch(lam, spec.snr)
+        return v * lam
+    return lam
+
+
+def capacity_dispersion(gains):
     """Instantaneous capacity C (nats) and dispersion V (nats^2).
 
-    Accepts stacks: eigs and alloc of shape (..., m); returns (C, V) arrays
-    (or floats for 1-D input). Inactive modes (v*lambda = 0) contribute zero
-    to both.
+    Accepts stacks of per-mode gains of shape (..., m); returns (C, V) arrays
+    (or floats for 1-D input). Inactive modes (gain 0) contribute zero to
+    both.
     """
-    lam = np.asarray(eigs, dtype=float)
-    v = np.asarray(alloc, dtype=float)
-    if lam.shape != v.shape:
-        raise DomainError("eigenvalue/allocation length mismatch")
-    g = v * lam
+    g = np.asarray(gains, dtype=float)
     c = np.sum(np.log1p(g), axis=-1)
     active = g > 0.0
     var = np.sum(active, axis=-1) - np.sum(np.where(active, (1.0 + g) ** -2.0, 0.0), axis=-1)
-    if lam.ndim == 1:
+    if g.ndim == 1:
         return float(c), float(max(var, 0.0))
     return c, np.clip(var, 0.0, None)
 
@@ -78,12 +89,7 @@ def capacity_sampler(spec, cov):
     """Batched sampler of the instantaneous capacity C(H) in nats."""
 
     def draw(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        lam = ch.effective_eigenvalues(h, cov, spec)
-        if isinstance(cov, ch.WaterFill):
-            v, _ = water_fill_batch(lam, spec.snr)
-            return np.sum(np.log1p(v * lam), axis=-1)
-        return np.sum(np.log1p(lam), axis=-1)
+        return np.sum(np.log1p(mode_gains(spec, cov, rng, size)), axis=-1)
 
     return draw
 

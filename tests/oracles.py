@@ -247,14 +247,13 @@ def qr_sin2_sampler(spec, cov, n):
     takes det(I - M M^H) with M the top t_eff rows of the basis. O(n r^2)
     per draw.
     """
-    t_eff = ach._effective_rank(spec, cov)
-    r = spec.r
+    t_eff, r = spec.t, spec.r
     if n <= t_eff + r:
         raise DomainError("requires n > t_eff + r")
 
     def draw(rng, size):
-        gains = ach._signal_gains(spec, cov, rng, size)
-        m_eff = gains.shape[-1]
+        m_eff = spec.m
+        gains = og.mode_gains(spec, cov, rng, size)[..., :m_eff]
         y = rng.standard_normal((size, n, r)) + 1j * rng.standard_normal((size, n, r))
         y *= math.sqrt(0.5)
         idx = np.arange(m_eff)

@@ -51,12 +51,12 @@ class TestBetaProductLogTail:
         got = ach.beta_product_log_tail(n, 1, r, log_g)
         assert got == pytest.approx(oracle, rel=1e-8)
 
-    def test_chernoff_between_mc_and_markov(self):
+    def test_exact_tail_between_mc_and_markov(self):
         n, t_eff, r, g = 50, 2, 2, 0.4
         log_g = math.log(g)
-        chernoff = ach.beta_product_log_tail(n, t_eff, r, log_g)
+        exact = ach.beta_product_log_tail(n, t_eff, r, log_g)
         markov = oracles.markov_log_tail(n, t_eff, r, log_g)
-        assert chernoff <= markov + 1e-12
+        assert exact <= markov + 1e-12
         rng = _rng(1)
         n_draws = 10_000_000
         prod = np.ones(n_draws)
@@ -64,7 +64,7 @@ class TestBetaProductLogTail:
             prod *= rng.beta(n - t_eff - j + 1, t_eff, n_draws)
         hits = int(np.count_nonzero(prod <= g))
         mc_lo = mc.cp_lower(hits, n_draws, 0.005)
-        assert chernoff >= math.log(mc_lo) if mc_lo > 0 else True
+        assert exact >= math.log(mc_lo) if mc_lo > 0 else True
 
     def test_markov_grid_dominance(self):
         for n in (20, 80, 300):

@@ -61,14 +61,6 @@ class TestFadingModels:
 
 
 class TestEffectiveEigenvalues:
-    def test_single_transmit_fixed_scalar(self):
-        spec = ch.ChannelSpec(t=1, r=3, snr=2.0, fading=ch.Rayleigh())
-        h = ch.sample_channel(spec, _rng(6), 1)
-        q = np.array([[1.5]])
-        lam = ch.effective_eigenvalues(h, ch.Fixed(q=q), spec)
-        assert lam.shape[-1] == 1
-        assert lam[0, 0] == pytest.approx(1.5 * np.sum(np.abs(h[0]) ** 2), rel=1e-10)
-
     def test_isotropic_orthonormal_columns(self):
         spec = ch.ChannelSpec(t=2, r=4, snr=3.0, fading=ch.Rayleigh())
         base = np.linalg.qr(_rng(7).standard_normal((4, 2)))[0].T  # 2x4, orthonormal rows
@@ -116,13 +108,6 @@ class TestEffectiveEigenvalues:
         for i in range(100):
             tr = np.trace(h[i].conj().T @ q @ h[i]).real
             assert np.sum(lam[i]) == pytest.approx(tr, rel=1e-8)
-
-    def test_fixed_covariance_validation(self):
-        spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
-        with pytest.raises(DomainError):
-            ch.Fixed(q=np.array([[1.0, 0.5], [0.4, 1.0]])).validate(spec)  # not Hermitian
-        with pytest.raises(DomainError):
-            ch.Fixed(q=np.diag([2.0, 2.0])).validate(spec)  # trace over budget
 
 
 def _gram(h):

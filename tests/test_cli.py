@@ -79,12 +79,38 @@ class TestConfigRoundTrip:
             cf.parse_config_text("antennas = 1x2\n")  # missing snr_db
 
     def test_simo_bound_with_mimo_antennas_rejected_before_compute(self):
-        with pytest.raises(ConfigurationError):
-            cf.parse_config_text("antennas = 2x2\nsnr_db = 0\nbounds = conv-simo\n")
+        t1_only = [b for b, e in cf.BOUNDS.items() if e.t1_only]
+        assert t1_only == ["ach-simo", "ach-csir-kb", "conv-simo"]
+        for bound in t1_only:
+            with pytest.raises(ConfigurationError, match="single transmit antenna"):
+                cf.parse_config_text(f"antennas = 2x2\nsnr_db = 0\nbounds = {bound}\n")
 
     def test_outage_requires_rate(self):
         with pytest.raises(ConfigurationError):
             cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds = outage\n")
+
+
+class TestBoundTable:
+    def test_bound_names_fix_the_stream_offsets(self):
+        # a bound's stream offset is its index here: reordering changes every CSV
+        assert cf.BOUND_NAMES == [
+            "ach-csit", "ach-nocsi", "ach-simo", "ach-csir-kb", "conv-simo", "conv-iso",
+            "normal", "awgn", "outage", "eps-capacity",
+        ]
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("bound", ["ach-csit", "ach-nocsi", "ach-simo", "ach-csir-kb", "conv-simo", "conv-iso"]),
+            ("approx", ["normal", "awgn"]),
+        ],
+    )
+    def test_parser_name_choices_come_from_the_table(self, command, names):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        name = next(a for a in subparsers[command]._actions if a.dest == "name")
+        assert name.choices == names
+        assert [b for b, e in cf.BOUNDS.items() if e.command == command] == names
 
 
 class TestFigurePresets:

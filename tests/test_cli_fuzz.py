@@ -15,7 +15,8 @@ from fbl import cli
 from fbl import config as cf
 
 BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-300", "x"])
-BOUNDS = [b for b in cf.BOUND_NAMES if b not in ("normal", "awgn", "outage", "eps-capacity")]
+BOUNDS = [b for b, e in cf.BOUNDS.items() if e.command == "bound"]
+APPROX = [b for b, e in cf.BOUNDS.items() if e.command == "approx"]
 
 
 def mostly(good, bad=BAD_NUMBERS):
@@ -79,7 +80,7 @@ def argv(draw):
     if command == "bound":
         head.append(draw(st.sampled_from(BOUNDS)))
     elif command == "approx":
-        head.append(draw(st.sampled_from(["normal", "awgn"])))
+        head.append(draw(st.sampled_from(APPROX)))
     tail = draw(channel_and_mc())
     if command == "outage" and draw(mostly(st.just(True), st.just(False))):
         tail.append(f"--rate-bits={draw(real(0.0, 4.0))}")
