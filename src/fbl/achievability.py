@@ -11,7 +11,6 @@ conditional tail laws.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -171,46 +170,31 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     The information density under the true and auxiliary channels reduces,
     given the fading gain, to the same scaled noncentral chi-square laws as
     the single-antenna converse statistics, so the type-II error beta is
-    evaluated semi-analytically: threshold chosen so the exact-binomial
-    upper bound on the type-I failure stays below eps - tau, then beta is
-    upper-bounded over an independent gain sample. The opposite end of `ci`
-    is the plug-in value at the winning tau: the threshold where the sample
-    mean of the type-I failure equals eps - tau, with the sample mean of beta.
+    evaluated semi-analytically (`converse.SimoTwoStep`): threshold chosen so
+    the exact-binomial upper bound on the type-I failure stays below
+    eps - tau, then beta is upper-bounded over an independent gain sample.
+    The opposite end of `ci` is the plug-in value at the winning tau: the
+    threshold where the sample mean of the type-I failure equals eps - tau,
+    with the sample mean of beta.
     """
     if spec.t != 1:
         raise ConfigurationError("receiver-CSI kappa-beta bound requires t = 1")
     taus = _taus(n, epsilon, tau)
-    rho = spec.snr
-    half = 0.5 * cfg.confidence_delta
-    g_sel = mc.sample_values(cv._gain_sampler(spec), cfg, stream_offset + cv._SEL_STREAM)
-    table_sel = cv.SimoTailTable(n, rho * g_sel)
-    g_eval = mc.sample_values(cv._gain_sampler(spec), cfg, stream_offset + cv._EVAL_STREAM)
-    table_eval = cv.SimoTailTable(n, rho * g_eval)
-    trials = cfg.samples
-    hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
-
-    # the root searches for different tau start from the same bracket and
-    # share its two end evaluations
-    @functools.lru_cache(maxsize=None)
-    def f(gamma):
-        return mc.cp_upper(table_sel.sum_q_s(gamma), trials, half)
-
+    steps = cv.SimoTwoStep(spec, n, cfg, stream_offset)
     best = None
     for t in taus:
         try:
-            gamma = mc.root_find_monotone(f, epsilon - t, (-hi - 10.0, hi), "below")
+            gamma = steps.threshold(epsilon - t, "below")
         except DomainError:
             continue  # type-I budget unreachable at this sample size
-        _, log_up = mc.log_mean_bound(table_eval.log_q_l(gamma), half, "upper")
+        _, log_up = steps.log_tail(gamma, "upper")
         rate = max(0.0, (math.log(t) - log_up) / n)
         if best is None or rate > best[0]:
             best = (rate, t, gamma)
     if best is None:
         raise ConfigurationError("no tau in the grid was feasible")
     rate, t, gamma = best
-    # the Clopper-Pearson step only lowers gamma, so gamma bounds the plug-in root
-    gamma_plug = cv._plug_in_gamma(table_sel, epsilon - t, gamma, hi)
-    log_mean, _ = mc.log_mean_bound(table_eval.log_q_l(gamma_plug), half, "upper")
+    log_mean, _ = steps.log_tail(steps.plug_in(epsilon - t, gamma, "below"), "upper")
     nominal = max(0.0, (math.log(t) - log_mean) / n)
     return BoundPoint(
         n=n, epsilon=epsilon, rate_nats=rate, side="lower", tau=t, ci=(rate, nominal)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from . import channel as ch
 from . import mc
@@ -64,7 +63,7 @@ class NormalApprox:
             raise DomainError("epsilon must be in (0, 1)")
         r_max = float(np.max(self.c) + 10.0 * math.sqrt(max(np.max(self.v), 1e-12) / n))
         # small n can push the approximation below zero rate; keep the solve exact
-        r0 = optimize.brentq(lambda r: self.outage_cdf(r, n) - epsilon, -r_max, r_max, xtol=1e-12)
+        r0 = mc.root_find_monotone(lambda r: self.outage_cdf(r, n), epsilon, (-r_max, r_max), "at_least")
         return r0 + math.log(n) / (2.0 * n)
 
 

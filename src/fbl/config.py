@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import achievability as ach
@@ -29,9 +29,7 @@ __all__ = [
     "BOUNDS",
     "BOUND_NAMES",
     "parse_n_grid",
-    "format_n_grid",
     "parse_config_text",
-    "serialize_config",
     "figure_preset",
     "db_to_linear",
 ]
@@ -55,6 +53,17 @@ class Bound:
 def _per_n(point):
     """An evaluate that calls point(req, n, stream_offset) at each n of the grid."""
     return lambda req, offset: [point(req, n, offset(n)) for n in req.n_grid]
+
+
+def _once(point):
+    """An evaluate for a quantity that does not depend on n: point is called
+    at the first n of the grid and its row repeated over the grid."""
+
+    def evaluate(req, offset):
+        first = point(req, req.n_grid[0], offset(req.n_grid[0]))
+        return [replace(first, n=n) for n in req.n_grid]
+
+    return evaluate
 
 
 # The evaluators look each bound function up in its module at call time, so
@@ -122,8 +131,8 @@ BOUNDS = {
     "conv-iso": Bound(_per_n(_converse_iso), "bound"),
     "normal": Bound(_normal, "approx"),
     "awgn": Bound(_per_n(_awgn), "approx"),
-    "outage": Bound(_per_n(_outage), "outage"),
-    "eps-capacity": Bound(_per_n(_eps_capacity), "eps-capacity"),
+    "outage": Bound(_once(_outage), "outage"),
+    "eps-capacity": Bound(_once(_eps_capacity), "eps-capacity"),
 }
 
 BOUND_NAMES = list(BOUNDS)
@@ -131,10 +140,6 @@ BOUND_NAMES = list(BOUNDS)
 
 def db_to_linear(x_db):
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,6 @@ def parse_n_grid(text):
         raise ConfigurationError(f"bad n_grid spec: {text!r}") from exc
 
 
-def format_n_grid(grid):
-    return ",".join(str(n) for n in grid)
-
-
 def _fading_from_keys(kind, k_db, m_shape):
     kind = (kind or "rayleigh").lower()
     if kind == "rayleigh":
@@ -211,16 +212,6 @@ def _fading_from_keys(kind, k_db, m_shape):
     raise ConfigurationError(f"unknown fading kind: {kind}")
 
 
-def _fading_keys(fading):
-    if isinstance(fading, ch.Rayleigh):
-        return {"fading.kind": "rayleigh"}
-    if isinstance(fading, ch.Rician):
-        return {"fading.kind": "rician", "fading.k_db": repr(linear_to_db(fading.k_factor))}
-    if isinstance(fading, ch.Nakagami):
-        return {"fading.kind": "nakagami", "fading.m_shape": repr(fading.m_shape)}
-    raise ConfigurationError(f"unknown fading model: {fading!r}")
-
-
 def _cov_from_key(name):
     name = (name or "iso").lower()
     if name in ("iso", "isotropic"):
@@ -228,14 +219,6 @@ def _cov_from_key(name):
     if name in ("waterfill", "csit"):
         return ch.WaterFill()
     raise ConfigurationError(f"unknown covariance policy: {name}")
-
-
-def _cov_key(cov):
-    if isinstance(cov, ch.Isotropic):
-        return "iso"
-    if isinstance(cov, ch.WaterFill):
-        return "waterfill"
-    raise ConfigurationError("only iso/waterfill covariances serialize to config files")
 
 
 def parse_config_text(text):
@@ -294,59 +277,23 @@ def request_from_mapping(kv):
     return req
 
 
-def serialize_config(req):
-    """Inverse of parse_config_text (round-trips exactly)."""
-    kv = {
-        "antennas": f"{req.spec.t}x{req.spec.r}",
-        "snr_db": repr(linear_to_db(req.spec.snr)),
-        **_fading_keys(req.spec.fading),
-        "cov": _cov_key(req.cov),
-        "epsilon": repr(req.epsilon),
-        "tau": "grid" if req.tau is None else repr(req.tau),
-        "n_grid": format_n_grid(req.n_grid),
-        "bounds": ",".join(req.bounds),
-        "seed": str(req.mc.seed),
-        "samples": str(req.mc.samples),
-        "confidence_delta": repr(req.mc.confidence_delta),
-        "chunk_size": str(req.mc.chunk_size),
-    }
-    if req.rate_nats is not None:
-        kv["rate_bits"] = repr(req.rate_nats / math.log(2.0))
-    if req.output is not None:
-        kv["output"] = req.output
-    return "".join(f"{k} = {v}\n" for k, v in kv.items())
-
-
 _FIG_GRID = "geom:10:1000:12"
 
+# each preset is the config mapping `request_from_mapping` reads, less the
+# grid and the seed
 _PRESETS = {
-    "fig2": dict(
-        antennas="1x2",
-        snr_db="-1.55",
-        fading_kind="rician",
-        k_db="20",
-        epsilon=1e-3,
-        bounds=("ach-simo", "ach-csir-kb", "conv-simo", "normal", "awgn"),
-        cov="waterfill",
-    ),
-    "fig3": dict(
-        antennas="2x3",
-        snr_db="2.12",
-        fading_kind="rayleigh",
-        k_db=None,
-        epsilon=1e-3,
-        bounds=("ach-nocsi", "conv-iso", "normal"),
-        cov="iso",
-    ),
-    "fig5": dict(
-        antennas="1x2",
-        snr_db="2.74",
-        fading_kind="rayleigh",
-        k_db=None,
-        epsilon=0.1,
-        bounds=("ach-simo", "conv-simo", "normal"),
-        cov="waterfill",
-    ),
+    "fig2": {
+        "antennas": "1x2", "snr_db": "-1.55", "fading.kind": "rician", "fading.k_db": "20",
+        "epsilon": "1e-3", "cov": "waterfill", "bounds": "ach-simo,ach-csir-kb,conv-simo,normal,awgn",
+    },
+    "fig3": {
+        "antennas": "2x3", "snr_db": "2.12", "fading.kind": "rayleigh",
+        "epsilon": "1e-3", "cov": "iso", "bounds": "ach-nocsi,conv-iso,normal",
+    },
+    "fig5": {
+        "antennas": "1x2", "snr_db": "2.74", "fading.kind": "rayleigh",
+        "epsilon": "0.1", "cov": "waterfill", "bounds": "ach-simo,conv-simo,normal",
+    },
 }
 
 
@@ -354,17 +301,4 @@ def figure_preset(name, seed=1):
     """Sweep request reproducing one of the published bound figures."""
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown figure preset: {name}")
-    p = _PRESETS[name]
-    kv = {
-        "antennas": p["antennas"],
-        "snr_db": p["snr_db"],
-        "fading.kind": p["fading_kind"],
-        "epsilon": str(p["epsilon"]),
-        "cov": p["cov"],
-        "n_grid": _FIG_GRID,
-        "bounds": ",".join(p["bounds"]),
-        "seed": str(seed),
-    }
-    if p["k_db"] is not None:
-        kv["fading.k_db"] = p["k_db"]
-    return request_from_mapping(kv)
+    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID, "seed": str(seed)})

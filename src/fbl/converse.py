@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from . import channel as ch
 from . import mc
@@ -25,6 +24,7 @@ from .errors import DomainError
 
 __all__ = [
     "SimoTailTable",
+    "SimoTwoStep",
     "converse_simo",
     "converse_iso",
     "iso_statistic_sampler",
@@ -133,20 +133,59 @@ def _gain_sampler(spec):
     return draw
 
 
-def _plug_in_gamma(table, target, lo, hi):
-    """Root in [lo, hi] of mean_i q_s(gamma) = target, without a confidence shift.
+class SimoTwoStep:
+    """The two steps of a t = 1 bound at blocklength n.
 
-    The mean is nondecreasing in gamma. When it does not cross the target
-    inside [lo, hi], the end nearest the root is returned.
+    A threshold gamma is chosen with an exact-binomial confidence bound on
+    P[S_n <= n*gamma] over one gain sample (`threshold`); the tail
+    P[L_n >= n*gamma] is then averaged over an independent gain sample
+    (`log_tail`). `plug_in` gives the threshold without the confidence
+    shift, for the opposite end of a bound's `ci`. side is 'at_least' for a
+    threshold whose selection tail must reach its budget (the converse) and
+    'below' for one whose tail must stay under it (the achievability bound).
     """
 
-    def excess(gamma):
-        return table.sum_q_s(gamma) / table.a.size - target
+    def __init__(self, spec, n, cfg, stream_offset=0):
+        if spec.t != 1:
+            raise DomainError("single-transmit-antenna bound requires t = 1")
+        rho = spec.snr
+        self.half = 0.5 * cfg.confidence_delta
+        g_sel = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _SEL_STREAM)
+        self.sel = SimoTailTable(n, rho * g_sel)
+        g_eval = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _EVAL_STREAM)
+        self.eval = SimoTailTable(n, rho * g_eval)
+        hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
+        self.bracket = (-hi - 10.0, hi)
+        self._sums = {}
 
-    try:
-        return optimize.brentq(excess, lo, hi, xtol=1e-12)
-    except ValueError:  # both ends on the same side of the target
-        return lo if excess(lo) >= 0.0 else hi
+    def _sum(self, gamma):
+        """`sum_q_s` of the selection table, cached: the searches for every
+        budget, and the plug-in search, share points."""
+        if gamma not in self._sums:
+            self._sums[gamma] = self.sel.sum_q_s(gamma)
+        return self._sums[gamma]
+
+    def threshold(self, budget, side):
+        """The gamma whose confidence bound on P[S_n <= n*gamma] meets `budget` on `side`."""
+        bound = mc.cp_lower if side == "at_least" else mc.cp_upper
+        trials = self.sel.a.size
+        return mc.root_find_monotone(lambda g: bound(self._sum(g), trials, self.half), budget, self.bracket, side)
+
+    def plug_in(self, budget, gamma, side):
+        """The gamma where the sample mean of P[S_n <= n*gamma] meets `budget` on `side`.
+
+        The confidence step moves the threshold `gamma` away from this root,
+        so `gamma` and the far end of the bracket enclose it; when the mean
+        does not cross `budget` in between, the far end is returned.
+        """
+        lo, hi = self.bracket
+        bracket = (lo, gamma) if side == "at_least" else (gamma, hi)
+        trials = self.sel.a.size
+        return mc.root_find_monotone(lambda g: self._sum(g) / trials, budget, bracket, side)
+
+    def log_tail(self, gamma, side):
+        """(log mean, log confidence bound on `side`) of P[L_n >= n*gamma] over the evaluation sample."""
+        return mc.log_mean_bound(self.eval.log_q_l(gamma), self.half, side)
 
 
 def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
@@ -159,60 +198,38 @@ def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
     of `ci` is the plug-in value: the threshold where the sample mean of
     P[S_n <= n*gamma] equals epsilon, with the sample mean of the tail.
     """
-    if spec.t != 1:
-        raise DomainError("single-transmit-antenna bound requires t = 1")
     if n < 2:
         raise DomainError("requires n >= 2")
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
-    rho = spec.snr
-    half = 0.5 * cfg.confidence_delta
-    g_sel = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _SEL_STREAM)
-    table_sel = SimoTailTable(n, rho * g_sel)
-
-    trials = cfg.samples
-
-    def f(gamma):
-        return mc.cp_lower(table_sel.sum_q_s(gamma), trials, half)
-
-    hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
-    lo = -hi - 10.0
-    gamma = mc.root_find_monotone(f, epsilon, (lo, hi), "at_least")
-
-    g_eval = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _EVAL_STREAM)
-    table_eval = SimoTailTable(n, rho * g_eval)
-    _, log_lo = mc.log_mean_bound(table_eval.log_q_l(gamma), half, "lower")
+    steps = SimoTwoStep(spec, n, cfg, stream_offset)
+    gamma = steps.threshold(epsilon, "at_least")
+    _, log_lo = steps.log_tail(gamma, "lower")
+    log_mean, _ = steps.log_tail(steps.plug_in(epsilon, gamma, "at_least"), "lower")
     rate = -log_lo / (n - 1)
-    # the Clopper-Pearson step only raises gamma, so gamma bounds the plug-in root
-    gamma_plug = _plug_in_gamma(table_sel, epsilon, lo, gamma)
-    log_mean, _ = mc.log_mean_bound(table_eval.log_q_l(gamma_plug), half, "lower")
     nominal = -log_mean / (n - 1)
     return BoundPoint(
         n=n - 1, epsilon=epsilon, rate_nats=float(rate), side="upper", ci=(float(nominal), float(rate))
     )
 
 
-def iso_statistic_sampler(spec, n, kind):
-    """Batched sampler of S_n/n or L_n/n for isotropic codebooks.
+def _iso_modes(spec, rng, size):
+    """One channel draw's eigenvalues under isotropic input, the mask of the
+    nonzero ones, and the eigenvalues with 1 in place of the zeros."""
+    h = ch.sample_channel(spec, rng, size)
+    lam = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
+    pos = lam > 0.0
+    return lam, pos, np.where(pos, lam, 1.0)
 
-    kind='S' draws the data statistic, kind='L' the auxiliary one; both use
-    one scaled noncentral chi-square draw per eigenmode.
-    """
-    if kind not in ("S", "L"):
-        raise DomainError("kind must be 'S' or 'L'")
-    cov = ch.Isotropic()
+
+def iso_statistic_sampler(spec, n):
+    """Batched sampler of S_n/n for isotropic codebooks: one scaled
+    noncentral chi-square draw per eigenmode."""
 
     def draw(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        lam = ch.effective_eigenvalues(h, cov, spec)
-        pos = lam > 0.0
-        lam_safe = np.where(pos, lam, 1.0)
-        if kind == "S":
-            delta = 2.0 * n / lam_safe
-            scale = 0.5 * lam_safe / (1.0 + lam_safe)
-        else:
-            delta = 2.0 * n * (1.0 + lam_safe) / lam_safe
-            scale = 0.5 * lam_safe
+        lam, pos, lam_safe = _iso_modes(spec, rng, size)
+        delta = 2.0 * n / lam_safe
+        scale = 0.5 * lam_safe / (1.0 + lam_safe)
         x = scale * sf.sample_noncentral_chi2(2 * n, np.where(pos, delta, 0.0), rng)
         contrib = np.where(pos, n * (np.log1p(lam) + 1.0) - x, 0.0)
         return np.sum(contrib, axis=-1) / n
@@ -258,14 +275,10 @@ def _iso_log_tail_sampler(spec, n, gamma):
     estimator's relative variance bounded. Unbiased for any tilt, so the
     tilt solve only affects variance.
     """
-    cov = ch.Isotropic()
     k = 2 * n
 
     def draw(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        lam = ch.effective_eigenvalues(h, cov, spec)
-        pos = lam > 0.0
-        lam_safe = np.where(pos, lam, 1.0)
+        lam, pos, lam_safe = _iso_modes(spec, rng, size)
         s = np.where(pos, 0.5 * lam_safe, 0.0)
         delta = np.where(pos, 2.0 * n * (1.0 + lam_safe) / lam_safe, 0.0)
         c = n * np.sum(np.where(pos, np.log1p(lam) + 1.0, 0.0), axis=-1) - n * gamma
@@ -293,7 +306,7 @@ def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
     if n < 1:
         raise DomainError("requires n >= 1")
     gamma = mc.conservative_quantile(
-        iso_statistic_sampler(spec, n, "S"), epsilon, "upper", cfg, stream_offset + _SEL_STREAM
+        iso_statistic_sampler(spec, n), epsilon, "upper", cfg, stream_offset + _SEL_STREAM
     )
     log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM)
     log_mean, log_lo = mc.log_mean_bound(log_q, 0.5 * cfg.confidence_delta, "lower")

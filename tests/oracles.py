@@ -4,12 +4,13 @@ The scalar forms of the noncentral chi-square tails and of the
 single-antenna conditional tail laws, multiprecision (mpmath) quadratures
 of the noncentral chi-square density that referee both tails, the
 decoding statistic measured on an explicit n x r received block by QR (the
-referee of the closed-form sampler), the Markov and Chernoff bounds, the
-rank-one binomial sum and an mpmath matrix exponential that referee the
-beta-product tail, water-filling of one eigenvalue vector, log-domain
-incomplete and multivariate gamma functions with the asymptotic converse
-constants built on them, and small helpers the tests share. Nothing in
-`fbl` calls them.
+referee of the closed-form sampler), a plain sampler of the isotropic
+auxiliary statistic (the referee of the tilted one), the Markov and
+Chernoff bounds, the rank-one binomial sum and an mpmath matrix
+exponential that referee the beta-product tail, water-filling of one
+eigenvalue vector, log-domain incomplete and multivariate gamma functions
+with the asymptotic converse constants built on them, and small helpers
+the tests share. Nothing in `fbl` calls them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy import stats
 
 from fbl import achievability as ach
 from fbl import channel as ch
+from fbl import converse as cv
 from fbl import mc
 from fbl import outage as og
 from fbl import specfun as sf
@@ -281,6 +283,21 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     return mc.conservative_quantile(
         sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + ach._STAT_STREAM
     )
+
+
+def iso_aux_statistic_sampler(spec, n):
+    """Batched plain sampler of L_n/n for isotropic codebooks, one scaled
+    noncentral chi-square draw per eigenmode: the referee of the tilted
+    sampler of `conv-iso`."""
+
+    def draw(rng, size):
+        lam, pos, lam_safe = cv._iso_modes(spec, rng, size)
+        delta = 2.0 * n * (1.0 + lam_safe) / lam_safe
+        x = 0.5 * lam_safe * sf.sample_noncentral_chi2(2 * n, np.where(pos, delta, 0.0), rng)
+        contrib = np.where(pos, n * (np.log1p(lam) + 1.0) - x, 0.0)
+        return np.sum(contrib, axis=-1) / n
+
+    return draw
 
 
 # Referees of `ach.beta_product_log_tail`: the bounds it replaced, the

@@ -11,6 +11,7 @@ from fbl import channel as ch
 from fbl import cli
 from fbl import config as cf
 from fbl.errors import ConfigurationError
+from fbl.mc import MCConfig
 
 # enough samples to certify the 1 - eps + tau quantile at the default delta
 FAST = ["--samples", "20000", "--n", "30"]
@@ -47,6 +48,7 @@ class TestNGrid:
 
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self):
+        # every key the parser reads, checked against the request it builds
         text = """
         # channel
         antennas = 1x2
@@ -55,22 +57,45 @@ class TestConfigRoundTrip:
         fading.k_db = 20
         cov = waterfill
         epsilon = 1e-3
-        tau = grid
-        n_grid = 100,200
+        tau = 0.0005
+        n_grid = 200,100
         bounds = ach-simo,conv-simo
         seed = 7
         samples = 5000
+        confidence_delta = 0.02
+        chunk_size = 1000
         """
-        req = cf.parse_config_text(text)
-        again = cf.parse_config_text(cf.serialize_config(req))
-        assert again == req
+        assert cf.parse_config_text(text) == cf.SweepRequest(
+            spec=ch.ChannelSpec(
+                t=1, r=2, snr=cf.db_to_linear(-1.55), fading=ch.Rician(k_factor=cf.db_to_linear(20.0))
+            ),
+            cov=ch.WaterFill(),
+            epsilon=1e-3,
+            n_grid=(100, 200),
+            bounds=("ach-simo", "conv-simo"),
+            mc=MCConfig(seed=7, samples=5000, confidence_delta=0.02, chunk_size=1000),
+            tau=0.0005,
+        )
 
     def test_round_trip_with_rate_and_output(self):
         req = cf.parse_config_text(
-            "antennas = 2x3\nsnr_db = 2.12\nbounds = outage\nrate_bits = 1\noutput = x.csv\n"
+            "antennas = 2x3\nsnr_db = 2.12\nfading.kind = nakagami\nfading.m_shape = 2.5\n"
+            "bounds = outage\nrate_bits = 1\noutput = x.csv\n"
         )
         assert req.rate_nats == pytest.approx(math.log(2.0))
-        assert cf.parse_config_text(cf.serialize_config(req)) == req
+        assert req.output == "x.csv"
+        # the defaults of every key the text leaves out
+        assert req == cf.SweepRequest(
+            spec=ch.ChannelSpec(t=2, r=3, snr=cf.db_to_linear(2.12), fading=ch.Nakagami(m_shape=2.5)),
+            cov=ch.Isotropic(),
+            epsilon=1e-3,
+            n_grid=(100,),
+            bounds=("outage",),
+            mc=MCConfig(seed=1, samples=100_000, confidence_delta=0.01, chunk_size=4096),
+            tau=None,
+            rate_nats=math.log(2.0),
+            output="x.csv",
+        )
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -142,6 +167,44 @@ class TestFigurePresets:
         with pytest.raises(ConfigurationError):
             cf.figure_preset("fig9")
 
+    @pytest.mark.parametrize(
+        "name, spec, cov, epsilon, bounds",
+        [
+            (
+                "fig2",
+                ch.ChannelSpec(
+                    t=1, r=2, snr=cf.db_to_linear(-1.55), fading=ch.Rician(k_factor=cf.db_to_linear(20.0))
+                ),
+                ch.WaterFill(),
+                1e-3,
+                ("ach-simo", "ach-csir-kb", "conv-simo", "normal", "awgn"),
+            ),
+            (
+                "fig3",
+                ch.ChannelSpec(t=2, r=3, snr=cf.db_to_linear(2.12), fading=ch.Rayleigh()),
+                ch.Isotropic(),
+                1e-3,
+                ("ach-nocsi", "conv-iso", "normal"),
+            ),
+            (
+                "fig5",
+                ch.ChannelSpec(t=1, r=2, snr=cf.db_to_linear(2.74), fading=ch.Rayleigh()),
+                ch.WaterFill(),
+                0.1,
+                ("ach-simo", "conv-simo", "normal"),
+            ),
+        ],
+    )
+    def test_every_field_pinned(self, name, spec, cov, epsilon, bounds):
+        req = cf.figure_preset(name, seed=7)
+        assert req.spec == spec
+        assert req.cov == cov
+        assert req.epsilon == epsilon
+        assert req.n_grid == (10, 15, 23, 35, 53, 81, 123, 187, 285, 433, 658, 1000)
+        assert req.bounds == bounds
+        assert req.mc == MCConfig(seed=7, samples=100_000, confidence_delta=0.01, chunk_size=4096)
+        assert (req.tau, req.rate_nats, req.output) == (None, None, None)
+
 
 class TestRunSweep:
     def test_empty_bounds_header_only(self, capsys):
@@ -177,6 +240,37 @@ class TestCommandLine:
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.splitlines()[0] == cli.CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage", "--rate-bits", "1"],
+            ["eps-capacity", "--epsilon", "0.01"],
+        ],
+        ids=["outage", "eps-capacity"],
+    )
+    def test_n_independent_rows_drawn_once_per_grid(self, argv, capsys):
+        common = ["--t", "2", "--r", "2", "--snr-db", "0", "--samples", "20000", "--seed", "7"]
+        assert cli.main([*argv, *common, "--n-grid", "20,100"]) == 0
+        grid_rows = capsys.readouterr().out.splitlines()[1:]
+        assert cli.main([*argv, *common, "--n", "20"]) == 0
+        single_rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(grid_rows) == 2 and len(single_rows) == 1
+        assert [row.split(",")[1] for row in grid_rows] == ["20", "100"]
+        assert grid_rows[0] == single_rows[0]
+        assert grid_rows[1] == single_rows[0].replace(",20,", ",100,", 1)
+
+    def test_degenerate_fading_warning_printed_once(self, capsys):
+        argv = [
+            "eps-capacity", "--r", "2", "--snr-db", "0", "--fading", "rician", "--k-db", "300",
+            "--epsilon", "0.01", "--samples", "20000", "--n-grid", "20,100,500",
+        ]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 + 3
+        assert err.splitlines() == [
+            "warning: capacity quantile is epsilon-independent (degenerate fading?)"
+        ]
 
     def test_thread_count_does_not_change_output(self):
         argv = ["bound", "ach-simo", "--r", "2", "--snr-db", "0", "--cov", "waterfill", *FAST]

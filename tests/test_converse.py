@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 import oracles
 from fbl import channel as ch
@@ -173,6 +173,42 @@ class TestFig2SelectionRoot:
                 assert f(gamma) <= target and f(gamma + tol) > target
 
 
+class TestSimoTwoStep:
+    cfg = mc.MCConfig(seed=11, samples=20_000)
+
+    @pytest.mark.parametrize("budget, side", [(1e-2, "at_least"), (1e-2 - 1e-3, "below")])
+    def test_plug_in_on_requested_side_of_mean_crossing(self, budget, side):
+        steps = cv.SimoTwoStep(FIG2_SPEC, 200, self.cfg)
+
+        def mean(g):
+            return steps.sel.sum_q_s(g) / steps.sel.a.size
+
+        gamma = steps.threshold(budget, side)
+        plug = steps.plug_in(budget, gamma, side)
+        tol = 1e-12 * max(1.0, abs(plug))
+        if side == "at_least":
+            # the confidence step only raises the converse threshold
+            assert plug < gamma
+            assert mean(plug) >= budget > mean(plug - tol)
+        else:
+            assert plug > gamma
+            assert mean(plug) <= budget < mean(plug + tol)
+        root = optimize.brentq(lambda g: mean(g) - budget, *steps.bracket, xtol=1e-13)
+        assert plug == pytest.approx(root, abs=1e-10)
+
+    def test_plug_in_returns_far_end_when_mean_does_not_cross(self):
+        # the sample mean runs from 0 at the low end of the bracket to 1 at
+        # the high end, so budgets 0 and 1 are met everywhere
+        steps = cv.SimoTwoStep(FIG2_SPEC, 200, self.cfg)
+        lo, hi = steps.bracket
+        assert steps.plug_in(0.0, 0.5, "at_least") == lo
+        assert steps.plug_in(1.0, 0.5, "below") == hi
+
+    def test_requires_single_transmit_antenna(self):
+        with pytest.raises(DomainError):
+            cv.SimoTwoStep(FIG3_SPEC, 100, self.cfg)
+
+
 class TestConverseSimo:
     def test_requires_single_transmit_antenna(self):
         cfg = mc.MCConfig(seed=1, samples=1000)
@@ -265,7 +301,7 @@ class TestConverseIso:
         # t = 1: the isotropic statistic law must coincide with the gain
         # mixture of the scalar chi-square laws (independent scipy route)
         n, size = 60, 20_000
-        draw = cv.iso_statistic_sampler(FIG2_SPEC, n, "S")
+        draw = cv.iso_statistic_sampler(FIG2_SPEC, n)
         impl = draw(_rng(10), size)
         rng = _rng(11)
         h = ch.sample_channel(FIG2_SPEC, rng, size)
@@ -276,7 +312,7 @@ class TestConverseIso:
 
     def test_auxiliary_statistic_matches_gain_mixture_ks(self):
         n, size = 60, 20_000
-        draw = cv.iso_statistic_sampler(FIG2_SPEC, n, "L")
+        draw = oracles.iso_aux_statistic_sampler(FIG2_SPEC, n)
         impl = draw(_rng(12), size)
         rng = _rng(13)
         h = ch.sample_channel(FIG2_SPEC, rng, size)
@@ -284,10 +320,6 @@ class TestConverseIso:
         x = stats.ncx2.rvs(2 * n, 2.0 * n * (1.0 + a) / a, random_state=rng)
         oracle = np.log1p(a) + 1.0 - (a / 2.0) * x / n
         assert stats.ks_2samp(impl, oracle).pvalue > 0.01
-
-    def test_sampler_kind_validated(self):
-        with pytest.raises(DomainError):
-            cv.iso_statistic_sampler(FIG3_SPEC, 10, "X")
 
     def test_fig3_levels(self):
         cfg = mc.MCConfig(seed=3, samples=50_000)
@@ -354,7 +386,7 @@ class TestTiltSolve:
         # joint confidence interval
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
         n, size = 10, 200_000
-        plain = cv.iso_statistic_sampler(spec, n, "L")
+        plain = oracles.iso_aux_statistic_sampler(spec, n)
         gamma = float(np.quantile(plain(_rng(22), 50_000), 0.95))
         hits = plain(_rng(23), size) >= gamma
         p_plain = float(np.mean(hits))

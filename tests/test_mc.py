@@ -1,12 +1,15 @@
 """Monte Carlo engine: determinism, confidence validity, quantile coverage."""
 
+import ast
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import fbl
 from fbl import mc
 from fbl.errors import ConfigurationError, ConvergenceError, DomainError
 
@@ -202,6 +205,20 @@ class TestRootFindMonotone:
     def test_unknown_side(self):
         with pytest.raises(DomainError):
             mc.root_find_monotone(lambda x: x, 0.3, (0.0, 1.0), "nearest")
+
+    def test_only_root_finder_in_the_package(self):
+        # every threshold search of fbl goes through root_find_monotone
+        found = []
+        for path in sorted(Path(fbl.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                    names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [(path.name, name) for name in names if name.startswith("scipy.optimize")]
+        assert found == []
 
 
 class TestLogMeanBound:
