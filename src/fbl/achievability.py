@@ -177,8 +177,6 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     threshold where the sample mean of the type-I failure equals eps - tau,
     with the sample mean of beta.
     """
-    if spec.t != 1:
-        raise ConfigurationError("receiver-CSI kappa-beta bound requires t = 1")
     taus = _taus(n, epsilon, tau)
     steps = cv.SimoTwoStep(spec, n, cfg, stream_offset)
     best = None

@@ -61,9 +61,12 @@ class NormalApprox:
             raise DomainError("requires n >= 1")
         if not (0.0 < epsilon < 1.0):
             raise DomainError("epsilon must be in (0, 1)")
-        r_max = float(np.max(self.c) + 10.0 * math.sqrt(max(np.max(self.v), 1e-12) / n))
-        # small n can push the approximation below zero rate; keep the solve exact
-        r0 = mc.root_find_monotone(lambda r: self.outage_cdf(r, n), epsilon, (-r_max, r_max), "at_least")
+        # every term is below Q(Q^-1(eps) + 1) < eps at the low end and above
+        # 1 - Q(10) at the high end; small n can put the root below zero rate
+        sigma = math.sqrt(max(np.max(self.v), 1e-12) / n)
+        lo = float(np.min(self.c)) - max(10.0, sf.gaussian_q_inv(epsilon) + 1.0) * sigma
+        hi = float(np.max(self.c)) + 10.0 * sigma
+        r0 = mc.root_find_monotone(lambda r: self.outage_cdf(r, n), epsilon, (lo, hi), "at_least")
         return r0 + math.log(n) / (2.0 * n)
 
 

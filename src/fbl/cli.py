@@ -69,57 +69,47 @@ def _channel_args(parser):
     parser.add_argument("--t", type=int, default=1, help="transmit antennas")
     parser.add_argument("--r", type=int, default=1, help="receive antennas")
     parser.add_argument("--snr-db", type=float, required=True)
-    parser.add_argument(
-        "--fading", choices=["rayleigh", "rician", "nakagami"], default="rayleigh"
-    )
+    parser.add_argument("--fading", choices=["rayleigh", "rician", "nakagami"])
     parser.add_argument("--k-db", type=float, help="Rician K-factor in dB")
     parser.add_argument("--m-shape", type=float, help="Nakagami shape")
-    parser.add_argument("--cov", choices=["iso", "waterfill"], default="iso")
+    parser.add_argument("--cov", choices=["iso", "waterfill"])
 
 
 def _mc_args(parser):
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--chunk-size", type=int, default=4096)
-    parser.add_argument("--confidence-delta", type=float, default=0.01)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--chunk-size", type=int)
+    parser.add_argument("--confidence-delta", type=float)
 
 
 def _sweep_args(parser):
-    parser.add_argument("--epsilon", type=float, default=1e-3)
-    parser.add_argument("--tau", default="grid", help="a number, or 'grid' for the default search")
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--tau", help="a number, or 'grid' for the default search")
     parser.add_argument("--n", type=int, help="single blocklength")
     parser.add_argument("--n-grid", help="a:b:step, geom:a:b:points, or comma list")
     parser.add_argument("--output", help="CSV output path (default stdout)")
 
 
 def _request_from_args(args, bound):
-    kv = {
-        "antennas": f"{args.t}x{args.r}",
-        "snr_db": str(args.snr_db),
+    """The config mapping of the flags that were given; `config` supplies
+    the default of every key left out."""
+    given = {
         "fading.kind": args.fading,
+        "fading.k_db": args.k_db,
+        "fading.m_shape": args.m_shape,
         "cov": args.cov,
-        "epsilon": str(args.epsilon),
+        "epsilon": args.epsilon,
         "tau": args.tau,
-        "seed": str(args.seed),
-        "samples": str(args.samples),
-        "chunk_size": str(args.chunk_size),
-        "confidence_delta": str(args.confidence_delta),
-        "bounds": bound,
+        "seed": args.seed,
+        "samples": args.samples,
+        "chunk_size": args.chunk_size,
+        "confidence_delta": args.confidence_delta,
+        "n_grid": args.n_grid or args.n,
+        "rate_bits": getattr(args, "rate_bits", None),
+        "output": args.output,
     }
-    if args.k_db is not None:
-        kv["fading.k_db"] = str(args.k_db)
-    if args.m_shape is not None:
-        kv["fading.m_shape"] = str(args.m_shape)
-    if args.n_grid:
-        kv["n_grid"] = args.n_grid
-    elif args.n is not None:
-        kv["n_grid"] = str(args.n)
-    else:
-        kv["n_grid"] = "100"
-    if getattr(args, "rate_bits", None) is not None:
-        kv["rate_bits"] = str(args.rate_bits)
-    if args.output:
-        kv["output"] = args.output
+    kv = {"antennas": f"{args.t}x{args.r}", "snr_db": str(args.snr_db), "bounds": bound}
+    kv.update((key, str(value)) for key, value in given.items() if value is not None)
     return cf.request_from_mapping(kv)
 
 
@@ -179,7 +169,7 @@ def build_parser():
 
     p = sub.add_parser("figure", help="run a figure preset")
     p.add_argument("name", choices=["fig2", "fig3", "fig5"])
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--n-grid")
     p.add_argument("--output")
@@ -195,7 +185,7 @@ def _dispatch(args):
         with open(args.config) as fh:
             req = _apply_overrides(cf.parse_config_text(fh.read()), args)
     else:
-        req = _apply_overrides(cf.figure_preset(args.name, seed=args.seed), args)
+        req = _apply_overrides(cf.figure_preset(args.name), args)
     _emit(run_sweep(req), req.output)
 
 

@@ -102,21 +102,15 @@ def _awgn(req, n, s):
 
 
 def _outage(req, n, s):
-    est = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=s)
-    ci = (est.cp_lower, est.cp_upper)
+    _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=s)
     return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=req.rate_nats, side="outage", ci=ci)
 
 
 def _eps_capacity(req, n, s):
-    q = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=s)
-    if q.ci_hi - q.ci_lo < 1e-9 * max(1.0, abs(q.value)):
-        print(
-            "warning: capacity quantile is epsilon-independent (degenerate fading?)",
-            file=sys.stderr,
-        )
-    return BoundPoint(
-        n=n, epsilon=req.epsilon, rate_nats=q.value, side="estimate", ci=(q.ci_lo, q.ci_hi)
-    )
+    value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=s)
+    if hi - lo < 1e-9 * max(1.0, abs(value)):
+        print("warning: capacity quantile is epsilon-independent (degenerate fading?)", file=sys.stderr)
+    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=value, side="estimate", ci=(lo, hi))
 
 
 # Every bound name. The position of a name fixes its stream offset, so new
@@ -235,6 +229,9 @@ def parse_config_text(text):
     return request_from_mapping(kv)
 
 
+_MC_KEYS = {"samples": int, "confidence_delta": float, "chunk_size": int}
+
+
 def request_from_mapping(kv):
     try:
         antennas = kv.get("antennas", "1x1").lower()
@@ -255,9 +252,8 @@ def request_from_mapping(kv):
         rate_nats = float(kv["rate_bits"]) * math.log(2.0) if "rate_bits" in kv else None
         epsilon = float(kv.get("epsilon", "1e-3"))
         seed = int(kv.get("seed", "1"))
-        samples = int(kv.get("samples", "100000"))
-        confidence_delta = float(kv.get("confidence_delta", "0.01"))
-        chunk_size = int(kv.get("chunk_size", "4096"))
+        # MCConfig holds the defaults of the keys left out
+        mc_kw = {key: conv(kv[key]) for key, conv in _MC_KEYS.items() if key in kv}
     except ValueError as exc:
         raise ConfigurationError(f"bad number in configuration: {exc}") from exc
     req = SweepRequest(
@@ -266,9 +262,7 @@ def request_from_mapping(kv):
         epsilon=epsilon,
         n_grid=parse_n_grid(kv.get("n_grid", "100")),
         bounds=tuple(b.strip() for b in kv.get("bounds", "").split(",") if b.strip()),
-        mc=MCConfig(
-            seed=seed, samples=samples, confidence_delta=confidence_delta, chunk_size=chunk_size
-        ),
+        mc=MCConfig(seed=seed, **mc_kw),
         tau=tau,
         rate_nats=rate_nats,
         output=kv.get("output"),
@@ -297,8 +291,10 @@ _PRESETS = {
 }
 
 
-def figure_preset(name, seed=1):
-    """Sweep request reproducing one of the published bound figures."""
+def figure_preset(name, seed=None):
+    """Sweep request reproducing one of the published bound figures, at the
+    default seed when `seed` is None."""
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown figure preset: {name}")
-    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID, "seed": str(seed)})
+    seeded = {} if seed is None else {"seed": str(seed)}
+    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID, **seeded})

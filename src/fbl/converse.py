@@ -305,9 +305,9 @@ def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
         raise DomainError("requires n >= 1")
-    gamma = mc.conservative_quantile(
-        iso_statistic_sampler(spec, n), epsilon, "upper", cfg, stream_offset + _SEL_STREAM
-    )
+    values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM))
+    k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", cfg.confidence_delta)
+    gamma = float(values[k - 1])
     log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM)
     log_mean, log_lo = mc.log_mean_bound(log_q, 0.5 * cfg.confidence_delta, "lower")
     rate = -log_lo / n

@@ -5,9 +5,12 @@ counter-based substream (seed, stream_offset + i), so results are
 bit-identical for any worker-thread count. Reductions are order-independent
 (results are stored by chunk index before combining).
 
-Confidence handling is one-sided-aware: probability estimates carry exact
-Clopper-Pearson envelopes, and quantiles are returned as order statistics
-chosen so the requested coverage holds with the configured confidence.
+`sample_values` is the one entry point that draws; each estimator applies
+its own statistic to the flat sample. The confidence tools are exact
+Clopper-Pearson ends for a count of hits (`cp_lower`, `cp_upper`), the
+order-statistic index whose value has the requested one-sided coverage
+(`quantile_order_indices`), and a conservative bound on a log-domain mean
+(`log_mean_bound`).
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
     "MCConfig",
-    "TailEstimate",
-    "RngStream",
+    "rng",
     "worker_count",
-    "estimate_probability",
     "sample_values",
-    "conservative_quantile",
     "quantile_order_indices",
     "root_find_monotone",
     "cp_lower",
@@ -61,34 +61,10 @@ class MCConfig:
             raise ConfigurationError("chunk_size must be positive")
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """Binomial probability estimate with an exact confidence envelope."""
-
-    successes: int
-    trials: int
-    p_hat: float
-    cp_lower: float
-    cp_upper: float
-
-    def __post_init__(self):
-        if not (self.cp_lower <= self.p_hat <= self.cp_upper):
-            raise ValueError("inconsistent confidence envelope")
-
-
-class RngStream:
-    """Counter-based substream: draws depend only on (seed, stream_index)."""
-
-    def __init__(self, seed, stream_index):
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-
-    def generator(self):
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+def rng(seed, stream_index):
+    """Counter-based substream generator: its draws depend only on (seed, stream_index)."""
+    key = np.array([int(seed) % 2**64, int(stream_index) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def substream_index(*indices):
@@ -126,8 +102,7 @@ def _run_chunks(sampler, cfg, stream_offset):
     results = [None] * len(sizes)
 
     def work(i):
-        rng = RngStream(cfg.seed, stream_offset + i).generator()
-        results[i] = np.asarray(sampler(rng, sizes[i]))
+        results[i] = np.asarray(sampler(rng(cfg.seed, stream_offset + i), sizes[i]))
 
     threads = worker_count()
     if threads == 1 or len(sizes) == 1:
@@ -158,27 +133,12 @@ def cp_upper(successes, trials, delta):
     return float(stats.beta.isf(delta, successes + 1, trials - successes))
 
 
-def estimate_probability(event_sampler, cfg, stream_offset=0):
-    """Estimate P[event] with a two-sided Clopper-Pearson envelope.
-
-    event_sampler(rng, size) must return a boolean/0-1 array of length size
-    deterministically from the rng alone.
-    """
-    chunks = _run_chunks(event_sampler, cfg, stream_offset)
-    successes = int(sum(int(np.count_nonzero(c)) for c in chunks))
-    trials = cfg.samples
-    half = 0.5 * cfg.confidence_delta
-    return TailEstimate(
-        successes=successes,
-        trials=trials,
-        p_hat=successes / trials,
-        cp_lower=cp_lower(successes, trials, half),
-        cp_upper=cp_upper(successes, trials, half),
-    )
-
-
 def sample_values(value_sampler, cfg, stream_offset=0):
-    """Draw cfg.samples values deterministically; returns one flat array."""
+    """Draw cfg.samples values deterministically; returns one flat array.
+
+    value_sampler(rng, size) must return `size` values (or rows) computed
+    from the rng alone.
+    """
     chunks = _run_chunks(value_sampler, cfg, stream_offset)
     return np.concatenate(chunks)
 
@@ -206,15 +166,6 @@ def quantile_order_indices(n, target_prob, direction, delta):
             raise ConfigurationError("too few samples for the requested quantile confidence")
         return k
     raise DomainError("direction must be 'upper' or 'lower'")
-
-
-def conservative_quantile(value_sampler, target_prob, direction, cfg, stream_offset=0):
-    """Order-statistic quantile with one-sided coverage at the configured confidence."""
-    if not (0.0 < target_prob < 1.0):
-        raise DomainError("target_prob must be in (0, 1)")
-    values = np.sort(sample_values(value_sampler, cfg, stream_offset))
-    k = quantile_order_indices(cfg.samples, target_prob, direction, cfg.confidence_delta)
-    return float(values[k - 1])
 
 
 # steps the root search may take beyond bisection's count on the same bracket
@@ -313,7 +264,11 @@ def root_find_monotone(f, target, bracket, side, max_iter=80):
     raise ConvergenceError(f"root search did not reach its tolerance in {max_iter} steps")
 
 
-def log_mean_bound(log_values, delta, side, n_batches=64):
+# batches of the batch-means standard error in `log_mean_bound`
+_LOG_MEAN_BATCHES = 64
+
+
+def log_mean_bound(log_values, delta, side):
     """Conservative log of the mean of positive values given in log domain.
 
     Returns (log_mean, log_bound): the log-domain sample mean and a
@@ -332,7 +287,7 @@ def log_mean_bound(log_values, delta, side, n_batches=64):
     w = np.exp(log_values - shift)
     mean = float(np.mean(w))
     log_mean = shift + math.log(mean)
-    b = min(n_batches, n)
+    b = min(_LOG_MEAN_BATCHES, n)
     batch = np.array_split(w, b)
     bm = np.array([np.mean(x) for x in batch])
     se = float(np.std(bm, ddof=1) / math.sqrt(b)) if b > 1 else 0.0

@@ -7,7 +7,6 @@ Rates are in nats throughout; conversion to bits happens at I/O boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "capacity_sampler",
     "outage_probability",
     "epsilon_capacity",
-    "QuantileEstimate",
 ]
 
 
@@ -95,7 +93,10 @@ def capacity_sampler(spec, cov):
 
 
 def outage_probability(spec, cov, rate, cfg, stream_offset=0):
-    """Monte Carlo estimate of P[C(H) < rate] with a Clopper-Pearson envelope."""
+    """Monte Carlo estimate of P[C(H) < rate], with its Clopper-Pearson interval.
+
+    Returns (p_hat, (cp_lower, cp_upper)), each end at confidence_delta / 2.
+    """
     if not (0.0 <= rate < math.inf):
         raise DomainError(f"rate must be finite and >= 0, got {rate}")
     sampler = capacity_sampler(spec, cov)
@@ -103,18 +104,17 @@ def outage_probability(spec, cov, rate, cfg, stream_offset=0):
     def event(rng, size):
         return sampler(rng, size) < rate
 
-    return mc.estimate_probability(event, cfg, stream_offset)
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    value: float
-    ci_lo: float
-    ci_hi: float
+    hits = np.count_nonzero(mc.sample_values(event, cfg, stream_offset))
+    n = cfg.samples
+    half = 0.5 * cfg.confidence_delta
+    return hits / n, (mc.cp_lower(hits, n, half), mc.cp_upper(hits, n, half))
 
 
 def epsilon_capacity(spec, cov, epsilon, cfg, stream_offset=0):
-    """Empirical epsilon-quantile of C(H) with an order-statistic CI (nats)."""
+    """Empirical epsilon-quantile of C(H) in nats, with an order-statistic CI.
+
+    Returns (value, (ci_lo, ci_hi)), each end at confidence_delta / 2.
+    """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if epsilon * cfg.samples < 50:
@@ -125,8 +125,4 @@ def epsilon_capacity(spec, cov, epsilon, cfg, stream_offset=0):
     half = 0.5 * cfg.confidence_delta
     k_lo = mc.quantile_order_indices(n, epsilon, "lower", half)
     k_hi = mc.quantile_order_indices(n, epsilon, "upper", half)
-    return QuantileEstimate(
-        value=float(values[k - 1]),
-        ci_lo=float(values[k_lo - 1]),
-        ci_hi=float(values[k_hi - 1]),
-    )
+    return float(values[k - 1]), (float(values[k_lo - 1]), float(values[k_hi - 1]))

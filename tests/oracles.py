@@ -280,9 +280,9 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
     ach._check_eps_tau(epsilon, tau)
     sampler = ach.sin2_statistic_sampler(spec, cov, n)
-    return mc.conservative_quantile(
-        sampler, 1.0 - epsilon + tau, "upper", cfg, stream_offset + ach._STAT_STREAM
-    )
+    values = np.sort(mc.sample_values(sampler, cfg, stream_offset + ach._STAT_STREAM))
+    k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + tau, "upper", cfg.confidence_delta)
+    return float(values[k - 1])
 
 
 def iso_aux_statistic_sampler(spec, n):

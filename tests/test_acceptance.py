@@ -63,17 +63,17 @@ def _normal_fig2():
 def test_criterion_1_fig2_epsilon_capacity():
     cfg = mc.MCConfig(seed=21, samples=10_000_000, chunk_size=65_536)
     start = time.perf_counter()
-    q = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, cfg)
+    value, _ = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, cfg)
     elapsed = time.perf_counter() - start
-    bits = q.value / L2
+    bits = value / L2
     ok = abs(bits - 1.0) <= 0.01 and elapsed <= 60.0
     _report(1, ok, f"fig-2 C_eps = {bits:.4f} bits with 1e7 samples in {elapsed:.1f} s")
 
 
 def test_criterion_2_fig3_epsilon_capacity():
     cfg = mc.MCConfig(seed=22, samples=10_000_000, chunk_size=65_536)
-    q = og.epsilon_capacity(FIG3_SPEC, ch.Isotropic(), 1e-3, cfg)
-    bits = q.value / L2
+    value, _ = og.epsilon_capacity(FIG3_SPEC, ch.Isotropic(), 1e-3, cfg)
+    bits = value / L2
     _report(2, abs(bits - 1.0) <= 0.01, f"fig-3 C_iso = {bits:.4f} bits")
 
 
@@ -173,7 +173,7 @@ def test_criterion_7_oracle_equivalences():
             head = math.log1p(a) + 1.0
             s_dir = head - np.sum(np.abs(math.sqrt(a) * z - 1.0) ** 2, axis=1) / ((1.0 + a) * n)
             l_dir = head - np.sum(np.abs(math.sqrt(a) * z - math.sqrt(1.0 + a)) ** 2, axis=1) / n
-            gen = mc.RngStream(72, n).generator()
+            gen = mc.rng(72, n)
             s_imp = head - (a / (2.0 * (1.0 + a))) * sf.sample_noncentral_chi2(
                 2 * n, np.full(size, 2.0 * n / a), gen
             ) / n
@@ -225,7 +225,7 @@ def test_criterion_7_oracle_equivalences():
     n_e, t_eff, r_e, g = 50, 2, 2, 0.75
     draws = 2_000_000
     prod = np.ones(draws)
-    gen = mc.RngStream(73, 0).generator()
+    gen = mc.rng(73, 0)
     for j in range(1, r_e + 1):
         prod *= gen.beta(n_e - t_eff - j + 1, t_eff, draws)
     hits = int(np.count_nonzero(prod <= g))

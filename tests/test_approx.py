@@ -38,10 +38,10 @@ class TestNormalApprox:
 
     def test_large_n_reaches_epsilon_capacity(self):
         model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
-        q = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
+        _, (lo, hi) = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
         r = model.rate(10**9, 1e-3)
-        width = q.ci_hi - q.ci_lo
-        assert q.ci_lo - 3 * width <= r <= q.ci_hi + 3 * width
+        width = hi - lo
+        assert lo - 3 * width <= r <= hi + 3 * width
 
     def test_monotone_in_n_and_epsilon(self):
         model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
@@ -60,6 +60,14 @@ class TestNormalApprox:
             model.rate(0, 1e-3)
         with pytest.raises(DomainError):
             model.rate(100, 1.0)
+
+    def test_deep_epsilon_root_lies_inside_the_bracket(self):
+        # at eps = 1e-30 the root lies below min C - 10 sigma, where the average
+        # normal error is still 3e-29, so a bracket ending there returns its end
+        # (-2.2230); the reference is the root on the wider bracket
+        # +-(max C + 10 sigma)
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), mc.MCConfig(seed=3, samples=20_000))
+        assert model.rate(10, 1e-30) == pytest.approx(-2.3081421417948054, abs=1e-12)
 
     def test_tracks_converse_at_large_blocklength(self):
         # the converse exceeds the approximation, which carries the ln(n)/(2n)

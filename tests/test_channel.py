@@ -12,7 +12,7 @@ from fbl.errors import DomainError
 
 
 def _rng(i=0):
-    return mc.RngStream(100, i).generator()
+    return mc.rng(100, i)
 
 
 class TestFadingModels:

@@ -114,6 +114,17 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError):
             cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds = outage\n")
 
+    def test_flags_left_out_take_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["eps-capacity", "--snr-db", "0"])
+        req = cli._request_from_args(args, "eps-capacity")
+        assert req == cf.parse_config_text("snr_db = 0\nbounds = eps-capacity\n")
+        assert req.mc == MCConfig(seed=1)
+
+    def test_n_grid_flag_takes_precedence_over_n(self):
+        argv = ["approx", "awgn", "--snr-db", "0", "--n", "50", "--n-grid", "10,20"]
+        args = cli.build_parser().parse_args(argv)
+        assert cli._request_from_args(args, "awgn").n_grid == (10, 20)
+
 
 class TestBoundTable:
     def test_bound_names_fix_the_stream_offsets(self):

@@ -10,7 +10,9 @@ import pytest
 from scipy import stats
 
 import fbl
+from fbl import channel as ch
 from fbl import mc
+from fbl import outage as og
 from fbl.errors import ConfigurationError, ConvergenceError, DomainError
 
 
@@ -20,6 +22,14 @@ def uniform_sampler(rng, size):
 
 def coin_sampler(rng, size):
     return rng.random(size) < 0.5
+
+
+def upper_quantile(value_sampler, target_prob, cfg):
+    """The order statistic that is at least the target_prob-quantile at the
+    configured confidence, as the bounds take it."""
+    values = np.sort(mc.sample_values(value_sampler, cfg))
+    k = mc.quantile_order_indices(cfg.samples, target_prob, "upper", cfg.confidence_delta)
+    return values[k - 1]
 
 
 class TestMCConfig:
@@ -34,13 +44,13 @@ class TestMCConfig:
 
 class TestRngStream:
     def test_reproducible(self):
-        a = mc.RngStream(42, 7).generator().random(5)
-        b = mc.RngStream(42, 7).generator().random(5)
+        a = mc.rng(42, 7).random(5)
+        b = mc.rng(42, 7).random(5)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = mc.RngStream(42, 7).generator().random(5)
-        b = mc.RngStream(42, 8).generator().random(5)
+        a = mc.rng(42, 7).random(5)
+        b = mc.rng(42, 8).random(5)
         assert not np.array_equal(a, b)
 
 
@@ -68,27 +78,41 @@ class TestDeterminismAcrossThreads:
 
 
 class TestEstimateProbability:
+    """A probability is a count of hits in `sample_values`, with two exact
+    Clopper-Pearson ends at confidence_delta / 2; `outage.outage_probability`
+    estimates one this way."""
+
+    spec = ch.ChannelSpec(t=1, r=2, snr=1.0, fading=ch.Rayleigh())
+    cfg = mc.MCConfig(seed=1, samples=1000, confidence_delta=0.01)
+
     def test_all_successes(self):
-        cfg = mc.MCConfig(seed=1, samples=1000, confidence_delta=0.01)
-        est = mc.estimate_probability(lambda rng, size: np.ones(size, bool), cfg)
-        assert est.p_hat == 1.0
-        assert est.cp_upper == 1.0
+        p_hat, (lo, hi) = og.outage_probability(self.spec, ch.Isotropic(), 1e6, self.cfg)
+        assert p_hat == 1.0
+        assert hi == 1.0
         # exact all-successes lower endpoint: delta^(1/n) at half-budget
-        assert est.cp_lower == pytest.approx(0.005 ** (1 / 1000), rel=1e-9)
+        assert lo == pytest.approx(0.005 ** (1 / 1000), rel=1e-9)
 
     def test_all_failures(self):
-        cfg = mc.MCConfig(seed=1, samples=1000, confidence_delta=0.01)
-        est = mc.estimate_probability(lambda rng, size: np.zeros(size, bool), cfg)
-        assert est.p_hat == 0.0
-        assert est.cp_lower == 0.0
-        assert est.cp_upper == pytest.approx(1 - 0.005 ** (1 / 1000), rel=1e-9)
+        p_hat, (lo, hi) = og.outage_probability(self.spec, ch.Isotropic(), 0.0, self.cfg)
+        assert p_hat == 0.0
+        assert lo == 0.0
+        assert hi == pytest.approx(1 - 0.005 ** (1 / 1000), rel=1e-9)
 
     def test_fair_coin(self):
         cfg = mc.MCConfig(seed=2, samples=1_000_000)
-        est = mc.estimate_probability(coin_sampler, cfg)
-        assert est.p_hat == pytest.approx(0.5, abs=0.002)
+        hits = np.count_nonzero(mc.sample_values(coin_sampler, cfg))
+        assert hits / cfg.samples == pytest.approx(0.5, abs=0.002)
+        width = mc.cp_upper(hits, cfg.samples, 0.005) - mc.cp_lower(hits, cfg.samples, 0.005)
         z = stats.norm.isf(0.0025)
-        assert est.cp_upper - est.cp_lower == pytest.approx(2 * z * 5e-4, rel=0.1)
+        assert width == pytest.approx(2 * z * 5e-4, rel=0.1)
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 10**6])
+    def test_point_estimate_inside_interval(self, trials):
+        # whole and fractional hit counts, both extremes included
+        counts = [0, 0.25, 0.5, 1, trials / 3, trials / 2, trials - 0.5, trials - 1, trials]
+        for s in counts:
+            for delta in (1e-9, 0.005, 0.025):
+                assert mc.cp_lower(s, trials, delta) <= s / trials <= mc.cp_upper(s, trials, delta)
 
     def test_clopper_pearson_coverage(self):
         # 1000 synthetic repetitions with known p: empirical coverage >= 1 - delta
@@ -106,12 +130,12 @@ class TestEstimateProbability:
 class TestConservativeQuantile:
     def test_uniform_upper_median(self):
         cfg = mc.MCConfig(seed=3, samples=100_000)
-        v = mc.conservative_quantile(uniform_sampler, 0.5, "upper", cfg)
+        v = upper_quantile(uniform_sampler, 0.5, cfg)
         assert 0.5 <= v <= 0.51
 
     def test_degenerate(self):
         cfg = mc.MCConfig(seed=3, samples=1000)
-        v = mc.conservative_quantile(lambda rng, size: np.full(size, 3.25), 0.9, "upper", cfg)
+        v = upper_quantile(lambda rng, size: np.full(size, 3.25), 0.9, cfg)
         assert v == 3.25
 
     def test_infeasible_target(self):
