@@ -291,10 +291,8 @@ _PRESETS = {
 }
 
 
-def figure_preset(name, seed=None):
-    """Sweep request reproducing one of the published bound figures, at the
-    default seed when `seed` is None."""
+def figure_preset(name):
+    """Sweep request reproducing one of the published bound figures."""
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown figure preset: {name}")
-    seeded = {} if seed is None else {"seed": str(seed)}
-    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID, **seeded})
+    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID})

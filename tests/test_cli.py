@@ -151,14 +151,14 @@ class TestBoundTable:
 
 class TestFigurePresets:
     def test_fig2_contents(self):
-        req = cf.figure_preset("fig2", seed=7)
+        req = cf.figure_preset("fig2")
         assert req.spec.t == 1 and req.spec.r == 2
         assert req.spec.snr == pytest.approx(cf.db_to_linear(-1.55))
         assert isinstance(req.spec.fading, ch.Rician)
         assert req.spec.fading.k_factor == pytest.approx(100.0)
         assert req.epsilon == 1e-3
         assert req.bounds == ("ach-simo", "ach-csir-kb", "conv-simo", "normal", "awgn")
-        assert req.mc.seed == 7
+        assert req.mc.seed == 1
 
     def test_fig3_contents(self):
         req = cf.figure_preset("fig3")
@@ -207,13 +207,13 @@ class TestFigurePresets:
         ],
     )
     def test_every_field_pinned(self, name, spec, cov, epsilon, bounds):
-        req = cf.figure_preset(name, seed=7)
+        req = cf.figure_preset(name)
         assert req.spec == spec
         assert req.cov == cov
         assert req.epsilon == epsilon
         assert req.n_grid == (10, 15, 23, 35, 53, 81, 123, 187, 285, 433, 658, 1000)
         assert req.bounds == bounds
-        assert req.mc == MCConfig(seed=7, samples=100_000, confidence_delta=0.01, chunk_size=4096)
+        assert req.mc == MCConfig(seed=1, samples=100_000, confidence_delta=0.01, chunk_size=4096)
         assert (req.tau, req.rate_nats, req.output) == (None, None, None)
 
 

@@ -11,6 +11,7 @@ from scipy import stats
 
 import fbl
 from fbl import channel as ch
+from fbl import converse as cv
 from fbl import mc
 from fbl import outage as og
 from fbl.errors import ConfigurationError, ConvergenceError, DomainError
@@ -20,16 +21,19 @@ def uniform_sampler(rng, size):
     return rng.random(size)
 
 
-def coin_sampler(rng, size):
-    return rng.random(size) < 0.5
+def converse_gamma(monkeypatch, statistic_sampler, epsilon, cfg):
+    """The threshold `converse_iso` takes as the upper epsilon-quantile of
+    `statistic_sampler` at the configured confidence."""
+    seen = []
 
+    def tail_sampler(spec, n, gamma):
+        seen.append(gamma)
+        return lambda rng, size: np.zeros(size)
 
-def upper_quantile(value_sampler, target_prob, cfg):
-    """The order statistic that is at least the target_prob-quantile at the
-    configured confidence, as the bounds take it."""
-    values = np.sort(mc.sample_values(value_sampler, cfg))
-    k = mc.quantile_order_indices(cfg.samples, target_prob, "upper", cfg.confidence_delta)
-    return values[k - 1]
+    monkeypatch.setattr(cv, "iso_statistic_sampler", lambda spec, n: statistic_sampler)
+    monkeypatch.setattr(cv, "_iso_log_tail_sampler", tail_sampler)
+    cv.converse_iso(ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh()), 10, epsilon, cfg)
+    return seen[0]
 
 
 class TestMCConfig:
@@ -98,11 +102,13 @@ class TestEstimateProbability:
         assert lo == 0.0
         assert hi == pytest.approx(1 - 0.005 ** (1 / 1000), rel=1e-9)
 
-    def test_fair_coin(self):
+    def test_fair_coin(self, monkeypatch):
+        # C(H) uniform on (0, 1): outage at rate 0.5 is a fair coin
+        monkeypatch.setattr(og, "capacity_sampler", lambda spec, cov: uniform_sampler)
         cfg = mc.MCConfig(seed=2, samples=1_000_000)
-        hits = np.count_nonzero(mc.sample_values(coin_sampler, cfg))
-        assert hits / cfg.samples == pytest.approx(0.5, abs=0.002)
-        width = mc.cp_upper(hits, cfg.samples, 0.005) - mc.cp_lower(hits, cfg.samples, 0.005)
+        p_hat, (lo, hi) = og.outage_probability(self.spec, ch.Isotropic(), 0.5, cfg)
+        assert p_hat == pytest.approx(0.5, abs=0.002)
+        width = hi - lo
         z = stats.norm.isf(0.0025)
         assert width == pytest.approx(2 * z * 5e-4, rel=0.1)
 
@@ -128,15 +134,21 @@ class TestEstimateProbability:
 
 
 class TestConservativeQuantile:
-    def test_uniform_upper_median(self):
+    def test_uniform_upper_median(self, monkeypatch):
         cfg = mc.MCConfig(seed=3, samples=100_000)
-        v = upper_quantile(uniform_sampler, 0.5, cfg)
+        v = converse_gamma(monkeypatch, uniform_sampler, 0.5, cfg)
         assert 0.5 <= v <= 0.51
 
-    def test_degenerate(self):
+    def test_degenerate(self, monkeypatch):
         cfg = mc.MCConfig(seed=3, samples=1000)
-        v = upper_quantile(lambda rng, size: np.full(size, 3.25), 0.9, cfg)
+        v = converse_gamma(monkeypatch, lambda rng, size: np.full(size, 3.25), 0.9, cfg)
         assert v == 3.25
+
+    def test_takes_the_kth_order_statistic(self, monkeypatch):
+        # one chunk holding 1..N in random order: the k-th smallest value is k
+        cfg = mc.MCConfig(seed=3, samples=1000, chunk_size=1000)
+        v = converse_gamma(monkeypatch, lambda rng, size: rng.permutation(size) + 1.0, 0.9, cfg)
+        assert v == mc.quantile_order_indices(1000, 0.9, "upper", cfg.confidence_delta)
 
     def test_infeasible_target(self):
         with pytest.raises(ConfigurationError):
