@@ -19,11 +19,9 @@ from scipy import special as scisp
 from . import converse as cv
 from . import mc
 from . import outage as og
-from .bounds import BoundPoint
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
-    "BoundPoint",
     "beta_product_log_tail",
     "sin2_statistic_sampler",
     "rate_lower_bound",
@@ -142,13 +140,14 @@ def _taus(n, epsilon, tau):
 def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
-    tau=None runs the default grid search and returns the best point; the
-    statistic sample is drawn once and reused across the grid.
+    Returns (rate, (rate, rate)). tau=None runs the default grid search and
+    returns the best rate; the statistic sample is drawn once and reused
+    across the grid.
     """
     taus = _taus(n, epsilon, tau)
     sampler = sin2_statistic_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
-    best = None
+    rates = []
     for t in taus:
         k = mc.quantile_order_indices(
             cfg.samples, 1.0 - epsilon + t, "upper", cfg.confidence_delta
@@ -156,12 +155,9 @@ def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
         gamma = float(values[k - 1])
         log_gamma = math.log(gamma) if gamma > 0.0 else -np.inf
         tail = beta_product_log_tail(n, spec.t, spec.r, min(log_gamma, 0.0))
-        rate = max(0.0, (math.log(t) - tail) / n)
-        if best is None or rate > best.rate_nats:
-            best = BoundPoint(
-                n=n, epsilon=epsilon, rate_nats=rate, side="lower", tau=t, ci=(rate, rate)
-            )
-    return best
+        rates.append(max(0.0, (math.log(t) - tail) / n))
+    best = max(rates)
+    return best, (best, best)
 
 
 def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
@@ -173,9 +169,9 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     evaluated semi-analytically (`converse.SimoTwoStep`): threshold chosen so
     the exact-binomial upper bound on the type-I failure stays below
     eps - tau, then beta is upper-bounded over an independent gain sample.
-    The opposite end of `ci` is the plug-in value at the winning tau: the
-    threshold where the sample mean of the type-I failure equals eps - tau,
-    with the sample mean of beta.
+    Returns (rate, (rate, nominal)): the end of `ci` opposite the bound is
+    the plug-in value at the winning tau, the threshold where the sample mean
+    of the type-I failure equals eps - tau, with the sample mean of beta.
     """
     taus = _taus(n, epsilon, tau)
     steps = cv.SimoTwoStep(spec, n, cfg, stream_offset)
@@ -194,6 +190,4 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     rate, t, gamma = best
     log_mean, _ = steps.log_tail(steps.plug_in(epsilon - t, gamma, "below"), "upper")
     nominal = max(0.0, (math.log(t) - log_mean) / n)
-    return BoundPoint(
-        n=n, epsilon=epsilon, rate_nats=rate, side="lower", tau=t, ci=(rate, nominal)
-    )
+    return rate, (rate, nominal)

@@ -24,23 +24,20 @@ _LN2 = math.log(2.0)
 
 
 def _fmt(x):
-    if x is None:
-        return ""
     return f"{x:.12g}"
 
 
-def _row(bound, point, seed, samples):
-    lo, hi = point.ci if point.ci is not None else (point.rate_nats, point.rate_nats)
+def _row(bound, n, rate, ci, cfg):
     cells = [
         bound,
-        str(point.n),
-        _fmt(point.rate_nats),
-        _fmt(point.rate_nats / _LN2),
-        _fmt(lo),
-        _fmt(hi),
-        point.side,
-        str(seed),
-        str(samples),
+        str(n),
+        _fmt(rate),
+        _fmt(rate / _LN2),
+        _fmt(ci[0]),
+        _fmt(ci[1]),
+        cf.BOUNDS[bound].side,
+        str(cfg.seed),
+        str(cfg.samples),
     ]
     return ",".join(cells)
 
@@ -51,8 +48,8 @@ def run_sweep(req):
     rows = []
     for bound in req.bounds:
         offset = functools.partial(mc.substream_index, cf.BOUND_NAMES.index(bound))
-        points = cf.BOUNDS[bound].evaluate(req, offset)
-        rows += [_row(bound, point, req.mc.seed, req.mc.samples) for point in points]
+        pairs = cf.BOUNDS[bound].evaluate(req, offset)
+        rows += [_row(bound, n, rate, ci, req.mc) for n, (rate, ci) in zip(req.n_grid, pairs, strict=True)]
     return rows
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import achievability as ach
@@ -19,7 +19,6 @@ from . import approx as ap
 from . import channel as ch
 from . import converse as cv
 from . import outage as og
-from .bounds import BoundPoint
 from .errors import ConfigurationError
 from .mc import MCConfig
 
@@ -39,14 +38,16 @@ __all__ = [
 class Bound:
     """One entry of BOUNDS.
 
-    evaluate(req, offset) returns one BoundPoint per n of req.n_grid, where
-    offset(n) is the bound's random-stream offset at blocklength n; command
-    is the CLI subcommand that takes the name; t1_only marks the bounds that
-    need a single transmit antenna.
+    evaluate(req, offset) returns one (rate_nats, (ci_lo, ci_hi)) pair per n
+    of req.n_grid, where offset(n) is the bound's random-stream offset at
+    blocklength n; command is the CLI subcommand that takes the name; side
+    is the row's `side` cell ('lower', 'upper', 'estimate' or 'outage');
+    t1_only marks the bounds that need a single transmit antenna.
     """
 
     evaluate: Callable
     command: str
+    side: str
     t1_only: bool = False
 
 
@@ -57,11 +58,10 @@ def _per_n(point):
 
 def _once(point):
     """An evaluate for a quantity that does not depend on n: point is called
-    at the first n of the grid and its row repeated over the grid."""
+    at the first n of the grid and its pair repeated over the grid."""
 
     def evaluate(req, offset):
-        first = point(req, req.n_grid[0], offset(req.n_grid[0]))
-        return [replace(first, n=n) for n in req.n_grid]
+        return [point(req, req.n_grid[0], offset(req.n_grid[0]))] * len(req.n_grid)
 
     return evaluate
 
@@ -80,53 +80,53 @@ def _csir_kappa_beta(req, n, s):
 
 
 def _converse_simo(req, n, s):
-    return cv.converse_simo(req.spec, n + 1, req.epsilon, req.mc, stream_offset=s)
+    return cv.converse_simo(req.spec, n, req.epsilon, req.mc, stream_offset=s)
 
 
 def _converse_iso(req, n, s):
     return cv.converse_iso(req.spec, n, req.epsilon, req.mc, stream_offset=s)
 
 
-def _estimate(req, n, rate):
-    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=rate, side="estimate")
+def _estimate(rate):
+    return rate, (rate, rate)
 
 
 def _normal(req, offset):
     # one channel sample set serves the whole grid
     approx = ap.NormalApprox(req.spec, req.cov, req.mc, stream_offset=offset(0))
-    return [_estimate(req, n, approx.rate(n, req.epsilon)) for n in req.n_grid]
+    return [_estimate(approx.rate(n, req.epsilon)) for n in req.n_grid]
 
 
 def _awgn(req, n, s):
-    return _estimate(req, n, ap.awgn_reference_rate(req.spec.snr, n, req.epsilon))
+    return _estimate(ap.awgn_reference_rate(req.spec.snr, n, req.epsilon))
 
 
 def _outage(req, n, s):
     _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=s)
-    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=req.rate_nats, side="outage", ci=ci)
+    return req.rate_nats, ci
 
 
 def _eps_capacity(req, n, s):
     value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=s)
     if hi - lo < 1e-9 * max(1.0, abs(value)):
         print("warning: capacity quantile is epsilon-independent (degenerate fading?)", file=sys.stderr)
-    return BoundPoint(n=n, epsilon=req.epsilon, rate_nats=value, side="estimate", ci=(lo, hi))
+    return value, (lo, hi)
 
 
 # Every bound name. The position of a name fixes its stream offset, so new
 # names go at the end.
 BOUNDS = {
-    "ach-csit": Bound(_kappa_beta(ch.WaterFill()), "bound"),
-    "ach-nocsi": Bound(_kappa_beta(ch.Isotropic()), "bound"),
+    "ach-csit": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower"),
+    "ach-nocsi": Bound(_kappa_beta(ch.Isotropic()), "bound", "lower"),
     # the t = 1 case of ach-csit, under its own stream offset
-    "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", t1_only=True),
-    "ach-csir-kb": Bound(_per_n(_csir_kappa_beta), "bound", t1_only=True),
-    "conv-simo": Bound(_per_n(_converse_simo), "bound", t1_only=True),
-    "conv-iso": Bound(_per_n(_converse_iso), "bound"),
-    "normal": Bound(_normal, "approx"),
-    "awgn": Bound(_per_n(_awgn), "approx"),
-    "outage": Bound(_once(_outage), "outage"),
-    "eps-capacity": Bound(_once(_eps_capacity), "eps-capacity"),
+    "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower", t1_only=True),
+    "ach-csir-kb": Bound(_per_n(_csir_kappa_beta), "bound", "lower", t1_only=True),
+    "conv-simo": Bound(_per_n(_converse_simo), "bound", "upper", t1_only=True),
+    "conv-iso": Bound(_per_n(_converse_iso), "bound", "upper"),
+    "normal": Bound(_normal, "approx", "estimate"),
+    "awgn": Bound(_per_n(_awgn), "approx", "estimate"),
+    "outage": Bound(_once(_outage), "outage", "outage"),
+    "eps-capacity": Bound(_once(_eps_capacity), "eps-capacity", "estimate"),
 }
 
 BOUND_NAMES = list(BOUNDS)

@@ -19,7 +19,6 @@ import numpy as np
 from . import channel as ch
 from . import mc
 from . import specfun as sf
-from .bounds import BoundPoint
 from .errors import DomainError
 
 __all__ = [
@@ -189,28 +188,26 @@ class SimoTwoStep:
 
 
 def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
-    """Upper bound on the rate of the best (n-1)-blocklength code, t = 1.
+    """Upper bound on the rate of the best blocklength-n code, t = 1.
 
-    The threshold gamma is the smallest value whose exact-binomial lower
-    confidence bound on P[S_n <= n*gamma] reaches epsilon (enlarging gamma
-    only weakens the bound); the reported rate uses a lower confidence bound
-    on P[L_n >= n*gamma] over an independent gain sample. The opposite end
-    of `ci` is the plug-in value: the threshold where the sample mean of
-    P[S_n <= n*gamma] equals epsilon, with the sample mean of the tail.
+    The statistics S, L are those of blocklength n + 1. The threshold gamma
+    is the smallest value whose exact-binomial lower confidence bound on
+    P[S <= (n+1)*gamma] reaches epsilon (enlarging gamma only weakens the
+    bound); the rate uses a lower confidence bound on P[L >= (n+1)*gamma]
+    over an independent gain sample. Returns (rate, (nominal, rate)), where
+    nominal is the plug-in value: the threshold where the sample mean of
+    P[S <= (n+1)*gamma] equals epsilon, with the sample mean of the tail.
     """
-    if n < 2:
-        raise DomainError("requires n >= 2")
+    if n < 1:
+        raise DomainError("requires n >= 1")
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
-    steps = SimoTwoStep(spec, n, cfg, stream_offset)
+    steps = SimoTwoStep(spec, n + 1, cfg, stream_offset)
     gamma = steps.threshold(epsilon, "at_least")
     _, log_lo = steps.log_tail(gamma, "lower")
     log_mean, _ = steps.log_tail(steps.plug_in(epsilon, gamma, "at_least"), "lower")
-    rate = -log_lo / (n - 1)
-    nominal = -log_mean / (n - 1)
-    return BoundPoint(
-        n=n - 1, epsilon=epsilon, rate_nats=float(rate), side="upper", ci=(float(nominal), float(rate))
-    )
+    rate = float(-log_lo / n)
+    return rate, (float(-log_mean / n), rate)
 
 
 def _iso_modes(spec, rng, size):
@@ -300,7 +297,8 @@ def _iso_log_tail_sampler(spec, n, gamma):
 
 
 def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
-    """Upper bound on the rate of isotropic codebooks at blocklength n."""
+    """Upper bound on the rate of isotropic codebooks at blocklength n, as
+    (rate, (nominal, rate)) with nominal the log-mean estimate at the same threshold."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
@@ -310,8 +308,5 @@ def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
     gamma = float(values[k - 1])
     log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM)
     log_mean, log_lo = mc.log_mean_bound(log_q, 0.5 * cfg.confidence_delta, "lower")
-    rate = -log_lo / n
-    nominal = -log_mean / n
-    return BoundPoint(
-        n=n, epsilon=epsilon, rate_nats=float(rate), side="upper", ci=(float(nominal), float(rate))
-    )
+    rate = float(-log_lo / n)
+    return rate, (float(-log_mean / n), rate)

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 __all__ = [
     "MCConfig",
     "rng",
+    "substream_index",
     "worker_count",
     "sample_values",
     "quantile_order_indices",

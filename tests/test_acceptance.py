@@ -46,8 +46,8 @@ def _report(num, ok, detail):
 
 @functools.lru_cache(maxsize=None)
 def _conv_fig2(n):
-    """Converse on the fig-2 setting, reported at blocklength n."""
-    return cv.converse_simo(FIG2_SPEC, n + 1, 1e-3, CFG)
+    """Converse on the fig-2 setting at blocklength n."""
+    return cv.converse_simo(FIG2_SPEC, n, 1e-3, CFG)
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,18 +80,18 @@ def test_criterion_2_fig3_epsilon_capacity():
 def test_criterion_3_ninety_percent_blocklengths():
     step = 20
     cfg_ach = mc.MCConfig(seed=23, samples=1_000_000)
-    ach_100 = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), 100, 1e-3, None, cfg_ach)
+    ach_100, _ = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), 100, 1e-3, None, cfg_ach)
     crossing = None
     for n in (460, 480, 480 + step):
-        point = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), n, 1e-3, None, cfg_ach)
-        if point.rate_nats / L2 >= 0.9:
+        rate, _ = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), n, 1e-3, None, cfg_ach)
+        if rate / L2 >= 0.9:
             crossing = n
             break
-    conv_320 = _conv_fig2(320).rate_nats / L2
-    conv_340 = _conv_fig2(340).rate_nats / L2
-    conv_800 = _conv_fig2(800).rate_nats / L2
+    conv_320 = _conv_fig2(320)[0] / L2
+    conv_340 = _conv_fig2(340)[0] / L2
+    conv_800 = _conv_fig2(800)[0] / L2
     ok = (
-        ach_100.rate_nats / L2 < 0.9
+        ach_100 / L2 < 0.9
         and crossing is not None
         and crossing <= 480 + step
         and max(conv_320, conv_340) >= 0.9
@@ -100,7 +100,7 @@ def test_criterion_3_ninety_percent_blocklengths():
     _report(
         3,
         ok,
-        f"ach(no-CSI): {ach_100.rate_nats / L2:.3f} bits at n=100, >=0.9 first at n={crossing}; "
+        f"ach(no-CSI): {ach_100 / L2:.3f} bits at n=100, >=0.9 first at n={crossing}; "
         f"converse {conv_320:.3f}/{conv_340:.3f}/{conv_800:.3f} bits at n=320/340/800",
     )
 
@@ -119,11 +119,11 @@ def test_criterion_5_normal_approximation_gap():
     details = []
     for n in (400, 600, 800, 1000):
         rn = model.rate(n, 1e-3)
-        conv = _conv_fig2(n)
-        kb = _kb_fig2(n)
-        ci = (abs(conv.ci[1] - conv.ci[0]) + abs(kb.ci[1] - kb.ci[0])) / L2
-        gap_conv = abs(rn - conv.rate_nats) / L2 - ci
-        gap_kb = abs(rn - kb.rate_nats) / L2 - ci
+        conv, conv_ci = _conv_fig2(n)
+        kb, kb_ci = _kb_fig2(n)
+        ci = (abs(conv_ci[1] - conv_ci[0]) + abs(kb_ci[1] - kb_ci[0])) / L2
+        gap_conv = abs(rn - conv) / L2 - ci
+        gap_kb = abs(rn - kb) / L2 - ci
         worst_conv = max(worst_conv, gap_conv)
         worst_kb = max(worst_kb, gap_kb)
         details.append(f"n={n}: conv {gap_conv:.3f}, kb {gap_kb:.3f}")
@@ -143,17 +143,17 @@ def test_criterion_6_sandwich():
     slack = 1e-9
     violations = []
     for n in (100, 200, 400, 800):
-        conv = _conv_fig2(n)
-        for point in (
+        conv, _ = _conv_fig2(n)
+        for rate, _ in (
             ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, CFG),
             _kb_fig2(n),
         ):
-            if point.rate_nats > conv.rate_nats + slack:
+            if rate > conv + slack:
                 violations.append(f"fig2 n={n}")
     for n in (100, 200, 400, 800):
-        conv = cv.converse_iso(FIG3_SPEC, n, 1e-3, CFG)
-        point = ach.rate_lower_bound(FIG3_SPEC, ch.Isotropic(), n, 1e-3, None, CFG)
-        if point.rate_nats > conv.rate_nats + slack:
+        conv, _ = cv.converse_iso(FIG3_SPEC, n, 1e-3, CFG)
+        rate, _ = ach.rate_lower_bound(FIG3_SPEC, ch.Isotropic(), n, 1e-3, None, CFG)
+        if rate > conv + slack:
             violations.append(f"fig3 n={n}")
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed <= 900.0

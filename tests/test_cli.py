@@ -10,6 +10,8 @@ import pytest
 from fbl import channel as ch
 from fbl import cli
 from fbl import config as cf
+from fbl import converse as cv
+from fbl import mc
 from fbl.errors import ConfigurationError
 from fbl.mc import MCConfig
 
@@ -134,6 +136,14 @@ class TestBoundTable:
             "normal", "awgn", "outage", "eps-capacity",
         ]
 
+    def test_sides_pinned(self):
+        # the side cell of every row is read from the table
+        assert {b: e.side for b, e in cf.BOUNDS.items()} == {
+            "ach-csit": "lower", "ach-nocsi": "lower", "ach-simo": "lower", "ach-csir-kb": "lower",
+            "conv-simo": "upper", "conv-iso": "upper", "normal": "estimate", "awgn": "estimate",
+            "outage": "outage", "eps-capacity": "estimate",
+        }
+
     @pytest.mark.parametrize(
         "command, names",
         [
@@ -225,19 +235,35 @@ class TestRunSweep:
         assert capsys.readouterr().out == cli.CSV_HEADER + "\n"
 
     def test_unit_discipline_every_row(self):
+        # every bound of the table on the Fig. 2 channel, on a two-point grid
         req = cf.parse_config_text(
             "antennas = 1x2\nsnr_db = -1.55\nfading.kind = rician\nfading.k_db = 20\n"
-            "cov = waterfill\nbounds = ach-simo,normal,awgn,eps-capacity\n"
-            "n_grid = 50\nsamples = 60000\nseed = 3\n"
+            f"cov = waterfill\nbounds = {','.join(cf.BOUND_NAMES)}\nrate_bits = 1\n"
+            "n_grid = 20,40\nsamples = 50000\nseed = 3\n"
         )
         rows = cli.run_sweep(req)
-        assert len(rows) == 4
+        assert len(rows) == 2 * len(cf.BOUNDS)
         for row in rows:
             cells = row.split(",")
             assert len(cells) == len(cli.CSV_HEADER.split(","))
-            rate_nats, rate_bits = float(cells[2]), float(cells[3])
+            bound, side = cells[0], cells[6]
+            rate_nats, rate_bits, lo, hi = (float(c) for c in cells[2:6])
             assert rate_bits == pytest.approx(rate_nats / math.log(2.0), rel=1e-9)
-            assert cells[7] == "3" and cells[8] == "60000"
+            assert cells[7] == "3" and cells[8] == "50000"
+            assert side == cf.BOUNDS[bound].side
+            if bound != "outage":
+                # an outage row's ci is a probability, not a rate
+                assert lo <= rate_nats <= hi, row
+            if side == "lower":
+                assert rate_nats == lo, row
+            if side == "upper":
+                assert rate_nats == hi, row
+        # conv-simo is aligned on the grid's n inside converse_simo
+        for n in req.n_grid:
+            offset = mc.substream_index(cf.BOUND_NAMES.index("conv-simo"), n)
+            rate, ci = cv.converse_simo(req.spec, n, req.epsilon, req.mc, stream_offset=offset)
+            expected = ",".join(cli._fmt(x) for x in (rate, rate / math.log(2.0), *ci))
+            assert f"conv-simo,{n},{expected},upper,3,50000" in rows
 
 
 class TestCommandLine:
