@@ -142,20 +142,26 @@ def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
 
     Returns (rate, (rate, rate)). tau=None runs the default grid search and
     returns the best rate; the statistic sample is drawn once and reused
-    across the grid.
+    across the grid. Each tau's quantile spends cfg.confidence_delta / |taus|,
+    so that the maximum holds at the stated confidence (union bound); a tau
+    whose quantile needs more than cfg.samples draws is skipped.
     """
     taus = _taus(n, epsilon, tau)
+    delta = cfg.confidence_delta / len(taus)
     sampler = sin2_statistic_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
     rates = []
     for t in taus:
-        k = mc.quantile_order_indices(
-            cfg.samples, 1.0 - epsilon + t, "upper", cfg.confidence_delta
-        )
+        try:
+            k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + t, "upper", delta)
+        except ConfigurationError:
+            continue  # too few samples for this tau's quantile; its share stays spent
         gamma = float(values[k - 1])
         log_gamma = math.log(gamma) if gamma > 0.0 else -np.inf
         tail = beta_product_log_tail(n, spec.t, spec.r, min(log_gamma, 0.0))
         rates.append(max(0.0, (math.log(t) - tail) / n))
+    if not rates:
+        raise ConfigurationError("too few samples for the requested quantile confidence")
     best = max(rates)
     return best, (best, best)
 
@@ -169,25 +175,29 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
     evaluated semi-analytically (`converse.SimoTwoStep`): threshold chosen so
     the exact-binomial upper bound on the type-I failure stays below
     eps - tau, then beta is upper-bounded over an independent gain sample.
-    Returns (rate, (rate, nominal)): the end of `ci` opposite the bound is
-    the plug-in value at the winning tau, the threshold where the sample mean
-    of the type-I failure equals eps - tau, with the sample mean of beta.
+    cfg.confidence_delta is split evenly over the taus tried, and each share
+    evenly over the threshold and the tail, so that the maximum over the
+    taus holds at the stated confidence (union bound). Returns
+    (rate, (rate, nominal)): the end of `ci` opposite the bound is the
+    plug-in value at the winning tau, the threshold where the sample mean of
+    the type-I failure equals eps - tau, with the sample mean of beta.
     """
     taus = _taus(n, epsilon, tau)
     steps = cv.SimoTwoStep(spec, n, cfg, stream_offset)
+    half = 0.5 * cfg.confidence_delta / len(taus)
     best = None
     for t in taus:
         try:
-            gamma = steps.threshold(epsilon - t, "below")
+            gamma = steps.threshold(epsilon - t, "below", half)
         except DomainError:
             continue  # type-I budget unreachable at this sample size
-        _, log_up = steps.log_tail(gamma, "upper")
+        log_up = steps.log_tail(gamma, "upper", half)
         rate = max(0.0, (math.log(t) - log_up) / n)
         if best is None or rate > best[0]:
             best = (rate, t, gamma)
     if best is None:
         raise ConfigurationError("no tau in the grid was feasible")
     rate, t, gamma = best
-    log_mean, _ = steps.log_tail(steps.plug_in(epsilon - t, gamma, "below"), "upper")
+    log_mean = steps.log_mean_tail(steps.plug_in(epsilon - t, gamma, "below"))
     nominal = max(0.0, (math.log(t) - log_mean) / n)
     return rate, (rate, nominal)

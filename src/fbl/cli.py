@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 
 from . import config as cf
 from . import mc
@@ -44,7 +43,6 @@ def _row(bound, n, rate, ci, cfg):
 
 def run_sweep(req):
     """Evaluate every requested bound on the blocklength grid; returns CSV lines."""
-    req.validate()
     rows = []
     for bound in req.bounds:
         offset = functools.partial(mc.substream_index, cf.BOUND_NAMES.index(bound))
@@ -66,67 +64,52 @@ def _channel_args(parser):
     parser.add_argument("--t", type=int, default=1, help="transmit antennas")
     parser.add_argument("--r", type=int, default=1, help="receive antennas")
     parser.add_argument("--snr-db", type=float, required=True)
-    parser.add_argument("--fading", choices=["rayleigh", "rician", "nakagami"])
-    parser.add_argument("--k-db", type=float, help="Rician K-factor in dB")
-    parser.add_argument("--m-shape", type=float, help="Nakagami shape")
-    parser.add_argument("--cov", choices=["iso", "waterfill"])
+    parser.add_argument("--fading", dest="fading.kind", choices=list(cf.FADINGS))
+    parser.add_argument("--k-db", dest="fading.k_db", metavar="K_DB", type=float, help="Rician K-factor in dB")
+    parser.add_argument("--m-shape", dest="fading.m_shape", metavar="M_SHAPE", type=float, help="Nakagami shape")
+    parser.add_argument("--cov", choices=list(cf.COVARIANCES))
 
 
-def _mc_args(parser):
+def _run_args(parser):
+    """The flags of every command that runs a sweep."""
     parser.add_argument("--seed", type=int)
     parser.add_argument("--samples", type=int)
-    parser.add_argument("--chunk-size", type=int)
-    parser.add_argument("--confidence-delta", type=float)
-
-
-def _sweep_args(parser):
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--tau", help="a number, or 'grid' for the default search")
-    parser.add_argument("--n", type=int, help="single blocklength")
     parser.add_argument("--n-grid", help="a:b:step, geom:a:b:points, or comma list")
     parser.add_argument("--output", help="CSV output path (default stdout)")
 
 
-def _request_from_args(args, bound):
-    """The config mapping of the flags that were given; `config` supplies
-    the default of every key left out."""
-    given = {
-        "fading.kind": args.fading,
-        "fading.k_db": args.k_db,
-        "fading.m_shape": args.m_shape,
-        "cov": args.cov,
-        "epsilon": args.epsilon,
-        "tau": args.tau,
-        "seed": args.seed,
-        "samples": args.samples,
-        "chunk_size": args.chunk_size,
-        "confidence_delta": args.confidence_delta,
-        "n_grid": args.n_grid or args.n,
-        "rate_bits": getattr(args, "rate_bits", None),
-        "output": args.output,
-    }
-    kv = {"antennas": f"{args.t}x{args.r}", "snr_db": str(args.snr_db), "bounds": bound}
-    kv.update((key, str(value)) for key, value in given.items() if value is not None)
+def _bound_args(parser):
+    parser.add_argument("--chunk-size", type=int)
+    parser.add_argument("--confidence-delta", type=float)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--tau", help="a number, or 'grid' for the default search")
+    parser.add_argument("--n", type=int, help="single blocklength")
+
+
+# the config keys that flags set: each such flag's dest is its key
+_FLAG_KEYS = (
+    "fading.kind", "fading.k_db", "fading.m_shape", "cov", "epsilon", "tau", "seed", "samples",
+    "chunk_size", "confidence_delta", "rate_bits", "n_grid", "output",
+)
+
+
+def _request(args):
+    """The command's config mapping (the config file for `sweep`, the preset
+    for `figure`, the channel flags and the bound's name otherwise) with the
+    flags that were given laid over it, parsed by `config`."""
+    if args.command == "sweep":
+        with open(args.config) as fh:
+            kv = cf.parse_config_text(fh.read())
+    elif args.command == "figure":
+        kv = cf.figure_preset(args.name)
+    else:
+        # a command that takes a single bound is named after it
+        bound = getattr(args, "name", args.command)
+        kv = {"antennas": f"{args.t}x{args.r}", "snr_db": str(args.snr_db), "bounds": bound}
+    # --n is a one-point grid; an empty --n-grid or --output counts as not given
+    given = {**vars(args), "n_grid": args.n_grid or getattr(args, "n", None), "output": args.output or None}
+    kv.update((key, str(given[key])) for key in _FLAG_KEYS if given.get(key) is not None)
     return cf.request_from_mapping(kv)
-
-
-def _apply_overrides(req, args):
-    """CLI flags override config-file/preset values."""
-    changes = {}
-    if getattr(args, "n_grid", None):
-        changes["n_grid"] = cf.parse_n_grid(args.n_grid)
-    if getattr(args, "output", None):
-        changes["output"] = args.output
-    mc_changes = {}
-    if getattr(args, "seed", None) is not None:
-        mc_changes["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        mc_changes["samples"] = args.samples
-    if mc_changes:
-        changes["mc"] = replace(req.mc, **mc_changes)
-    if changes:
-        req = replace(req, **changes)
-    return req
 
 
 # the subcommands that evaluate one bound of config.BOUNDS on a channel given
@@ -152,38 +135,20 @@ def build_parser():
         if len(names) > 1:
             p.add_argument("name", choices=names)
         _channel_args(p)
-        _mc_args(p)
-        _sweep_args(p)
+        _run_args(p)
+        _bound_args(p)
         if command == "outage":
             p.add_argument("--rate-bits", type=float, required=True)
 
     p = sub.add_parser("sweep", help="run a sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--n-grid")
-    p.add_argument("--output")
+    _run_args(p)
 
     p = sub.add_parser("figure", help="run a figure preset")
-    p.add_argument("name", choices=["fig2", "fig3", "fig5"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--n-grid")
-    p.add_argument("--output")
+    p.add_argument("name", choices=list(cf.PRESETS))
+    _run_args(p)
 
     return parser
-
-
-def _dispatch(args):
-    if args.command in _BOUND_COMMANDS:
-        # a command that takes a single bound is named after it
-        req = _request_from_args(args, getattr(args, "name", args.command))
-    elif args.command == "sweep":
-        with open(args.config) as fh:
-            req = _apply_overrides(cf.parse_config_text(fh.read()), args)
-    else:
-        req = _apply_overrides(cf.figure_preset(args.name), args)
-    _emit(run_sweep(req), req.output)
 
 
 def main(argv=None):
@@ -191,7 +156,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         mc.worker_count()  # reject a bad FBL_THREADS before any work
-        _dispatch(args)
+        req = _request(args)
+        _emit(run_sweep(req), req.output)
     except (ConfigurationError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

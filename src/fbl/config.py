@@ -29,6 +29,7 @@ __all__ = [
     "BOUND_NAMES",
     "parse_n_grid",
     "parse_config_text",
+    "request_from_mapping",
     "figure_preset",
     "db_to_linear",
 ]
@@ -138,6 +139,8 @@ def db_to_linear(x_db):
 
 @dataclass(frozen=True)
 class SweepRequest:
+    """A checked sweep: every field is validated at construction."""
+
     spec: ch.ChannelSpec
     cov: object
     epsilon: float
@@ -148,7 +151,7 @@ class SweepRequest:
     rate_nats: float | None = None  # only for the 'outage' bound
     output: str | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigurationError("epsilon must be in (0, 1)")
         if list(self.n_grid) != sorted(set(self.n_grid)):
@@ -191,32 +194,33 @@ def parse_n_grid(text):
         raise ConfigurationError(f"bad n_grid spec: {text!r}") from exc
 
 
-def _fading_from_keys(kind, k_db, m_shape):
-    kind = (kind or "rayleigh").lower()
-    if kind == "rayleigh":
-        return ch.Rayleigh()
-    if kind == "rician":
-        if k_db is None:
-            raise ConfigurationError("rician fading needs fading.k_db")
-        return ch.Rician(k_factor=db_to_linear(float(k_db)))
-    if kind == "nakagami":
-        if m_shape is None:
-            raise ConfigurationError("nakagami fading needs fading.m_shape")
-        return ch.Nakagami(m_shape=float(m_shape))
-    raise ConfigurationError(f"unknown fading kind: {kind}")
+def _needs(kv, key, kind):
+    if kv.get(key) is None:
+        raise ConfigurationError(f"{kind} fading needs {key}")
+    return float(kv[key])
 
 
-def _cov_from_key(name):
-    name = (name or "iso").lower()
-    if name in ("iso", "isotropic"):
-        return ch.Isotropic()
-    if name in ("waterfill", "csit"):
-        return ch.WaterFill()
-    raise ConfigurationError(f"unknown covariance policy: {name}")
+# the accepted values of `fading.kind`, each with the model its fading.*
+# keys build
+FADINGS = {
+    "rayleigh": lambda kv: ch.Rayleigh(),
+    "rician": lambda kv: ch.Rician(k_factor=db_to_linear(_needs(kv, "fading.k_db", "rician"))),
+    "nakagami": lambda kv: ch.Nakagami(m_shape=_needs(kv, "fading.m_shape", "nakagami")),
+}
+
+# the accepted values of `cov`
+COVARIANCES = {"iso": ch.Isotropic, "waterfill": ch.WaterFill}
+
+
+def _lookup(table, what, name):
+    """table[name], or a ConfigurationError naming the unknown `what`."""
+    if name not in table:
+        raise ConfigurationError(f"unknown {what}: {name}")
+    return table[name]
 
 
 def parse_config_text(text):
-    """Parse a flat key-value config into a SweepRequest."""
+    """The key-value mapping of a flat config text."""
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -226,13 +230,14 @@ def parse_config_text(text):
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         kv[key] = value
-    return request_from_mapping(kv)
+    return kv
 
 
 _MC_KEYS = {"samples": int, "confidence_delta": float, "chunk_size": int}
 
 
 def request_from_mapping(kv):
+    """The checked SweepRequest of a config mapping; keys left out take their defaults."""
     try:
         antennas = kv.get("antennas", "1x1").lower()
         t_str, r_str = antennas.split("x")
@@ -240,9 +245,7 @@ def request_from_mapping(kv):
             t=int(t_str),
             r=int(r_str),
             snr=db_to_linear(float(kv["snr_db"])),
-            fading=_fading_from_keys(
-                kv.get("fading.kind"), kv.get("fading.k_db"), kv.get("fading.m_shape")
-            ),
+            fading=_lookup(FADINGS, "fading kind", (kv.get("fading.kind") or "rayleigh").lower())(kv),
         )
     except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad channel configuration: {exc}") from exc
@@ -256,9 +259,9 @@ def request_from_mapping(kv):
         mc_kw = {key: conv(kv[key]) for key, conv in _MC_KEYS.items() if key in kv}
     except ValueError as exc:
         raise ConfigurationError(f"bad number in configuration: {exc}") from exc
-    req = SweepRequest(
+    return SweepRequest(
         spec=spec,
-        cov=_cov_from_key(kv.get("cov")),
+        cov=_lookup(COVARIANCES, "covariance policy", (kv.get("cov") or "iso").lower())(),
         epsilon=epsilon,
         n_grid=parse_n_grid(kv.get("n_grid", "100")),
         bounds=tuple(b.strip() for b in kv.get("bounds", "").split(",") if b.strip()),
@@ -267,15 +270,13 @@ def request_from_mapping(kv):
         rate_nats=rate_nats,
         output=kv.get("output"),
     )
-    req.validate()
-    return req
 
 
 _FIG_GRID = "geom:10:1000:12"
 
 # each preset is the config mapping `request_from_mapping` reads, less the
 # grid and the seed
-_PRESETS = {
+PRESETS = {
     "fig2": {
         "antennas": "1x2", "snr_db": "-1.55", "fading.kind": "rician", "fading.k_db": "20",
         "epsilon": "1e-3", "cov": "waterfill", "bounds": "ach-simo,ach-csir-kb,conv-simo,normal,awgn",
@@ -292,7 +293,5 @@ _PRESETS = {
 
 
 def figure_preset(name):
-    """Sweep request reproducing one of the published bound figures."""
-    if name not in _PRESETS:
-        raise ConfigurationError(f"unknown figure preset: {name}")
-    return request_from_mapping({**_PRESETS[name], "n_grid": _FIG_GRID})
+    """The config mapping, grid included, that reproduces one of the published bound figures."""
+    return {**_lookup(PRESETS, "figure preset", name), "n_grid": _FIG_GRID}

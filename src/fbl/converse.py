@@ -138,17 +138,18 @@ class SimoTwoStep:
     A threshold gamma is chosen with an exact-binomial confidence bound on
     P[S_n <= n*gamma] over one gain sample (`threshold`); the tail
     P[L_n >= n*gamma] is then averaged over an independent gain sample
-    (`log_tail`). `plug_in` gives the threshold without the confidence
-    shift, for the opposite end of a bound's `ci`. side is 'at_least' for a
-    threshold whose selection tail must reach its budget (the converse) and
-    'below' for one whose tail must stay under it (the achievability bound).
+    (`log_tail`). Each of the two steps spends the `delta` its caller
+    passes. `plug_in` and `log_mean_tail` give the threshold and the tail
+    without a confidence step, for the opposite end of a bound's `ci`. side
+    is 'at_least' for a threshold whose selection tail must reach its budget
+    (the converse) and 'below' for one whose tail must stay under it (the
+    achievability bound).
     """
 
     def __init__(self, spec, n, cfg, stream_offset=0):
         if spec.t != 1:
             raise DomainError("single-transmit-antenna bound requires t = 1")
         rho = spec.snr
-        self.half = 0.5 * cfg.confidence_delta
         g_sel = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _SEL_STREAM)
         self.sel = SimoTailTable(n, rho * g_sel)
         g_eval = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _EVAL_STREAM)
@@ -164,11 +165,11 @@ class SimoTwoStep:
             self._sums[gamma] = self.sel.sum_q_s(gamma)
         return self._sums[gamma]
 
-    def threshold(self, budget, side):
-        """The gamma whose confidence bound on P[S_n <= n*gamma] meets `budget` on `side`."""
+    def threshold(self, budget, side, delta):
+        """The gamma whose level-delta confidence bound on P[S_n <= n*gamma] meets `budget` on `side`."""
         bound = mc.cp_lower if side == "at_least" else mc.cp_upper
         trials = self.sel.a.size
-        return mc.root_find_monotone(lambda g: bound(self._sum(g), trials, self.half), budget, self.bracket, side)
+        return mc.root_find_monotone(lambda g: bound(self._sum(g), trials, delta), budget, self.bracket, side)
 
     def plug_in(self, budget, gamma, side):
         """The gamma where the sample mean of P[S_n <= n*gamma] meets `budget` on `side`.
@@ -182,9 +183,13 @@ class SimoTwoStep:
         trials = self.sel.a.size
         return mc.root_find_monotone(lambda g: self._sum(g) / trials, budget, bracket, side)
 
-    def log_tail(self, gamma, side):
-        """(log mean, log confidence bound on `side`) of P[L_n >= n*gamma] over the evaluation sample."""
-        return mc.log_mean_bound(self.eval.log_q_l(gamma), self.half, side)
+    def log_tail(self, gamma, side, delta):
+        """Log level-delta bound on `side` of the mean of P[L_n >= n*gamma] over the evaluation sample."""
+        return mc.log_mean_bound(self.eval.log_q_l(gamma), delta, side)[1]
+
+    def log_mean_tail(self, gamma):
+        """Log of the sample mean of P[L_n >= n*gamma] over the evaluation sample."""
+        return mc.log_mean(self.eval.log_q_l(gamma))
 
 
 def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
@@ -194,8 +199,9 @@ def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
     is the smallest value whose exact-binomial lower confidence bound on
     P[S <= (n+1)*gamma] reaches epsilon (enlarging gamma only weakens the
     bound); the rate uses a lower confidence bound on P[L >= (n+1)*gamma]
-    over an independent gain sample. Returns (rate, (nominal, rate)), where
-    nominal is the plug-in value: the threshold where the sample mean of
+    over an independent gain sample. Each step spends half of
+    cfg.confidence_delta. Returns (rate, (nominal, rate)), where nominal is
+    the plug-in value: the threshold where the sample mean of
     P[S <= (n+1)*gamma] equals epsilon, with the sample mean of the tail.
     """
     if n < 1:
@@ -203,10 +209,10 @@ def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     steps = SimoTwoStep(spec, n + 1, cfg, stream_offset)
-    gamma = steps.threshold(epsilon, "at_least")
-    _, log_lo = steps.log_tail(gamma, "lower")
-    log_mean, _ = steps.log_tail(steps.plug_in(epsilon, gamma, "at_least"), "lower")
-    rate = float(-log_lo / n)
+    half = 0.5 * cfg.confidence_delta
+    gamma = steps.threshold(epsilon, "at_least", half)
+    rate = float(-steps.log_tail(gamma, "lower", half) / n)
+    log_mean = steps.log_mean_tail(steps.plug_in(epsilon, gamma, "at_least"))
     return rate, (float(-log_mean / n), rate)
 
 
@@ -298,15 +304,18 @@ def _iso_log_tail_sampler(spec, n, gamma):
 
 def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
     """Upper bound on the rate of isotropic codebooks at blocklength n, as
-    (rate, (nominal, rate)) with nominal the log-mean estimate at the same threshold."""
+    (rate, (nominal, rate)) with nominal the log-mean estimate at the same
+    threshold. The order-statistic threshold and the log-mean bound each
+    spend half of cfg.confidence_delta."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
         raise DomainError("requires n >= 1")
     values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM))
-    k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", cfg.confidence_delta)
+    half = 0.5 * cfg.confidence_delta
+    k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", half)
     gamma = float(values[k - 1])
     log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM)
-    log_mean, log_lo = mc.log_mean_bound(log_q, 0.5 * cfg.confidence_delta, "lower")
+    log_mean, log_lo = mc.log_mean_bound(log_q, half, "lower")
     rate = float(-log_lo / n)
     return rate, (float(-log_mean / n), rate)

@@ -35,6 +35,7 @@ __all__ = [
     "root_find_monotone",
     "cp_lower",
     "cp_upper",
+    "log_mean",
     "log_mean_bound",
 ]
 
@@ -263,6 +264,16 @@ def root_find_monotone(f, target, bracket, side, max_iter=80):
     if hi - lo <= 1e-12 * max(1.0, abs(hi)):
         return hi if at_least else lo
     raise ConvergenceError(f"root search did not reach its tolerance in {max_iter} steps")
+
+
+def log_mean(log_values):
+    """Log of the sample mean of positive values given in log domain: a
+    plug-in estimate, which spends no confidence."""
+    log_values = np.asarray(log_values, dtype=float)
+    shift = float(np.max(log_values))
+    if not np.isfinite(shift):
+        return -np.inf
+    return shift + math.log(float(np.mean(np.exp(log_values - shift))))
 
 
 # batches of the batch-means standard error in `log_mean_bound`

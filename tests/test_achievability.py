@@ -236,10 +236,26 @@ class TestRateLowerBound:
             assert rate <= hi + 3 * (hi - lo) + 1e-9
 
     def test_grid_search_dominates_each_tau(self):
+        # the grid gives each tau an equal share of delta: it is the best of
+        # the single-tau bounds taken at that share
         best, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, None, self.cfg)
-        for tau in ach.tau_grid(200, 1e-3):
-            single, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, tau, self.cfg)
-            assert best >= single - 1e-12
+        taus = ach.tau_grid(200, 1e-3)
+        share = mc.MCConfig(seed=8, samples=100_000, confidence_delta=self.cfg.confidence_delta / len(taus))
+        singles = [ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, tau, share)[0] for tau in taus]
+        assert best == max(singles)
+
+    def test_grid_skips_a_tau_whose_quantile_needs_more_samples(self):
+        # at n = 21, eps = 0.05 the tau = 1/n quantile (target 0.9976) needs
+        # more than 2,000 samples at a third of delta; the other taus still run
+        spec = ch.ChannelSpec(t=1, r=1, snr=1.0, fading=ch.Rayleigh())
+        taus = ach.tau_grid(21, 0.05)
+        assert taus == [0.005, 0.025, 1.0 / 21]
+        share = mc.MCConfig(seed=0, samples=2000, confidence_delta=0.01 / 3)
+        with pytest.raises(ConfigurationError, match="too few samples"):
+            ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, 1.0 / 21, share)
+        best, _ = ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, None, mc.MCConfig(seed=0, samples=2000))
+        feasible = [ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, tau, share)[0] for tau in taus[:2]]
+        assert best == max(feasible)
 
     def test_simo_waterfill_isotropic_consistency(self):
         # with one transmit antenna the two signaling paths coincide

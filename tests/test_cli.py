@@ -67,7 +67,7 @@ class TestConfigRoundTrip:
         confidence_delta = 0.02
         chunk_size = 1000
         """
-        assert cf.parse_config_text(text) == cf.SweepRequest(
+        assert cf.request_from_mapping(cf.parse_config_text(text)) == cf.SweepRequest(
             spec=ch.ChannelSpec(
                 t=1, r=2, snr=cf.db_to_linear(-1.55), fading=ch.Rician(k_factor=cf.db_to_linear(20.0))
             ),
@@ -80,10 +80,10 @@ class TestConfigRoundTrip:
         )
 
     def test_round_trip_with_rate_and_output(self):
-        req = cf.parse_config_text(
+        req = cf.request_from_mapping(cf.parse_config_text(
             "antennas = 2x3\nsnr_db = 2.12\nfading.kind = nakagami\nfading.m_shape = 2.5\n"
             "bounds = outage\nrate_bits = 1\noutput = x.csv\n"
-        )
+        ))
         assert req.rate_nats == pytest.approx(math.log(2.0))
         assert req.output == "x.csv"
         # the defaults of every key the text leaves out
@@ -101,31 +101,48 @@ class TestConfigRoundTrip:
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ConfigurationError):
-            cf.parse_config_text("antennas 1x2\n")
+            cf.request_from_mapping(cf.parse_config_text("antennas 1x2\n"))
         with pytest.raises(ConfigurationError):
-            cf.parse_config_text("antennas = 1x2\n")  # missing snr_db
+            cf.request_from_mapping(cf.parse_config_text("antennas = 1x2\n"))  # missing snr_db
 
     def test_simo_bound_with_mimo_antennas_rejected_before_compute(self):
         t1_only = [b for b, e in cf.BOUNDS.items() if e.t1_only]
         assert t1_only == ["ach-simo", "ach-csir-kb", "conv-simo"]
         for bound in t1_only:
             with pytest.raises(ConfigurationError, match="single transmit antenna"):
-                cf.parse_config_text(f"antennas = 2x2\nsnr_db = 0\nbounds = {bound}\n")
+                cf.request_from_mapping(cf.parse_config_text(f"antennas = 2x2\nsnr_db = 0\nbounds = {bound}\n"))
 
     def test_outage_requires_rate(self):
         with pytest.raises(ConfigurationError):
-            cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds = outage\n")
+            cf.request_from_mapping(cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds = outage\n"))
 
     def test_flags_left_out_take_the_config_defaults(self):
         args = cli.build_parser().parse_args(["eps-capacity", "--snr-db", "0"])
-        req = cli._request_from_args(args, "eps-capacity")
-        assert req == cf.parse_config_text("snr_db = 0\nbounds = eps-capacity\n")
+        req = cli._request(args)
+        assert req == cf.request_from_mapping(cf.parse_config_text("snr_db = 0\nbounds = eps-capacity\n"))
         assert req.mc == MCConfig(seed=1)
 
     def test_n_grid_flag_takes_precedence_over_n(self):
         argv = ["approx", "awgn", "--snr-db", "0", "--n", "50", "--n-grid", "10,20"]
         args = cli.build_parser().parse_args(argv)
-        assert cli._request_from_args(args, "awgn").n_grid == (10, 20)
+        assert cli._request(args).n_grid == (10, 20)
+
+    def test_flags_override_the_file_and_the_preset_alike(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("antennas = 1x2\nsnr_db = 0\nbounds = awgn\nseed = 5\nn_grid = 100\n")
+        flags = ["--seed", "9", "--n-grid", "20,40"]
+        parser = cli.build_parser()
+        from_file = cli._request(parser.parse_args(["sweep", "--config", str(cfg), *flags]))
+        from_preset = cli._request(parser.parse_args(["figure", "fig5", *flags]))
+        for req in (from_file, from_preset):
+            assert req.mc.seed == 9 and req.n_grid == (20, 40)
+        assert from_file.bounds == ("awgn",)
+        assert from_preset.bounds == ("ach-simo", "conv-simo", "normal")
+
+    @pytest.mark.parametrize("line", ["cov = isotropic", "cov = csit", "fading.kind = rice"])
+    def test_unlisted_values_rejected(self, line):
+        with pytest.raises(ConfigurationError):
+            cf.request_from_mapping(cf.parse_config_text(f"snr_db = 0\n{line}\n"))
 
 
 class TestBoundTable:
@@ -158,10 +175,25 @@ class TestBoundTable:
         assert name.choices == names
         assert [b for b, e in cf.BOUNDS.items() if e.command == command] == names
 
+    @pytest.mark.parametrize(
+        "command, dest, values",
+        [
+            ("figure", "name", ["fig2", "fig3", "fig5"]),
+            ("bound", "fading.kind", ["rayleigh", "rician", "nakagami"]),
+            ("bound", "cov", ["iso", "waterfill"]),
+        ],
+    )
+    def test_parser_value_choices_come_from_config(self, command, dest, values):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        action = next(a for a in subparsers[command]._actions if a.dest == dest)
+        assert action.choices == values
+        assert values in (list(cf.PRESETS), list(cf.FADINGS), list(cf.COVARIANCES))
+
 
 class TestFigurePresets:
     def test_fig2_contents(self):
-        req = cf.figure_preset("fig2")
+        req = cf.request_from_mapping(cf.figure_preset("fig2"))
         assert req.spec.t == 1 and req.spec.r == 2
         assert req.spec.snr == pytest.approx(cf.db_to_linear(-1.55))
         assert isinstance(req.spec.fading, ch.Rician)
@@ -171,7 +203,7 @@ class TestFigurePresets:
         assert req.mc.seed == 1
 
     def test_fig3_contents(self):
-        req = cf.figure_preset("fig3")
+        req = cf.request_from_mapping(cf.figure_preset("fig3"))
         assert (req.spec.t, req.spec.r) == (2, 3)
         assert req.spec.snr == pytest.approx(cf.db_to_linear(2.12))
         assert isinstance(req.spec.fading, ch.Rayleigh)
@@ -179,7 +211,7 @@ class TestFigurePresets:
         assert isinstance(req.cov, ch.Isotropic)
 
     def test_fig5_contents(self):
-        req = cf.figure_preset("fig5")
+        req = cf.request_from_mapping(cf.figure_preset("fig5"))
         assert (req.spec.t, req.spec.r) == (1, 2)
         assert req.epsilon == 0.1
         assert req.spec.snr == pytest.approx(cf.db_to_linear(2.74))
@@ -217,7 +249,7 @@ class TestFigurePresets:
         ],
     )
     def test_every_field_pinned(self, name, spec, cov, epsilon, bounds):
-        req = cf.figure_preset(name)
+        req = cf.request_from_mapping(cf.figure_preset(name))
         assert req.spec == spec
         assert req.cov == cov
         assert req.epsilon == epsilon
@@ -229,18 +261,18 @@ class TestFigurePresets:
 
 class TestRunSweep:
     def test_empty_bounds_header_only(self, capsys):
-        req = cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds =\n")
+        req = cf.request_from_mapping(cf.parse_config_text("antennas = 1x1\nsnr_db = 0\nbounds =\n"))
         assert cli.run_sweep(req) == []
         cli._emit([], None)
         assert capsys.readouterr().out == cli.CSV_HEADER + "\n"
 
     def test_unit_discipline_every_row(self):
         # every bound of the table on the Fig. 2 channel, on a two-point grid
-        req = cf.parse_config_text(
+        req = cf.request_from_mapping(cf.parse_config_text(
             "antennas = 1x2\nsnr_db = -1.55\nfading.kind = rician\nfading.k_db = 20\n"
             f"cov = waterfill\nbounds = {','.join(cf.BOUND_NAMES)}\nrate_bits = 1\n"
             "n_grid = 20,40\nsamples = 50000\nseed = 3\n"
-        )
+        ))
         rows = cli.run_sweep(req)
         assert len(rows) == 2 * len(cf.BOUNDS)
         for row in rows:

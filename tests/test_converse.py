@@ -183,7 +183,7 @@ class TestSimoTwoStep:
         def mean(g):
             return steps.sel.sum_q_s(g) / steps.sel.a.size
 
-        gamma = steps.threshold(budget, side)
+        gamma = steps.threshold(budget, side, 0.5 * self.cfg.confidence_delta)
         plug = steps.plug_in(budget, gamma, side)
         tol = 1e-12 * max(1.0, abs(plug))
         if side == "at_least":

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import fbl
+from fbl import achievability as ach
 from fbl import channel as ch
 from fbl import converse as cv
 from fbl import mc
@@ -148,7 +149,7 @@ class TestConservativeQuantile:
         # one chunk holding 1..N in random order: the k-th smallest value is k
         cfg = mc.MCConfig(seed=3, samples=1000, chunk_size=1000)
         v = converse_gamma(monkeypatch, lambda rng, size: rng.permutation(size) + 1.0, 0.9, cfg)
-        assert v == mc.quantile_order_indices(1000, 0.9, "upper", cfg.confidence_delta)
+        assert v == mc.quantile_order_indices(1000, 0.9, "upper", 0.5 * cfg.confidence_delta)
 
     def test_infeasible_target(self):
         with pytest.raises(ConfigurationError):
@@ -263,7 +264,7 @@ class TestLogMeanBound:
         logs = -rng.exponential(2.0, 10_000) - 50.0
         m, lo = mc.log_mean_bound(logs, 0.005, "lower")
         m2, hi = mc.log_mean_bound(logs, 0.005, "upper")
-        assert m == m2
+        assert m == m2 == mc.log_mean(logs)
         assert lo <= m <= hi
         direct = math.log(np.mean(np.exp(logs + 50.0))) - 50.0
         assert m == pytest.approx(direct, abs=1e-10)
@@ -280,6 +281,7 @@ class TestLogMeanBound:
     def test_all_minus_inf(self):
         m, lo = mc.log_mean_bound(np.full(100, -np.inf), 0.005, "lower")
         assert m == -np.inf and lo == -np.inf
+        assert mc.log_mean(np.full(100, -np.inf)) == -np.inf
 
     def test_markov_coverage(self):
         # lower bound <= true mean in >= 1-delta of repetitions (heavy-tailed case)
@@ -302,3 +304,74 @@ class TestSubstreamIndex:
         assert a == mc.substream_index(3, 100)
         assert a != mc.substream_index(3, 101)
         assert a != mc.substream_index(4, 100)
+
+
+class TestConfidenceBudget:
+    """The confidence steps that one reported rate rests on spend at most
+    cfg.confidence_delta in total (union bound over the steps). A step is an
+    order statistic, a log-mean bound, or a threshold search, however many
+    Clopper-Pearson evaluations the search makes; a plug-in value spends
+    nothing."""
+
+    cfg = mc.MCConfig(seed=3, samples=20_000)
+    simo = ch.ChannelSpec(t=1, r=2, snr=1.0, fading=ch.Rayleigh())
+    mimo = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
+
+    @staticmethod
+    def spent(monkeypatch, call):
+        """The level of each confidence step that `call()` takes, in order."""
+        steps = []
+        search = []  # the level of the threshold search under way
+
+        def searching(*args, **kwargs):
+            search.clear()
+            try:
+                return root_find(*args, **kwargs)
+            finally:
+                search.clear()
+
+        def per_search(fn):
+            def wrapped(successes, trials, delta):
+                if not search:
+                    search.append(delta)
+                    steps.append(delta)
+                assert search == [delta], "one level per threshold search"
+                return fn(successes, trials, delta)
+
+            return wrapped
+
+        def per_call(fn, at):
+            def wrapped(*args):
+                steps.append(args[at])
+                return fn(*args)
+
+            return wrapped
+
+        root_find = mc.root_find_monotone
+        monkeypatch.setattr(mc, "root_find_monotone", searching)
+        monkeypatch.setattr(mc, "cp_lower", per_search(mc.cp_lower))
+        monkeypatch.setattr(mc, "cp_upper", per_search(mc.cp_upper))
+        monkeypatch.setattr(mc, "quantile_order_indices", per_call(mc.quantile_order_indices, 3))
+        monkeypatch.setattr(mc, "log_mean_bound", per_call(mc.log_mean_bound, 1))
+        call()
+        return steps
+
+    @pytest.mark.parametrize(
+        "bound, n_steps",
+        [
+            (lambda s: cv.converse_iso(s.mimo, 30, 1e-2, s.cfg), 2),
+            (lambda s: cv.converse_simo(s.simo, 300, 1e-2, s.cfg), 2),
+            # the default tau grid at n = 300, eps = 1e-2 has three points
+            (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, None, s.cfg), 3),
+            (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, 5e-3, s.cfg), 1),
+            (lambda s: ach.rate_lower_bound(s.mimo, ch.Isotropic(), 300, 1e-2, None, s.cfg), 3),
+            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, None, s.cfg), 6),
+            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, 5e-3, s.cfg), 2),
+        ],
+        ids=["conv-iso", "conv-simo", "ach-simo-grid", "ach-simo-tau", "ach-nocsi-grid",
+             "ach-csir-kb-grid", "ach-csir-kb-tau"],
+    )
+    def test_steps_sum_to_at_most_delta(self, monkeypatch, bound, n_steps):
+        steps = self.spent(monkeypatch, lambda: bound(self))
+        assert len(steps) == n_steps
+        assert sum(steps) <= self.cfg.confidence_delta * (1.0 + 1e-12), steps
