@@ -29,6 +29,7 @@ __all__ = [
     "BOUND_NAMES",
     "parse_n_grid",
     "parse_config_text",
+    "KEYS",
     "request_from_mapping",
     "figure_preset",
     "db_to_linear",
@@ -235,9 +236,19 @@ def parse_config_text(text):
 
 _MC_KEYS = {"samples": int, "confidence_delta": float, "chunk_size": int}
 
+# every key a config mapping may hold
+KEYS = (
+    "antennas", "snr_db", "fading.kind", "fading.k_db", "fading.m_shape", "cov", "epsilon", "tau",
+    "rate_bits", "n_grid", "bounds", "seed", *_MC_KEYS, "output",
+)
+
 
 def request_from_mapping(kv):
-    """The checked SweepRequest of a config mapping; keys left out take their defaults."""
+    """The checked SweepRequest of a config mapping; keys left out take their
+    defaults, and a key outside KEYS is an error."""
+    unknown = [key for key in kv if key not in KEYS]
+    if unknown:
+        raise ConfigurationError(f"unknown config key: {', '.join(unknown)}")
     try:
         antennas = kv.get("antennas", "1x1").lower()
         t_str, r_str = antennas.split("x")

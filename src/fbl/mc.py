@@ -10,7 +10,10 @@ its own statistic to the flat sample. The confidence tools are exact
 Clopper-Pearson ends for a count of hits (`cp_lower`, `cp_upper`), the
 order-statistic index whose value has the requested one-sided coverage
 (`quantile_order_indices`), and a conservative bound on a log-domain mean
-(`log_mean_bound`).
+(`log_mean_bound`). Each calls `scipy.special` directly: the Clopper-Pearson
+ends are inverse regularized incomplete beta functions, the binomial tails
+of the order-statistic search are incomplete beta functions, and the normal
+quantile is `ndtri` (docs/DECISIONS.md, section 5).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special as sp
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 
@@ -121,18 +124,23 @@ def cp_lower(successes, trials, delta):
 
     `successes` may be fractional: for means of [0,1]-valued variables the
     Bernoulli law is extremal in convex order, so the binomial bound with the
-    fractional success count remains conservative.
+    fractional success count remains conservative. Where Boost cannot invert
+    the beta law it returns NaN (a few successes and delta below about
+    1e-150), and the bound falls back to 0, which always holds.
     """
     if successes <= 0:
         return 0.0
-    return float(stats.beta.ppf(delta, successes, trials - successes + 1))
+    lo = float(sp.betaincinv(successes, trials - successes + 1, delta))
+    return 0.0 if math.isnan(lo) else lo
 
 
 def cp_upper(successes, trials, delta):
-    """Exact one-sided upper confidence bound on a binomial proportion."""
+    """Exact one-sided upper confidence bound on a binomial proportion; 1,
+    which always holds, where Boost cannot invert the beta law."""
     if successes >= trials:
         return 1.0
-    return float(stats.beta.isf(delta, successes + 1, trials - successes))
+    hi = float(sp.betainccinv(successes + 1, trials - successes, delta))
+    return 1.0 if math.isnan(hi) else hi
 
 
 def sample_values(value_sampler, cfg, stream_offset=0):
@@ -153,21 +161,27 @@ def quantile_order_indices(n, target_prob, direction, delta):
     direction='lower': largest k with P[Binomial(n, target) <= k-1] <= delta,
     so P[X <= x_(k)] <= target holds with confidence 1 - delta.
     """
-    if direction == "upper":
-        k = int(stats.binom.isf(delta, n, target_prob)) + 1
-        while k <= n and stats.binom.sf(k - 1, n, target_prob) > delta:
-            k += 1
-        if k > n:
-            raise ConfigurationError("too few samples for the requested quantile confidence")
-        return k
-    if direction == "lower":
-        k = int(stats.binom.ppf(delta, n, target_prob))
-        while k >= 1 and stats.binom.cdf(k - 1, n, target_prob) > delta:
-            k -= 1
-        if k < 1:
-            raise ConfigurationError("too few samples for the requested quantile confidence")
-        return k
-    raise DomainError("direction must be 'upper' or 'lower'")
+    if direction not in ("upper", "lower"):
+        raise DomainError("direction must be 'upper' or 'lower'")
+    upper = direction == "upper"
+
+    def meets(k):
+        # P[Binomial(n, p) >= k] = I_p(k, n - k + 1), and P[... <= k-1] is its complement
+        tail = (sp.betainc if upper else sp.betaincc)(k, n - k + 1, target_prob)
+        return tail <= delta
+
+    # bisect between an index that meets the inequality and one that does not;
+    # bad starts just outside [1, n], where the tail is 1 > delta
+    good, bad = (n, 0) if upper else (1, n + 1)
+    if not meets(good):
+        raise ConfigurationError("too few samples for the requested quantile confidence")
+    while abs(good - bad) > 1:
+        mid = (good + bad) // 2
+        if meets(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 # steps the root search may take beyond bisection's count on the same bracket
@@ -304,12 +318,12 @@ def log_mean_bound(log_values, delta, side):
     bm = np.array([np.mean(x) for x in batch])
     se = float(np.std(bm, ddof=1) / math.sqrt(b)) if b > 1 else 0.0
     if side == "lower":
-        z = float(stats.norm.isf(0.5 * delta))
+        z = float(-sp.ndtri(0.5 * delta))
         normal_lo = mean - z * se
         markov_lo = 0.5 * delta * mean
         lo = max(normal_lo, markov_lo)
         return log_mean, shift + math.log(lo)
     if side == "upper":
-        z = float(stats.norm.isf(delta))
+        z = float(-sp.ndtri(delta))
         return log_mean, shift + math.log(mean + z * se)
     raise DomainError("side must be 'lower' or 'upper'")

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 from scipy import special as sp
-from scipy import stats
+from scipy.special._ufuncs import _ncx2_sf
 
 from .errors import DomainError
 
@@ -106,16 +106,22 @@ def _chi_quadrature(x, k, delta):
 
 
 def _boost_sf(x, k, delta):
-    """scipy's (Boost) ncx2.sf, and a mask of the rows whose evaluation warned."""
+    """Boost's noncentral chi-square survival function, and a mask of the rows
+    whose evaluation warned.
+
+    `_ncx2_sf` is the scipy ufunc that `scipy.stats.ncx2.sf` calls for
+    delta != 0; calling it directly keeps `scipy.stats` out of the import.
+    It is private, so a test pins it to `scipy.stats.ncx2.sf`.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        out = stats.ncx2.sf(x, k, delta)
+        out = _ncx2_sf(x, k, delta)
     bad = ~np.isfinite(out)
     if caught:  # find the rows that warned
         for i in range(x.size):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                stats.ncx2.sf(x[i], k, delta[i])
+                _ncx2_sf(x[i], k, delta[i])
             bad[i] |= bool(caught)
     return out, bad
 
@@ -124,7 +130,7 @@ def noncentral_chi2_sf_batch(x, k, delta):
     """Survival function P[chi'2_k(delta) >= x] for arrays x, delta (common k).
 
     Absolute error ~1e-12: rows provably within 1e-13 of 0 or 1 (by Chernoff)
-    are short-circuited; the rest use scipy's ncx2.sf (Boost), except rows
+    are short-circuited; the rest use Boost's tail (`_boost_sf`), except rows
     with delta > 100 k or whose Boost call warned, which use `_chi_quadrature`.
     """
     x = np.asarray(x, dtype=float)

@@ -139,6 +139,9 @@ class TestConfigRoundTrip:
         assert from_file.bounds == ("awgn",)
         assert from_preset.bounds == ("ach-simo", "conv-simo", "normal")
 
+    def test_every_flag_key_is_a_config_key(self):
+        assert set(cli._FLAG_KEYS) <= set(cf.KEYS)
+
     @pytest.mark.parametrize("line", ["cov = isotropic", "cov = csit", "fading.kind = rice"])
     def test_unlisted_values_rejected(self, line):
         with pytest.raises(ConfigurationError):
@@ -442,6 +445,25 @@ class TestCommandLine:
         # three bounds on a two-point grid
         assert len(lines) == 1 + 3 * 2
         assert all(cells.split(",")[7] == "7" for cells in lines[1:])
+
+    def test_misspelt_config_keys_exit_code(self, tmp_path, capsys):
+        # misspelt keys would otherwise take their defaults (n = 100, 100,000 samples)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("antennas = 1x1\nsnr_db = 0\nbounds = awgn\nn_gird = 20,40\nsampels = 500\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: unknown config key: n_gird, sampels"]
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats and the scipy.optimize it loads would double the start-up time
+        code = "import sys, fbl.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
 
     def test_sweep_from_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

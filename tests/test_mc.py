@@ -5,6 +5,7 @@ import math
 import os
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -121,6 +122,30 @@ class TestEstimateProbability:
             for delta in (1e-9, 0.005, 0.025):
                 assert mc.cp_lower(s, trials, delta) <= s / trials <= mc.cp_upper(s, trials, delta)
 
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 10**6])
+    def test_ends_equal_the_scipy_stats_beta_quantiles(self, trials):
+        # scipy.stats is the referee of the scipy.special calls, fractional counts included
+        counts = [0.25, 0.5, 1, trials / 3, trials / 2, trials - 0.5, trials - 1]
+        for s in [c for c in counts if 0 < c < trials]:
+            for delta in (1e-9, 0.005, 0.025):
+                assert mc.cp_lower(s, trials, delta) == pytest.approx(
+                    stats.beta.ppf(delta, s, trials - s + 1), rel=1e-12, abs=1e-300
+                )
+                assert mc.cp_upper(s, trials, delta) == pytest.approx(
+                    stats.beta.isf(delta, s + 1, trials - s), rel=1e-12
+                )
+
+    def test_ends_at_a_deep_delta(self):
+        # here scipy.stats.beta.ppf returned 2.9e-18, where the incomplete
+        # beta function is e^115 times delta: a lower end far too high
+        s, trials, delta = 6.489555487169779, 117, 1.923280380061831e-154
+        lo = mc.cp_lower(s, trials, delta)
+        tail = mpmath.betainc(s, trials - s + 1, 0, lo, regularized=True)
+        assert float(tail / delta) == pytest.approx(1.0, rel=1e-10)
+        # where Boost cannot invert the beta law, each end falls back to its trivial value
+        assert mc.cp_lower(2.160227334887046, 1192, 6.125257020681437e-291) == 0.0
+        assert mc.cp_upper(157, 159, 5.870132119430124e-203) == 1.0
+
     def test_clopper_pearson_coverage(self):
         # 1000 synthetic repetitions with known p: empirical coverage >= 1 - delta
         p_true, n, delta = 0.03, 400, 0.05
@@ -154,6 +179,33 @@ class TestConservativeQuantile:
     def test_infeasible_target(self):
         with pytest.raises(ConfigurationError):
             mc.quantile_order_indices(100, 0.999, "upper", 0.01)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10**5, 10**7])
+    @pytest.mark.parametrize("target", [1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6])
+    @pytest.mark.parametrize("delta", [1e-300, 1e-12, 1e-6, 0.005, 0.05])
+    def test_index_is_the_extreme_one_meeting_its_inequality(self, n, target, delta):
+        # scipy.stats.binom is the referee: k meets its inequality and the
+        # next index outward does not, or no index of [1, n] meets it
+        def upper_tail(k):  # P[Bin >= k]
+            return stats.binom.sf(k - 1, n, target)
+
+        def lower_tail(k):  # P[Bin <= k - 1]
+            return stats.binom.cdf(k - 1, n, target)
+
+        try:
+            k = mc.quantile_order_indices(n, target, "upper", delta)
+        except ConfigurationError:
+            assert upper_tail(n) > delta
+        else:
+            assert 1 <= k <= n and upper_tail(k) <= delta
+            assert k == 1 or upper_tail(k - 1) > delta
+        try:
+            k = mc.quantile_order_indices(n, target, "lower", delta)
+        except ConfigurationError:
+            assert lower_tail(1) > delta
+        else:
+            assert 1 <= k <= n and lower_tail(k) <= delta
+            assert k == n or lower_tail(k + 1) > delta
 
     def test_upper_coverage_guarantee(self):
         # exact binomial property, plus an empirical check with sampling slack

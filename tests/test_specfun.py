@@ -325,6 +325,22 @@ class TestBatchTailsReferee:
         assert abs(boost - want) > 0.05
         assert sf.noncentral_chi2_sf_batch(x, k, np.array([delta]))[0] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [20, 1000, 4000])
+    @pytest.mark.parametrize("delta", [10.0, 1e3, 1e6, 1e10, 1e11, 1e12])
+    def test_boost_tail_is_scipy_stats_ncx2(self, k, delta):
+        # pins the private ufunc behind _boost_sf to scipy.stats.ncx2.sf: the
+        # same values, and the same rows warn (all of them at delta = 1e12)
+        x = _sd_points(k, delta, (-3.0, 0.0, 3.0))
+        got, bad = sf._boost_sf(x, k, np.full(x.shape, delta))
+        warned = np.zeros(x.shape, dtype=bool)
+        for i, xx in enumerate(x):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                assert got[i] == stats.ncx2.sf(xx, k, delta)
+            warned[i] = bool(caught)
+        np.testing.assert_array_equal(bad, warned)
+        assert warned.all() == (delta == 1e12)
+
     def test_rows_whose_boost_call_warns_use_the_quadrature(self, monkeypatch):
         k, delta = 1000, 1e4
         x = _sd_points(k, delta, (0.0, 1.0))
@@ -335,7 +351,7 @@ class TestBatchTailsReferee:
                 warnings.warn("Series did not converge", RuntimeWarning)
             return np.full(np.shape(xx), 0.25)
 
-        monkeypatch.setattr(stats.ncx2, "sf", warns_on_second_row)
+        monkeypatch.setattr(sf, "_ncx2_sf", warns_on_second_row)
         got = sf.noncentral_chi2_sf_batch(x, k, np.full(x.shape, delta))
         assert got[0] == 0.25  # Boost's value is kept where it did not warn
         assert got[1] == pytest.approx(want[1], abs=1e-13)
