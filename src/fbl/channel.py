@@ -24,6 +24,7 @@ __all__ = [
     "sample_channel",
     "effective_eigenvalues",
     "gram_eigenvalues",
+    "isotropic_log_det",
 ]
 
 
@@ -113,6 +114,17 @@ def _abs2(z):
     return z.real**2 + z.imag**2
 
 
+def _wide(h):
+    """The stack with t <= r: the conjugate of H^H H has the spectrum of H H^H."""
+    h = np.asarray(h)
+    return np.swapaxes(h, -1, -2) if h.shape[-2] > h.shape[-1] else h
+
+
+def _gram(h):
+    """H H^H of a stack; an elementwise einsum, not one BLAS call per matrix."""
+    return np.einsum("...ik,...jk->...ij", h, np.conj(h))
+
+
 def gram_eigenvalues(h):
     """Descending eigenvalues of the min(t, r)-square Gram of a stack of t x r matrices.
 
@@ -125,10 +137,7 @@ def gram_eigenvalues(h):
     accuracy as the channel nears rank one. Three or more modes: LAPACK
     `eigvalsh` on the Gram. Returns shape (..., min(t, r)).
     """
-    h = np.asarray(h)
-    if h.shape[-2] > h.shape[-1]:
-        # the conjugate of H^H H has the same spectrum
-        h = np.swapaxes(h, -1, -2)
+    h = _wide(h)
     m = h.shape[-2]
     if m == 1:
         return np.sum(_abs2(h), axis=-1)
@@ -147,8 +156,33 @@ def gram_eigenvalues(h):
         lam1 = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * _abs2(b)))
         lam2 = np.minimum(det / np.where(lam1 > 0.0, lam1, 1.0), lam1)
         return np.stack([lam1, lam2], axis=-1)
-    gram = h @ np.conj(np.swapaxes(h, -1, -2))
-    return np.clip(np.linalg.eigvalsh(gram)[..., ::-1].real, 0.0, None)
+    return np.clip(np.linalg.eigvalsh(_gram(h))[..., ::-1].real, 0.0, None)
+
+
+def isotropic_log_det(h, spec):
+    """C(H) = ln det(I + (rho/t) G) in nats, G the min(t, r)-square Gram of each matrix.
+
+    An LDL^H factorization of I + A, A = (rho/t) G, on per-entry arrays:
+    the pivots are 1 + e_j, where e_j is the j-th diagonal entry of the
+    Schur complement of A, so C = sum_j log1p(e_j). The Schur complements
+    of I + (PSD) minus I are PSD, so every e_j >= 0 and log1p keeps the
+    relative accuracy of small modes. Elementwise numpy only: unlike the
+    stacked LAPACK and BLAS calls, it runs in parallel on the chunk pool.
+    Accepts a stack (..., t, r); returns shape (...).
+    """
+    a = (spec.snr / spec.t) * _gram(_wide(h))
+    m = a.shape[-1]
+    e = [a[..., j, j].real for j in range(m)]
+    low = {(i, k): a[..., i, k] for i in range(m) for k in range(i)}
+    total = 0.0
+    for j in range(m):
+        total = total + np.log1p(e[j])
+        for i in range(j + 1, m):
+            w = low[i, j] / (1.0 + e[j])
+            e[i] = e[i] - (w.real * low[i, j].real + w.imag * low[i, j].imag)
+            for k in range(j + 1, i):
+                low[i, k] = low[i, k] - w * np.conj(low[k, j])
+    return total
 
 
 def effective_eigenvalues(h, cov, spec):

@@ -84,9 +84,16 @@ def capacity_dispersion(gains):
 
 
 def capacity_sampler(spec, cov):
-    """Batched sampler of the instantaneous capacity C(H) in nats."""
+    """Batched sampler of the instantaneous capacity C(H) in nats.
+
+    Isotropic input with min(t, r) >= 3 takes the log-determinant of
+    I + (rho/t) G without its spectrum; smaller Grams have closed-form
+    spectra, and water-filling needs the spectrum.
+    """
 
     def draw(rng, size):
+        if isinstance(cov, ch.Isotropic) and spec.m >= 3:
+            return ch.isotropic_log_det(ch.sample_channel(spec, rng, size), spec)
         return np.sum(np.log1p(mode_gains(spec, cov, rng, size)), axis=-1)
 
     return draw

@@ -183,3 +183,59 @@ class TestGramEigenvalues:
             stacked = ch.gram_eigenvalues(h)
             assert stacked.shape == (4, 5, m)
             np.testing.assert_array_equal(stacked[2, 3], ch.gram_eigenvalues(h[2, 3]))
+
+
+def _log_det_oracle(h, spec):
+    """sum log1p of (rho/t) times the LAPACK spectrum of the min(t, r)-square Gram."""
+    small = h if spec.t <= spec.r else h.T
+    lam = (spec.snr / spec.t) * oracles.hermitian_eigenvalues(_gram(small))
+    return float(np.sum(np.log1p(np.clip(lam, 0.0, None))))
+
+
+def _log_det_mpmath(h, spec):
+    small = h if spec.t <= spec.r else h.T
+    with mpmath.workdps(50):
+        hm = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in small])
+        a = mpmath.eye(hm.rows) + mpmath.mpf(spec.snr / spec.t) * (hm * hm.H)
+        return float(mpmath.re(mpmath.log(mpmath.det(a))))
+
+
+class TestIsotropicLogDet:
+    SHAPES = [(t, r) for t in range(3, 7) for r in range(3, 7)] + [(8, 3)]
+    FADINGS = (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7))
+
+    @staticmethod
+    def _stack(spec, seed):
+        # Gaussian draws plus a zero row, a repeated row and an all-zero H
+        h = ch.sample_channel(spec, _rng(seed), 12)
+        h[0, 0, :] = 0.0
+        h[1, 1, :] = h[1, 0, :]
+        h[2] = 0.0
+        if spec.t > spec.r:
+            # the rows of the smaller Gram are the columns of H
+            h[3, :, 0] = 0.0
+            h[4, :, 1] = h[4, :, 0]
+        return h
+
+    @pytest.mark.parametrize("t, r", SHAPES)
+    def test_matches_the_spectrum_oracle(self, t, r):
+        for k, fading in enumerate(self.FADINGS):
+            for snr_db in (-10.0, 0.0, 20.0, 40.0):
+                spec = ch.ChannelSpec(t=t, r=r, snr=10.0 ** (snr_db / 10.0), fading=fading)
+                h = self._stack(spec, 60 + 8 * t + r + k)
+                got = ch.isotropic_log_det(h, spec)
+                assert got.shape == (12,)
+                assert got[2] == 0.0
+                for i in (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+                    assert got[i] == pytest.approx(_log_det_oracle(h[i], spec), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t, r", SHAPES)
+    def test_lowest_snr_against_multiprecision(self, t, r):
+        # at -30 dB, C ~ trace(A): slogdet of I + A loses relative accuracy
+        for k, fading in enumerate(self.FADINGS):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1e-3, fading=fading)
+            h = self._stack(spec, 90 + 8 * t + r + k)[:6]
+            got = ch.isotropic_log_det(h, spec)
+            assert got[2] == 0.0
+            for i in (0, 1, 3, 4, 5):
+                assert got[i] == pytest.approx(_log_det_mpmath(h[i], spec), rel=1e-13, abs=0.0)

@@ -352,6 +352,24 @@ class TestCommandLine:
         assert one.returncode == 0
         assert one.stdout == four.stdout == eight.stdout
 
+    @pytest.mark.parametrize("shape", [("4", "4"), ("5", "3")], ids=["4x4", "5x3"])
+    @pytest.mark.parametrize(
+        "argv", [["outage", "--rate-bits", "4"], ["eps-capacity", "--epsilon", "0.01"]],
+        ids=["outage", "eps-capacity"],
+    )
+    def test_isotropic_log_det_thread_determinism(self, argv, shape, capsys, monkeypatch):
+        # min(t, r) >= 3 under isotropic input: the spectrum-free log-det path
+        t, r = shape
+        common = ["--t", t, "--r", r, "--snr-db", "3", "--cov", "iso", "--samples", "12000",
+                  "--chunk-size", "1000", "--seed", "11"]
+        outputs = []
+        for threads in (1, 2, 4):
+            monkeypatch.setenv("FBL_THREADS", str(threads))
+            assert cli.main([*argv, *common]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_configuration_error_exit_code(self):
         res = _run(["bound", "conv-simo", "--t", "2", "--r", "2", "--snr-db", "0", *FAST])
         assert res.returncode == 2

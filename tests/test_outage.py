@@ -131,6 +131,16 @@ class TestCapacityDispersion:
             oracle = np.log(np.linalg.det(np.eye(2) + q @ h[i] @ h[i].conj().T)).real
             assert c[i] == pytest.approx(oracle, abs=1e-8)
 
+    def test_isotropic_sampler_takes_the_log_det_from_three_modes(self):
+        # the same draws as the spectrum path, without the spectrum
+        for t, r in ((3, 3), (4, 4), (5, 3)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=2.0, fading=ch.Rayleigh())
+            got = og.capacity_sampler(spec, ch.Isotropic())(mc.rng(5, 1), 64)
+            h = ch.sample_channel(spec, mc.rng(5, 1), 64)
+            np.testing.assert_array_equal(got, ch.isotropic_log_det(h, spec))
+            lam = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
+            np.testing.assert_allclose(got, np.sum(np.log1p(lam), axis=-1), rtol=1e-13)
+
 
 class TestOutageProbability:
     spec = ch.ChannelSpec(
