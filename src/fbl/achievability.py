@@ -16,6 +16,7 @@ import math
 import numpy as np
 from scipy import special as scisp
 
+from . import channel as ch
 from . import converse as cv
 from . import mc
 from . import outage as og
@@ -23,6 +24,8 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "beta_product_log_tail",
+    "statistic_gains",
+    "log_wilks_lambda",
     "sin2_statistic_sampler",
     "rate_lower_bound",
     "csir_kappa_beta_simo",
@@ -81,8 +84,42 @@ def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
-def sin2_statistic_sampler(spec, cov, n):
-    """Batched exact sampler of the decoding statistic.
+def statistic_gains(spec, cov, cfg, stream_offset=0):
+    """The mode gains the decoding statistic is drawn under, shape (samples, d).
+
+    d = min(t, r): the leading `og.mode_gains` of cfg.samples channel draws
+    from the channel stream of `stream_offset`, which no per-n stream
+    shares. One sample serves every n of a grid.
+    """
+    return og.gain_sample(spec, cov, cfg, stream_offset + og.CHANNEL_STREAM)[:, : spec.m]
+
+
+def _complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+def log_wilks_lambda(x, diag, low):
+    """ln Lambda = ln(prod diag^2 / det(Z Z^H)), Z = [X | L], for a stack of draws.
+
+    X is (..., d, wide); L is lower triangular with positive diagonal `diag`
+    (..., d) and strictly lower entries `low` (..., d(d - 1)/2) in row-major
+    order. Since det(Z Z^H) = prod diag^2 * det(I + Y Y^H) with Y = L^-1 X,
+    Lambda = 1 / det(I + Y Y^H) exactly. Y comes by forward substitution on
+    per-row arrays, and the log-det from `channel.log_det_gram`, whose
+    pivots 1 + e_j have e_j >= 0: the result is <= 0 with nothing to clip
+    (docs/DECISIONS.md, section 6).
+    """
+    rows = []
+    for i in range(x.shape[-2]):
+        acc = x[..., i, :]
+        for j in range(i):
+            acc = acc - low[..., i * (i - 1) // 2 + j, None] * rows[j]
+        rows.append(acc / diag[..., i, None])
+    return -ch.log_det_gram(np.stack(rows, axis=-2))
+
+
+def sin2_statistic_sampler(spec, n):
+    """Batched exact sampler of the log decoding statistic, given the channel.
 
     The statistic, the product of squared principal-angle sines between the
     n x r received block and the t_eff-dimensional transmit subspace, is
@@ -91,8 +128,10 @@ def sin2_statistic_sampler(spec, cov, n):
     the law of det W / det(W + X X^H), where d = min(t_eff, r),
     W ~ CW_d(n - max(t_eff, r), I) and X is d x max(t_eff, r) with CN(0, 1)
     entries plus sqrt(n * gain_i) at (i, i). With W = L L^H (complex
-    Bartlett factor) the statistic is prod diag(L)^2 / det(Z Z^H), Z = [X | L]
-    (docs/DECISIONS.md, section 6).
+    Bartlett factor) it is `log_wilks_lambda` of X and L
+    (docs/DECISIONS.md, section 6). The returned draw(rng, size, gains)
+    takes the (size, d) mode gains of `statistic_gains` and returns ln Lambda
+    of each draw.
     """
     t_eff, r = spec.t, spec.r
     if n <= t_eff + r:
@@ -100,16 +139,12 @@ def sin2_statistic_sampler(spec, cov, n):
     d, wide = min(t_eff, r), max(t_eff, r)
     idx = np.arange(d)
 
-    def draw(rng, size):
-        gains = og.mode_gains(spec, cov, rng, size)[..., :d]
-        diag2 = rng.standard_gamma(n - wide - idx, size=(size, d))
-        shape = (size, d, wide + d)
-        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
-        z[:, idx, idx] += np.sqrt(n * gains)
-        z[..., wide:] = np.tril(z[..., wide:], -1)
-        z[:, idx, wide + idx] = np.sqrt(diag2)
-        gram = z @ np.conj(np.swapaxes(z, -1, -2))
-        return np.clip(np.prod(diag2, axis=-1) / np.linalg.det(gram).real, 0.0, 1.0)
+    def draw(rng, size, gains):
+        diag = np.sqrt(rng.standard_gamma(n - wide - idx, size=(size, d)))
+        x = _complex_normal(rng, (size, d, wide))
+        x[:, idx, idx] += np.sqrt(n * gains)
+        low = _complex_normal(rng, (size, d * (d - 1) // 2))
+        return log_wilks_lambda(x, diag, low)
 
     return draw
 
@@ -137,28 +172,30 @@ def _taus(n, epsilon, tau):
     return taus
 
 
-def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
+def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0, gains=None):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
     Returns (rate, (rate, rate)). tau=None runs the default grid search and
     returns the best rate; the statistic sample is drawn once and reused
-    across the grid. Each tau's quantile spends cfg.confidence_delta / |taus|,
+    across the taus. Each tau's quantile spends cfg.confidence_delta / |taus|,
     so that the maximum holds at the stated confidence (union bound); a tau
-    whose quantile needs more than cfg.samples draws is skipped.
+    whose quantile needs more than cfg.samples draws is skipped. `gains` are
+    the channel's `statistic_gains`, shared by a blocklength grid; when None
+    they are drawn from the channel stream of `stream_offset`.
     """
     taus = _taus(n, epsilon, tau)
     delta = cfg.confidence_delta / len(taus)
-    sampler = sin2_statistic_sampler(spec, cov, n)
-    values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM))
+    sampler = sin2_statistic_sampler(spec, n)
+    if gains is None:
+        gains = statistic_gains(spec, cov, cfg, stream_offset)
+    log_values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM, gains))
     rates = []
     for t in taus:
         try:
             k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + t, "upper", delta)
         except ConfigurationError:
             continue  # too few samples for this tau's quantile; its share stays spent
-        gamma = float(values[k - 1])
-        log_gamma = math.log(gamma) if gamma > 0.0 else -np.inf
-        tail = beta_product_log_tail(n, spec.t, spec.r, min(log_gamma, 0.0))
+        tail = beta_product_log_tail(n, spec.t, spec.r, float(log_values[k - 1]))
         rates.append(max(0.0, (math.log(t) - tail) / n))
     if not rates:
         raise ConfigurationError("too few samples for the requested quantile confidence")

@@ -24,6 +24,7 @@ __all__ = [
     "sample_channel",
     "effective_eigenvalues",
     "gram_eigenvalues",
+    "log_det_gram",
     "isotropic_log_det",
 ]
 
@@ -159,18 +160,18 @@ def gram_eigenvalues(h):
     return np.clip(np.linalg.eigvalsh(_gram(h))[..., ::-1].real, 0.0, None)
 
 
-def isotropic_log_det(h, spec):
-    """C(H) = ln det(I + (rho/t) G) in nats, G the min(t, r)-square Gram of each matrix.
+def log_det_gram(h, scale=1.0):
+    """ln det(I + scale * G) in nats, G the min(t, r)-square Gram of each matrix.
 
-    An LDL^H factorization of I + A, A = (rho/t) G, on per-entry arrays:
+    An LDL^H factorization of I + A, A = scale * G, on per-entry arrays:
     the pivots are 1 + e_j, where e_j is the j-th diagonal entry of the
-    Schur complement of A, so C = sum_j log1p(e_j). The Schur complements
-    of I + (PSD) minus I are PSD, so every e_j >= 0 and log1p keeps the
-    relative accuracy of small modes. Elementwise numpy only: unlike the
-    stacked LAPACK and BLAS calls, it runs in parallel on the chunk pool.
-    Accepts a stack (..., t, r); returns shape (...).
+    Schur complement of A, so the log-det is sum_j log1p(e_j). The Schur
+    complements of I + (PSD) minus I are PSD, so every e_j >= 0 and log1p
+    keeps the relative accuracy of small modes. Elementwise numpy only:
+    unlike the stacked LAPACK and BLAS calls, it runs in parallel on the
+    chunk pool. Accepts a stack (..., t, r); returns shape (...).
     """
-    a = (spec.snr / spec.t) * _gram(_wide(h))
+    a = scale * _gram(_wide(h))
     m = a.shape[-1]
     e = [a[..., j, j].real for j in range(m)]
     low = {(i, k): a[..., i, k] for i in range(m) for k in range(i)}
@@ -183,6 +184,11 @@ def isotropic_log_det(h, spec):
             for k in range(j + 1, i):
                 low[i, k] = low[i, k] - w * np.conj(low[k, j])
     return total
+
+
+def isotropic_log_det(h, spec):
+    """C(H) = ln det(I + (rho/t) G) in nats: `log_det_gram` at scale rho/t."""
+    return log_det_gram(h, spec.snr / spec.t)
 
 
 def effective_eigenvalues(h, cov, spec):

@@ -70,11 +70,23 @@ def _once(point):
 
 # The evaluators look each bound function up in its module at call time, so
 # a wrapper installed on the module attribute (a tracer) sees every call.
+# The per-n bounds below draw their channel gains once, at offset(0): the
+# channel streams depend on the bound alone, so a one-point grid gives that
+# n's row of any grid, and the gains are freed when the grid is done.
 def _kappa_beta(cov):
-    def point(req, n, s):
-        return ach.rate_lower_bound(req.spec, cov, n, req.epsilon, req.tau, req.mc, stream_offset=s)
+    def evaluate(req, offset):
+        gains = ach.statistic_gains(req.spec, cov, req.mc, offset(0))
+        return [
+            ach.rate_lower_bound(req.spec, cov, n, req.epsilon, req.tau, req.mc, offset(n), gains)
+            for n in req.n_grid
+        ]
 
-    return _per_n(point)
+    return evaluate
+
+
+def _converse_iso(req, offset):
+    gains = cv.iso_gains(req.spec, req.mc, offset(0))
+    return [cv.converse_iso(req.spec, n, req.epsilon, req.mc, offset(n), gains) for n in req.n_grid]
 
 
 def _csir_kappa_beta(req, n, s):
@@ -83,10 +95,6 @@ def _csir_kappa_beta(req, n, s):
 
 def _converse_simo(req, n, s):
     return cv.converse_simo(req.spec, n, req.epsilon, req.mc, stream_offset=s)
-
-
-def _converse_iso(req, n, s):
-    return cv.converse_iso(req.spec, n, req.epsilon, req.mc, stream_offset=s)
 
 
 def _estimate(rate):
@@ -124,7 +132,7 @@ BOUNDS = {
     "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower", t1_only=True),
     "ach-csir-kb": Bound(_per_n(_csir_kappa_beta), "bound", "lower", t1_only=True),
     "conv-simo": Bound(_per_n(_converse_simo), "bound", "upper", t1_only=True),
-    "conv-iso": Bound(_per_n(_converse_iso), "bound", "upper"),
+    "conv-iso": Bound(_converse_iso, "bound", "upper"),
     "normal": Bound(_normal, "approx", "estimate"),
     "awgn": Bound(_per_n(_awgn), "approx", "estimate"),
     "outage": Bound(_once(_outage), "outage", "outage"),

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from . import mc
+from . import outage as og
 from . import specfun as sf
 from .errors import DomainError
 
@@ -26,6 +27,7 @@ __all__ = [
     "SimoTwoStep",
     "converse_simo",
     "converse_iso",
+    "iso_gains",
     "iso_statistic_sampler",
 ]
 
@@ -216,21 +218,33 @@ def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
     return rate, (float(-log_mean / n), rate)
 
 
-def _iso_modes(spec, rng, size):
-    """One channel draw's eigenvalues under isotropic input, the mask of the
-    nonzero ones, and the eigenvalues with 1 in place of the zeros."""
-    h = ch.sample_channel(spec, rng, size)
-    lam = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
+def iso_gains(spec, cfg, stream_offset=0):
+    """The (selection, evaluation) samples of isotropic mode gains of `converse_iso`.
+
+    Each is the effective eigenvalues of cfg.samples channel draws, shape
+    (samples, min(t, r)), from its own channel stream of `stream_offset`,
+    which no per-n stream shares: two independent samples that serve every
+    n of a grid (docs/DECISIONS.md, section 9).
+    """
+    return tuple(
+        og.gain_sample(spec, ch.Isotropic(), cfg, stream_offset + og.CHANNEL_STREAM + s)
+        for s in (_SEL_STREAM, _EVAL_STREAM)
+    )
+
+
+def _iso_modes(lam):
+    """The mask of the nonzero mode gains, and the gains with 1 in place of the zeros."""
     pos = lam > 0.0
-    return lam, pos, np.where(pos, lam, 1.0)
+    return pos, np.where(pos, lam, 1.0)
 
 
 def iso_statistic_sampler(spec, n):
     """Batched sampler of S_n/n for isotropic codebooks: one scaled
-    noncentral chi-square draw per eigenmode."""
+    noncentral chi-square draw per eigenmode. The returned draw(rng, size,
+    lam) takes the mode gains of the channel draws (`iso_gains`)."""
 
-    def draw(rng, size):
-        lam, pos, lam_safe = _iso_modes(spec, rng, size)
+    def draw(rng, size, lam):
+        pos, lam_safe = _iso_modes(lam)
         delta = 2.0 * n / lam_safe
         scale = 0.5 * lam_safe / (1.0 + lam_safe)
         x = scale * sf.sample_noncentral_chi2(2 * n, np.where(pos, delta, 0.0), rng)
@@ -276,12 +290,13 @@ def _iso_log_tail_sampler(spec, n, gamma):
     scaled noncentral chi-squares; each row is exponentially tilted to put
     the sum's mean at the threshold (`_tilt_solve`), which keeps the
     estimator's relative variance bounded. Unbiased for any tilt, so the
-    tilt solve only affects variance.
+    tilt solve only affects variance. The returned draw(rng, size, lam)
+    takes the mode gains of the channel draws.
     """
     k = 2 * n
 
-    def draw(rng, size):
-        lam, pos, lam_safe = _iso_modes(spec, rng, size)
+    def draw(rng, size, lam):
+        pos, lam_safe = _iso_modes(lam)
         s = np.where(pos, 0.5 * lam_safe, 0.0)
         delta = np.where(pos, 2.0 * n * (1.0 + lam_safe) / lam_safe, 0.0)
         c = n * np.sum(np.where(pos, np.log1p(lam) + 1.0, 0.0), axis=-1) - n * gamma
@@ -302,20 +317,23 @@ def _iso_log_tail_sampler(spec, n, gamma):
     return draw
 
 
-def converse_iso(spec, n, epsilon, cfg, stream_offset=0):
+def converse_iso(spec, n, epsilon, cfg, stream_offset=0, gains=None):
     """Upper bound on the rate of isotropic codebooks at blocklength n, as
     (rate, (nominal, rate)) with nominal the log-mean estimate at the same
     threshold. The order-statistic threshold and the log-mean bound each
-    spend half of cfg.confidence_delta."""
+    spend half of cfg.confidence_delta. `gains` are the channel's
+    `iso_gains`, shared by a blocklength grid; when None they are drawn
+    from the channel streams of `stream_offset`."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
         raise DomainError("requires n >= 1")
-    values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM))
+    sel, ev = iso_gains(spec, cfg, stream_offset) if gains is None else gains
+    values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM, sel))
     half = 0.5 * cfg.confidence_delta
     k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", half)
     gamma = float(values[k - 1])
-    log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM)
+    log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM, ev)
     log_mean, log_lo = mc.log_mean_bound(log_q, half, "lower")
     rate = float(-log_lo / n)
     return rate, (float(-log_mean / n), rate)

@@ -101,13 +101,19 @@ def _chunk_plan(cfg):
     return sizes
 
 
-def _run_chunks(sampler, cfg, stream_offset):
-    """Evaluate `sampler(rng, size)` over all chunks, in chunk-index order."""
+def _run_chunks(sampler, cfg, stream_offset, given):
+    """Evaluate `sampler(rng, size)`, or `sampler(rng, size, rows)` with the
+    chunk's rows of `given`, over all chunks, in chunk-index order."""
     sizes = _chunk_plan(cfg)
     results = [None] * len(sizes)
+    extra = [()] * len(sizes)
+    if given is not None:
+        if len(given) != cfg.samples:
+            raise DomainError(f"given holds {len(given)} rows for {cfg.samples} samples")
+        extra = [(rows,) for rows in np.split(given, np.cumsum(sizes)[:-1])]
 
     def work(i):
-        results[i] = np.asarray(sampler(rng(cfg.seed, stream_offset + i), sizes[i]))
+        results[i] = np.asarray(sampler(rng(cfg.seed, stream_offset + i), sizes[i], *extra[i]))
 
     threads = worker_count()
     if threads == 1 or len(sizes) == 1:
@@ -143,13 +149,17 @@ def cp_upper(successes, trials, delta):
     return 1.0 if math.isnan(hi) else hi
 
 
-def sample_values(value_sampler, cfg, stream_offset=0):
+def sample_values(value_sampler, cfg, stream_offset=0, given=None):
     """Draw cfg.samples values deterministically; returns one flat array.
 
     value_sampler(rng, size) must return `size` values (or rows) computed
-    from the rng alone.
+    from the rng alone. With `given`, an array of cfg.samples rows drawn
+    under the same cfg (a `sample_values` result), chunk i calls
+    value_sampler(rng, size, rows) with rows the chunk's own rows of
+    `given`: one sample, such as the channel draws of a blocklength grid,
+    can then condition the draws of many calls.
     """
-    chunks = _run_chunks(value_sampler, cfg, stream_offset)
+    chunks = _run_chunks(value_sampler, cfg, stream_offset, given)
     return np.concatenate(chunks)
 
 

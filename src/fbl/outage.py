@@ -17,6 +17,8 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "water_fill_batch",
     "mode_gains",
+    "CHANNEL_STREAM",
+    "gain_sample",
     "capacity_dispersion",
     "capacity_sampler",
     "outage_probability",
@@ -65,6 +67,18 @@ def mode_gains(spec, cov, rng, size):
         v, _ = water_fill_batch(lam, spec.snr)
         return v * lam
     return lam
+
+
+# The substream base of the channel draws that a bound shares across its
+# blocklength grid. The per-n streams of a bound lie at
+# offset(n) + base + chunk with base below 2**36, so none reaches this one.
+CHANNEL_STREAM = 1 << 40
+
+
+def gain_sample(spec, cov, cfg, stream_offset):
+    """`mode_gains` of cfg.samples channel draws, chunk i from substream
+    stream_offset + i; shape (samples, m)."""
+    return mc.sample_values(lambda rng, size: mode_gains(spec, cov, rng, size), cfg, stream_offset)
 
 
 def capacity_dispersion(gains):

@@ -244,10 +244,10 @@ def subspace_sin2(a, b, rank_rtol=1e-12):
 def qr_sin2_sampler(spec, cov, n):
     """Batched decoding statistic from an explicit n x r received block.
 
-    Draws the block (CN(0, 1) entries plus sqrt(n * gain_i) at (i, i), the
-    same gains as `ach.sin2_statistic_sampler`), orthonormalizes it by QR and
-    takes det(I - M M^H) with M the top t_eff rows of the basis. O(n r^2)
-    per draw.
+    Draws the block (CN(0, 1) entries plus sqrt(n * gain_i) at (i, i), with
+    the gains of a channel drawn per chunk, as in `plain_sin2_sampler`),
+    orthonormalizes it by QR and takes det(I - M M^H) with M the top t_eff
+    rows of the basis. O(n r^2) per draw.
     """
     t_eff, r = spec.t, spec.r
     if n <= t_eff + r:
@@ -271,15 +271,41 @@ def qr_sin2_sampler(spec, cov, n):
     return draw
 
 
+def plain_sin2_sampler(spec, cov, n):
+    """Batched decoding statistic Lambda (not its log) of `ach.sin2_statistic_sampler`,
+    with the channel of each draw taken from the chunk's own stream: the law
+    of the statistic over the fading, for tests of that law."""
+    draw = ach.sin2_statistic_sampler(spec, n)
+
+    def plain(rng, size):
+        gains = og.mode_gains(spec, cov, rng, size)[:, : spec.m]
+        return np.exp(draw(rng, size, gains))
+
+    return plain
+
+
+def wilks_lambda_det(x, diag, low):
+    """prod diag^2 / det(Z Z^H), Z = [X | L], with LAPACK `det` of the d x d
+    Gram: the referee of `ach.log_wilks_lambda` (which returns its log),
+    with the same arguments."""
+    d = x.shape[-2]
+    ell = np.zeros(x.shape[:-1] + (d,), dtype=complex)
+    ell[..., np.arange(d), np.arange(d)] = diag
+    ell[(..., *np.tril_indices(d, -1))] = low
+    z = np.concatenate([x, ell], axis=-1)
+    gram = z @ np.conj(np.swapaxes(z, -1, -2))
+    return np.prod(diag**2, axis=-1) / np.linalg.det(gram).real
+
+
 def sample_sin2_statistic(spec, cov, n, rng):
     """One draw of the decoding statistic (scalar convenience wrapper)."""
-    return float(ach.sin2_statistic_sampler(spec, cov, n)(rng, 1)[0])
+    return float(plain_sin2_sampler(spec, cov, n)(rng, 1)[0])
 
 
 def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
     ach._check_eps_tau(epsilon, tau)
-    sampler = ach.sin2_statistic_sampler(spec, cov, n)
+    sampler = plain_sin2_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + ach._STAT_STREAM))
     k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + tau, "upper", cfg.confidence_delta)
     return float(values[k - 1])
@@ -291,7 +317,8 @@ def iso_aux_statistic_sampler(spec, n):
     sampler of `conv-iso`."""
 
     def draw(rng, size):
-        lam, pos, lam_safe = cv._iso_modes(spec, rng, size)
+        lam = og.mode_gains(spec, ch.Isotropic(), rng, size)
+        pos, lam_safe = cv._iso_modes(lam)
         delta = 2.0 * n * (1.0 + lam_safe) / lam_safe
         x = 0.5 * lam_safe * sf.sample_noncentral_chi2(2 * n, np.where(pos, delta, 0.0), rng)
         contrib = np.where(pos, n * (np.log1p(lam) + 1.0) - x, 0.0)

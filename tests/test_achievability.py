@@ -128,14 +128,14 @@ class TestSin2Statistic:
         # with no signal the single-mode ratio is Beta(n-1, 1)
         n = 30
         spec = ch.ChannelSpec(t=1, r=1, snr=1e-12, fading=ch.Rician(k_factor=1e12))
-        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n)
+        sampler = oracles.plain_sin2_sampler(spec, ch.WaterFill(), n)
         draws = sampler(_rng(2), 100_000)
         ks = stats.kstest(draws, lambda v: stats.beta.cdf(v, n - 1, 1))
         assert ks.pvalue > 0.01
 
     def test_large_gain_drives_statistic_to_zero(self):
         spec = ch.ChannelSpec(t=1, r=2, snr=1e6, fading=ch.Rician(k_factor=1e12))
-        sampler = ach.sin2_statistic_sampler(spec, ch.WaterFill(), 100)
+        sampler = oracles.plain_sin2_sampler(spec, ch.WaterFill(), 100)
         draws = sampler(_rng(3), 200)
         assert np.max(draws) < 1e-3
 
@@ -150,10 +150,11 @@ class TestSin2Statistic:
             spec = ch.ChannelSpec(t=t, r=r, snr=0.1, fading=ch.Rayleigh())
             cfg = mc.MCConfig(seed=400 + case, samples=draws, chunk_size=1024)
             for n in (t + r + 1, 20, 100, 500):
-                closed = ach.sin2_statistic_sampler(spec, ch.Isotropic(), n)
+                closed = ach.sin2_statistic_sampler(spec, n)
+                gains = ach.statistic_gains(spec, ch.Isotropic(), cfg, n)
                 qr = oracles.qr_sin2_sampler(spec, ch.Isotropic(), n)
                 pvalue = stats.ks_2samp(
-                    mc.sample_values(closed, cfg, n), mc.sample_values(qr, cfg, 1000 + n)
+                    np.exp(mc.sample_values(closed, cfg, n, gains)), mc.sample_values(qr, cfg, 1000 + n)
                 ).pvalue
                 if pvalue < 1e-3:
                     failures.append(f"(t, r, n) = ({t}, {r}, {n}): p = {pvalue:.1e}")
@@ -165,7 +166,7 @@ class TestSin2Statistic:
         n = 12
         for t, r in ((2, 2), (2, 3), (3, 2)):
             spec = ch.ChannelSpec(t=t, r=r, snr=1e-12, fading=ch.Rayleigh())
-            draws = ach.sin2_statistic_sampler(spec, ch.Isotropic(), n)(_rng(8), 50_000)
+            draws = oracles.plain_sin2_sampler(spec, ch.Isotropic(), n)(_rng(8), 50_000)
             rng = _rng(9)
             prod = np.ones(50_000)
             for j in range(1, r + 1):
@@ -181,13 +182,38 @@ class TestSin2Statistic:
         # the beta-product law used by the closed-form tail
         n, r = 40, 2
         spec = ch.ChannelSpec(t=1, r=r, snr=1e-12, fading=ch.Rayleigh())
-        draws = ach.sin2_statistic_sampler(spec, ch.WaterFill(), n)(_rng(7), 100_000)
+        draws = oracles.plain_sin2_sampler(spec, ch.WaterFill(), n)(_rng(7), 100_000)
         ks = stats.kstest(draws, lambda v: stats.beta.cdf(v, n - r, r))
         assert ks.pvalue > 0.01
 
     def test_rejects_short_blocklength(self):
         with pytest.raises(DomainError):
-            ach.sin2_statistic_sampler(FIG2_SPEC, ch.WaterFill(), 3)
+            ach.sin2_statistic_sampler(FIG2_SPEC, 3)
+
+    @pytest.mark.parametrize("d, wide", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_log_statistic_matches_the_lapack_det_form(self, d, wide):
+        # ln Lambda = -ln det(I + Y Y^H), Y = L^-1 X, against the LAPACK det
+        # of the Gram of Z = [X | L] for the same X and L: gains near 0,
+        # n * gain up to 1e4, and X whose second row is nearly a multiple of
+        # the first. Lambda is compared, not its log: near Lambda = 1 the log
+        # of the det form keeps only ~1e-12 of relative accuracy
+        rng = _rng(30 + 4 * d + wide)
+        size, idx = 200, np.arange(d)
+        for n, n_gain, spread in (
+            (1000, 0.0, None), (1000, 1e-3, None), (20, 20.0, None),
+            (100, 1e4, None), (100, 100.0, 1e-6), (100, 1e4, 1e-8),
+        ):
+            x = (rng.standard_normal((size, d, wide)) + 1j * rng.standard_normal((size, d, wide))) * math.sqrt(0.5)
+            x[:, idx, idx] += math.sqrt(n_gain)
+            if spread is not None and d > 1:
+                noise = rng.standard_normal((size, wide)) + 1j * rng.standard_normal((size, wide))
+                x[:, 1, :] = (0.6 - 0.8j) * x[:, 0, :] + spread * noise
+            diag = np.sqrt(rng.standard_gamma(n - wide - idx, size=(size, d)))
+            k = d * (d - 1) // 2
+            low = (rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))) * math.sqrt(0.5)
+            got = ach.log_wilks_lambda(x, diag, low)
+            assert np.all(got <= 0.0)
+            np.testing.assert_allclose(np.exp(got), oracles.wilks_lambda_det(x, diag, low), rtol=1e-13, atol=0.0)
 
 
 class TestGammaN:

@@ -301,6 +301,44 @@ class TestRunSweep:
             assert f"conv-simo,{n},{expected},upper,3,50000" in rows
 
 
+class TestSharedChannels:
+    """The per-n bounds draw their channel gains once per grid and stream."""
+
+    @pytest.mark.parametrize(
+        "bound, t, r, cov",
+        [("conv-iso", "2", "3", "iso"), ("ach-nocsi", "2", "3", "iso"),
+         ("ach-csit", "3", "2", "waterfill"), ("ach-simo", "1", "2", "waterfill")],
+    )
+    def test_single_n_row_is_the_grid_row(self, bound, t, r, cov, capsys):
+        common = ["bound", bound, "--t", t, "--r", r, "--snr-db", "2.12", "--cov", cov,
+                  "--epsilon", "0.1", "--samples", "3000", "--seed", "7"]
+        assert cli.main([*common, "--n-grid", "20,40,80"]) == 0
+        grid = capsys.readouterr().out.splitlines()[1:]
+        assert cli.main([*common, "--n", "40"]) == 0
+        single = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[1] for row in grid] == ["20", "40", "80"]
+        assert single == [grid[1]]
+
+    @pytest.mark.parametrize("bound, streams", [("conv-iso", 2), ("ach-nocsi", 1)])
+    def test_channels_drawn_once_per_chunk_and_stream(self, bound, streams, monkeypatch):
+        # 3,000 samples in chunks of 1,000 on a three-point grid: one channel
+        # draw per chunk of each channel stream, none per n
+        calls = []
+        sample_channel = ch.sample_channel
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_channel(*args, **kwargs)
+
+        monkeypatch.setattr(ch, "sample_channel", counted)
+        req = cf.request_from_mapping({
+            "antennas": "2x3", "snr_db": "2.12", "epsilon": "0.1", "bounds": bound,
+            "n_grid": "20,40,80", "samples": "3000", "chunk_size": "1000", "seed": "7",
+        })
+        assert len(cli.run_sweep(req)) == 3
+        assert len(calls) == streams * 3
+
+
 class TestCommandLine:
     def test_eps_capacity_runs_and_is_seed_deterministic(self):
         argv = [

@@ -301,7 +301,8 @@ class TestConverseIso:
         # mixture of the scalar chi-square laws (independent scipy route)
         n, size = 60, 20_000
         draw = cv.iso_statistic_sampler(FIG2_SPEC, n)
-        impl = draw(_rng(10), size)
+        rng = _rng(10)
+        impl = draw(rng, size, og.mode_gains(FIG2_SPEC, ch.Isotropic(), rng, size))
         rng = _rng(11)
         h = ch.sample_channel(FIG2_SPEC, rng, size)
         a = FIG2_SPEC.snr * np.sum(np.abs(h) ** 2, axis=(-2, -1))
@@ -390,7 +391,9 @@ class TestTiltSolve:
         hits = plain(_rng(23), size) >= gamma
         p_plain = float(np.mean(hits))
         se_plain = math.sqrt(p_plain * (1.0 - p_plain) / size)
-        w = np.exp(cv._iso_log_tail_sampler(spec, n, gamma)(_rng(24), size))
+        rng = _rng(24)
+        lam = og.mode_gains(spec, ch.Isotropic(), rng, size)
+        w = np.exp(cv._iso_log_tail_sampler(spec, n, gamma)(rng, size, lam))
         p_tilt = float(np.mean(w))
         se_tilt = float(np.std(w) / math.sqrt(size))
         assert 0.03 < p_plain < 0.07

@@ -30,9 +30,10 @@ def converse_gamma(monkeypatch, statistic_sampler, epsilon, cfg):
 
     def tail_sampler(spec, n, gamma):
         seen.append(gamma)
-        return lambda rng, size: np.zeros(size)
+        return lambda rng, size, lam: np.zeros(size)
 
-    monkeypatch.setattr(cv, "iso_statistic_sampler", lambda spec, n: statistic_sampler)
+    # both samplers are handed the chunk's channel gains, which these ignore
+    monkeypatch.setattr(cv, "iso_statistic_sampler", lambda spec, n: lambda rng, size, lam: statistic_sampler(rng, size))
     monkeypatch.setattr(cv, "_iso_log_tail_sampler", tail_sampler)
     cv.converse_iso(ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh()), 10, epsilon, cfg)
     return seen[0]
@@ -81,6 +82,26 @@ class TestDeterminismAcrossThreads:
         cfg = mc.MCConfig(seed=9, samples=10_000, chunk_size=4096)
         vals = mc.sample_values(uniform_sampler, cfg, 0)
         assert vals.shape == (10_000,)
+
+    def test_given_rows_reach_their_own_chunk(self, monkeypatch):
+        # chunk i gets rows [4096 i, 4096 (i + 1)) of `given`, at any thread count
+        cfg = mc.MCConfig(seed=9, samples=10_000, chunk_size=4096)
+        given = np.arange(10_000.0)
+
+        def paired(rng, size, rows):
+            assert rows.shape == (size,)
+            return np.stack([rows, rng.random(size)], axis=-1)
+
+        results = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("FBL_THREADS", threads)
+            results.append(mc.sample_values(paired, cfg, 5, given))
+        np.testing.assert_array_equal(results[0][:, 0], given)
+        np.testing.assert_array_equal(results[0][:, 1], mc.sample_values(uniform_sampler, cfg, 5))
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], results[2])
+        with pytest.raises(DomainError):
+            mc.sample_values(paired, cfg, 5, given[:-1])
 
 
 class TestEstimateProbability:
