@@ -203,38 +203,34 @@ def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0, gains=Non
     return best, (best, best)
 
 
-def csir_kappa_beta_simo(spec, n, epsilon, tau, cfg, stream_offset=0):
+def csir_kappa_beta_simo(spec, n, epsilon, tau):
     """Receiver-side-information achievability bound for t = 1.
 
     The information density under the true and auxiliary channels reduces,
     given the fading gain, to the same scaled noncentral chi-square laws as
-    the single-antenna converse statistics, so the type-II error beta is
-    evaluated semi-analytically (`converse.SimoTwoStep`): threshold chosen so
-    the exact-binomial upper bound on the type-I failure stays below
-    eps - tau, then beta is upper-bounded over an independent gain sample.
-    cfg.confidence_delta is split evenly over the taus tried, and each share
-    evenly over the threshold and the tail, so that the maximum over the
-    taus holds at the stated confidence (union bound). Returns
-    (rate, (rate, nominal)): the end of `ci` opposite the bound is the
-    plug-in value at the winning tau, the threshold where the sample mean of
-    the type-I failure equals eps - tau, with the sample mean of beta.
+    the single-antenna converse statistics, so the type-I failure and the
+    type-II error beta are means over the gain law (`converse.SimoTwoStep`).
+    For each tau the threshold is the largest value where the upper end of
+    the mean of the type-I failure stays at or below eps - tau, at or below
+    the exact threshold, and beta takes the upper end of its mean: both only
+    lower the bound. Returns (rate, (rate, other)), where other takes the
+    lower ends of both means at the winning tau, at or above the exact value
+    of the bound at that tau.
     """
     taus = _taus(n, epsilon, tau)
-    steps = cv.SimoTwoStep(spec, n, cfg, stream_offset)
-    half = 0.5 * cfg.confidence_delta / len(taus)
+    steps = cv.SimoTwoStep(spec, n, epsilon)
     best = None
     for t in taus:
         try:
-            gamma = steps.threshold(epsilon - t, "below", half)
+            gamma = steps.threshold(epsilon - t, "below", "upper")
         except DomainError:
-            continue  # type-I budget unreachable at this sample size
-        log_up = steps.log_tail(gamma, "upper", half)
-        rate = max(0.0, (math.log(t) - log_up) / n)
+            continue  # the upper end of the type-I failure exceeds eps - tau throughout
+        rate = max(0.0, (math.log(t) - steps.log_mean_q_l(gamma, "upper")) / n)
         if best is None or rate > best[0]:
             best = (rate, t, gamma)
     if best is None:
         raise ConfigurationError("no tau in the grid was feasible")
     rate, t, gamma = best
-    log_mean = steps.log_mean_tail(steps.plug_in(epsilon - t, gamma, "below"))
-    nominal = max(0.0, (math.log(t) - log_mean) / n)
-    return rate, (rate, nominal)
+    gamma_lo = steps.threshold(epsilon - t, "below", "lower", (gamma, steps.bracket[1]))
+    other = max(0.0, (math.log(t) - steps.log_mean_q_l(gamma_lo, "lower")) / n)
+    return rate, (rate, other)

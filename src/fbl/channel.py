@@ -22,6 +22,7 @@ __all__ = [
     "WaterFill",
     "Isotropic",
     "sample_channel",
+    "gain_law",
     "effective_eigenvalues",
     "gram_eigenvalues",
     "log_det_gram",
@@ -108,6 +109,27 @@ def sample_channel(spec, rng, size=1):
         power = rng.gamma(m, 1.0 / m, size=shape)
         phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
         return np.sqrt(power) * np.exp(1j * phase)
+    raise DomainError(f"unknown fading model: {fading!r}")
+
+
+def gain_law(spec):
+    """The law of the squared norm |h|^2 of one row of H, as (scale, dof, nc).
+
+    scale * |h|^2 is noncentral chi-square with `dof` degrees of freedom and
+    noncentrality `nc`, for the r entries that `sample_channel` draws:
+    Rayleigh 2|h|^2 ~ chi2_2r; Rician, with its common LOS phase,
+    2(K + 1)|h|^2 ~ chi'2_2r(2rK); Nakagami |h|^2 ~ Gamma(rm, 1/m), so
+    2m|h|^2 ~ chi2_2rm. Only t = 1 makes |h|^2 the whole channel gain.
+    """
+    fading, r = spec.fading, spec.r
+    if isinstance(fading, Rayleigh):
+        return 2.0, 2.0 * r, 0.0
+    if isinstance(fading, Rician):
+        k = fading.k_factor
+        return 2.0 * (k + 1.0), 2.0 * r, 2.0 * r * k
+    if isinstance(fading, Nakagami):
+        m = fading.m_shape
+        return 2.0 * m, 2.0 * r * m, 0.0
     raise DomainError(f"unknown fading model: {fading!r}")
 
 

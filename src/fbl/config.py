@@ -90,11 +90,11 @@ def _converse_iso(req, offset):
 
 
 def _csir_kappa_beta(req, n, s):
-    return ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau, req.mc, stream_offset=s)
+    return ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau)
 
 
 def _converse_simo(req, n, s):
-    return cv.converse_simo(req.spec, n, req.epsilon, req.mc, stream_offset=s)
+    return cv.converse_simo(req.spec, n, req.epsilon)
 
 
 def _estimate(rate):

@@ -1,13 +1,14 @@
 """Meta-converse upper bounds on the maximal coding rate.
 
-Two evaluations are provided: a semi-analytic single-transmit-antenna bound
-(exact conditional tail laws given the fading gain, Monte Carlo only over the
-gain) and a bound for isotropic codebooks (per-mode noncentral chi-square
-sampling, with exponentially tilted importance sampling for the deep tail).
+Two evaluations are provided: a single-transmit-antenna bound (exact
+conditional tail laws given the fading gain, averaged by a bracketing
+quadrature over the closed-form gain law, with no sampling) and a bound for
+isotropic codebooks (per-mode noncentral chi-square sampling, with
+exponentially tilted importance sampling for the deep tail).
 
-Every statistical shortcut is biased in the direction that enlarges
-(weakens) the converse value, so reported numbers remain honest upper
-bounds at the configured confidence.
+Every numerical or statistical shortcut is biased in the direction that
+enlarges (weakens) the converse value, so reported numbers remain honest
+upper bounds (at the configured confidence, where they sample).
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from . import channel as ch
 from . import mc
 from . import outage as og
 from . import specfun as sf
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SimoTailTable",
@@ -36,186 +38,167 @@ _SEL_STREAM = 1 << 33
 _EVAL_STREAM = 1 << 34
 
 
-class SimoTailTable:
-    """Conditional tails over a sample of fading gains, grid-interpolated.
+def _tail_end(k, delta, log_mass, side):
+    """The point nearest the mean of chi'2_k(delta) where the Chernoff bound
+    on its `side` tail beyond the point falls to e^log_mass."""
+    mean, sign = k + delta, (-1.0 if side == "lower" else 1.0)
 
-    The maps a -> P[S <= n*gamma | a] and a -> log P[L >= n*gamma | a] are
-    smooth in log a, so they are evaluated exactly on a 513-point log-spaced
-    grid spanning the sample and interpolated onto the sample.
+    def log_bound(u):  # the bound at the log-distance -u from the mean
+        return float(sf.noncentral_chi2_chernoff(mean * math.exp(-sign * u), k, delta, side))
+
+    far = 1.0
+    while log_bound(-far) > log_mass:
+        far *= 2.0
+    u = mc.root_find_monotone(lambda u: math.exp(log_bound(u)), math.exp(log_mass), (-far, 0.0), "below")
+    return mean * math.exp(-sign * u)
+
+
+class SimoTailTable:
+    """The conditional tails of the t = 1 statistics on a grid over the gain law.
+
+    The gain a = rho |h|^2 has the closed-form law of `channel.gain_law`.
+    `grid` holds GRID log-spaced gains between the points where the Chernoff
+    bound on each tail of the law is epsilon * e^-TAIL_NATS, and not below
+    1e-6 / n, where the noncentralities ~n/a become intractable. `prob` holds
+    the probability of each cell between neighbouring points, from the CDF
+    below the median and the survival function above it, so that neither
+    difference cancels; `log_tail` bounds the log of the mass outside the grid.
     """
 
     GRID = 513
+    TAIL_NATS = 9.0  # docs/DECISIONS.md, section 1
 
-    def __init__(self, n, a_samples):
-        a = np.asarray(a_samples, dtype=float)
-        if np.any(a < 0):
-            raise DomainError("fading gains must be >= 0")
+    def __init__(self, spec, n, epsilon):
+        scale, dof, nc = ch.gain_law(spec)
         self.n = int(n)
-        self.a = a
-        # gains with n*a below ~1e-6 are indistinguishable from zero: both
-        # statistics are O(n*a) with spread O(sqrt(n*a)), so they collapse to
-        # the exact a = 0 point mass well below any reported tolerance (and
-        # their noncentralities ~n/a would be numerically intractable)
-        pos = a > 1e-6 / self.n
-        self._log_a = np.log(np.where(pos, a, 1.0))
-        self._pos = pos
-        lo, hi = (float(np.min(a[pos])), float(np.max(a[pos]))) if np.any(pos) else (1.0, 1.0)
-        if hi <= lo:
-            grid = np.array([lo])
-        else:
-            grid = np.exp(np.linspace(math.log(lo), math.log(hi), self.GRID))
-            grid[0], grid[-1] = lo, hi
-        self.grid = grid
-        self._log_grid = np.log(grid)
-        # linear interpolation is linear in the grid values, so a sum of
-        # q_s over the sample is a dot product with per-grid-point weights
-        size = grid.size
-        if size == 1:
-            self._weights = np.array([float(np.count_nonzero(pos))])
-            return
-        log_a = self._log_a[pos]
-        idx = np.clip(np.searchsorted(self._log_grid, log_a, side="right") - 1, 0, size - 2)
-        frac = np.clip((log_a - self._log_grid[idx]) / np.diff(self._log_grid)[idx], 0.0, 1.0)
-        self._weights = np.bincount(idx, 1.0 - frac, size) + np.bincount(idx + 1, frac, size)
+        log_mass = math.log(epsilon) - self.TAIL_NATS
+        x_lo = max(_tail_end(dof, nc, log_mass, "lower"), 1e-6 * scale / (spec.snr * self.n))
+        # all the mass can lie below that floor (a vanishing SNR): the grid
+        # then spans one octave above it and holds next to nothing
+        x_hi = max(_tail_end(dof, nc, log_mass, "upper"), 2.0 * x_lo)
+        x = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), self.GRID))
+        x[0], x[-1] = x_lo, x_hi
+        cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, dof, nc)
+        self.prob = np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf_))
+        below = sf.noncentral_chi2_chernoff(x_lo, dof, nc, "lower")
+        self.log_tail = float(np.logaddexp(below, sf.noncentral_chi2_chernoff(x_hi, dof, nc, "upper")))
+        self.grid = spec.snr * x / scale
 
-    def _grid_thresholds(self, gamma):
-        n = self.n
-        head = np.log1p(self.grid) + 1.0 - gamma
-        thr_s = 2.0 * n * (1.0 + self.grid) * head / self.grid
-        thr_l = 2.0 * n * head / self.grid
-        return thr_s, thr_l
-
-    def _grid_q_s(self, gamma):
-        n = self.n
-        thr_s, _ = self._grid_thresholds(gamma)
-        return np.where(
-            thr_s <= 0.0,
-            1.0,
-            sf.noncentral_chi2_sf_batch(np.maximum(thr_s, 0.0), 2 * n, 2.0 * n / self.grid),
-        )
+    def _thr_l(self, gamma):
+        """The chi-square threshold of L_n at every grid point; S_n's is (1 + a) times it."""
+        return 2.0 * self.n * (np.log1p(self.grid) + 1.0 - gamma) / self.grid
 
     def q_s(self, gamma):
-        """P[S_n <= n*gamma | a_i] for every sample, via grid interpolation."""
-        out = np.interp(self._log_a, self._log_grid, self._grid_q_s(gamma))
-        out[~self._pos] = 1.0 if gamma >= 0.0 else 0.0
-        return out
-
-    def sum_q_s(self, gamma):
-        """The sum of `q_s(gamma)` over the sample, in O(grid) work."""
-        zero_gain = self.a.size - np.count_nonzero(self._pos)
-        return float(self._weights @ self._grid_q_s(gamma)) + (zero_gain if gamma >= 0.0 else 0.0)
+        """P[S_n <= n*gamma | a] at every grid point."""
+        thr = (1.0 + self.grid) * self._thr_l(gamma)
+        tail = sf.noncentral_chi2_sf_batch(np.maximum(thr, 0.0), 2 * self.n, 2.0 * self.n / self.grid)
+        return np.where(thr <= 0.0, 1.0, tail)
 
     def log_q_l(self, gamma):
-        """log P[L_n >= n*gamma | a_i] for every sample."""
-        n = self.n
-        _, thr_l = self._grid_thresholds(gamma)
-        delta = 2.0 * n * (1.0 + self.grid) / self.grid
-        # keep grid rows all the way down to the interpolation floor: the
-        # default mean-oriented cutoff would blank rows that samples between
-        # grid points still need
-        vals = sf.noncentral_chi2_logcdf_batch(np.maximum(thr_l, 0.0), 2 * n, delta, rel_cutoff=500.0)
-        vals = np.where(thr_l <= 0.0, -np.inf, vals)
-        finite = np.isfinite(vals)
-        if not np.any(finite):
-            return np.full(self.a.shape, -np.inf)
-        top = float(np.max(vals[finite]))
-        floor = top - 500.0
-        out = np.interp(self._log_a, self._log_grid, np.maximum(vals, floor))
-        out = np.where(out <= floor + 1e-9, -np.inf, out)
-        out[~self._pos] = 0.0 if gamma <= 0.0 else -np.inf
-        return out
+        """log P[L_n >= n*gamma | a] at every grid point."""
+        delta = 2.0 * self.n * (1.0 + self.grid) / self.grid
+        return sf.noncentral_chi2_logcdf_batch(self._thr_l(gamma), 2 * self.n, delta)
 
 
-def _gain_sampler(spec):
-    def draw(rng, size):
-        h = ch.sample_channel(spec, rng, size)
-        return np.sum(np.abs(h) ** 2, axis=(-2, -1))
+def _cell_bounds(values, side):
+    """A 'lower' or 'upper' bound on a function over each cell of its grid.
 
-    return draw
+    A cell where the grid values are monotone is bounded by its ends. At a
+    turning point of the values (flat runs included, and differences within
+    1e-12 of rounding counted as flat) an extremum lies in the cells from
+    the last difference before it to the first after it. If the function is
+    concave about a maximum, the secant through two neighbouring points lies
+    above it outside their cell, so the maximum exceeds those cells' ends by
+    at most the larger enclosing difference: 'upper' adds that slack about
+    each maximum, and 'lower' takes it off about each (convex) minimum.
+    Raises ConvergenceError where a maximum and a minimum share a cell,
+    which the grid does not resolve.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        d = np.diff(v)
+        flat = np.isnan(d) | (np.abs(d) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:]))))
+    d = np.where(flat & ~np.isinf(d), 0.0, d)  # NaN: two zeros (-inf in log domain)
+    upper = side == "upper"
+    out = np.maximum(v[:-1], v[1:]) if upper else np.minimum(v[:-1], v[1:])
+    moves = np.flatnonzero(d)
+    signs = np.sign(d[moves])
+    turns = np.flatnonzero(signs[:-1] != signs[1:])
+    if np.any(np.diff(turns) == 1):
+        raise ConvergenceError("the gain grid does not resolve the extrema of a conditional tail")
+    for i in turns[(signs[turns] > 0) == upper]:
+        first, last = moves[i], moves[i + 1]
+        slack = max(abs(d[first]), abs(d[last]))
+        cells = slice(first, last + 1)
+        out[cells] = np.max(out[cells]) + slack if upper else np.min(out[cells]) - slack
+    return out
 
 
 class SimoTwoStep:
-    """The two steps of a t = 1 bound at blocklength n.
+    """The two steps of a t = 1 bound at blocklength n, as quadratures over the gain law.
 
-    A threshold gamma is chosen with an exact-binomial confidence bound on
-    P[S_n <= n*gamma] over one gain sample (`threshold`); the tail
-    P[L_n >= n*gamma] is then averaged over an independent gain sample
-    (`log_tail`). Each of the two steps spends the `delta` its caller
-    passes. `plug_in` and `log_mean_tail` give the threshold and the tail
-    without a confidence step, for the opposite end of a bound's `ci`. side
-    is 'at_least' for a threshold whose selection tail must reach its budget
-    (the converse) and 'below' for one whose tail must stay under it (the
-    achievability bound).
+    `threshold` finds gamma from the mean of q_s = P[S_n <= n*gamma | a],
+    and `log_mean_q_l` gives the mean of q_l = P[L_n >= n*gamma | a]. The
+    'lower' end of a mean sums each cell's probability times its lower
+    bound (`_cell_bounds`), and 0 outside the grid; the 'upper' end the upper
+    bounds, and outside the grid min(1, e^(n*gamma)) for q_s and
+    min(1, e^(-n*gamma)) for q_l, which bound the tails at every gain (a
+    change of measure, since S_n and L_n are one log-likelihood ratio drawn
+    under the two output laws). The ends enclose the exact mean and spend no
+    confidence (docs/DECISIONS.md, section 1).
     """
 
-    def __init__(self, spec, n, cfg, stream_offset=0):
+    def __init__(self, spec, n, epsilon):
         if spec.t != 1:
             raise DomainError("single-transmit-antenna bound requires t = 1")
-        rho = spec.snr
-        g_sel = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _SEL_STREAM)
-        self.sel = SimoTailTable(n, rho * g_sel)
-        g_eval = mc.sample_values(_gain_sampler(spec), cfg, stream_offset + _EVAL_STREAM)
-        self.eval = SimoTailTable(n, rho * g_eval)
-        hi = float(np.max(np.log1p(rho * g_sel))) + 1.0
+        if not (0.0 < epsilon < 1.0):
+            raise DomainError("epsilon must be in (0, 1)")
+        self.table = SimoTailTable(spec, n, epsilon)
+        hi = float(np.log1p(self.table.grid[-1])) + 1.0
         self.bracket = (-hi - 10.0, hi)
-        self._sums = {}
+        self._means = {}
 
-    def _sum(self, gamma):
-        """`sum_q_s` of the selection table, cached: the searches for every
-        budget, and the plug-in search, share points."""
-        if gamma not in self._sums:
-            self._sums[gamma] = self.sel.sum_q_s(gamma)
-        return self._sums[gamma]
+    def mean_q_s(self, gamma):
+        """(lower, upper) ends of the mean of q_s; cached, as searches share points."""
+        if gamma not in self._means:
+            t = self.table
+            q = t.q_s(gamma)
+            outside = math.exp(t.log_tail + min(t.n * gamma, 0.0))
+            self._means[gamma] = (t.prob @ _cell_bounds(q, "lower"), t.prob @ _cell_bounds(q, "upper") + outside)
+        return self._means[gamma]
 
-    def threshold(self, budget, side, delta):
-        """The gamma whose level-delta confidence bound on P[S_n <= n*gamma] meets `budget` on `side`."""
-        bound = mc.cp_lower if side == "at_least" else mc.cp_upper
-        trials = self.sel.a.size
-        return mc.root_find_monotone(lambda g: bound(self._sum(g), trials, delta), budget, self.bracket, side)
+    def threshold(self, budget, side, end, bracket=None):
+        """The gamma where the `end` of the mean of q_s meets `budget` on `side`
+        (`mc.root_find_monotone`), in `bracket` or else the whole search bracket."""
+        i = 0 if end == "lower" else 1
+        return mc.root_find_monotone(lambda g: self.mean_q_s(g)[i], budget, bracket or self.bracket, side)
 
-    def plug_in(self, budget, gamma, side):
-        """The gamma where the sample mean of P[S_n <= n*gamma] meets `budget` on `side`.
-
-        The confidence step moves the threshold `gamma` away from this root,
-        so `gamma` and the far end of the bracket enclose it; when the mean
-        does not cross `budget` in between, the far end is returned.
-        """
-        lo, hi = self.bracket
-        bracket = (lo, gamma) if side == "at_least" else (gamma, hi)
-        trials = self.sel.a.size
-        return mc.root_find_monotone(lambda g: self._sum(g) / trials, budget, bracket, side)
-
-    def log_tail(self, gamma, side, delta):
-        """Log level-delta bound on `side` of the mean of P[L_n >= n*gamma] over the evaluation sample."""
-        return mc.log_mean_bound(self.eval.log_q_l(gamma), delta, side)[1]
-
-    def log_mean_tail(self, gamma):
-        """Log of the sample mean of P[L_n >= n*gamma] over the evaluation sample."""
-        return mc.log_mean(self.eval.log_q_l(gamma))
+    def log_mean_q_l(self, gamma, end):
+        """The log of the `end` ('lower' or 'upper') of the mean of q_l."""
+        t = self.table
+        log_sum = float(special.logsumexp(_cell_bounds(t.log_q_l(gamma), end), b=t.prob))
+        return log_sum if end == "lower" else float(np.logaddexp(log_sum, t.log_tail + min(-t.n * gamma, 0.0)))
 
 
-def converse_simo(spec, n, epsilon, cfg, stream_offset=0):
+def converse_simo(spec, n, epsilon):
     """Upper bound on the rate of the best blocklength-n code, t = 1.
 
-    The statistics S, L are those of blocklength n + 1. The threshold gamma
-    is the smallest value whose exact-binomial lower confidence bound on
-    P[S <= (n+1)*gamma] reaches epsilon (enlarging gamma only weakens the
-    bound); the rate uses a lower confidence bound on P[L >= (n+1)*gamma]
-    over an independent gain sample. Each step spends half of
-    cfg.confidence_delta. Returns (rate, (nominal, rate)), where nominal is
-    the plug-in value: the threshold where the sample mean of
-    P[S <= (n+1)*gamma] equals epsilon, with the sample mean of the tail.
+    With the statistics of blocklength n + 1 (`SimoTwoStep`), gamma is the
+    smallest value where the lower end of the mean of P[S <= (n+1)*gamma]
+    reaches epsilon, and the rate takes the lower end of the mean of
+    P[L >= (n+1)*gamma]: both only enlarge the bound. Returns
+    (rate, (other, rate)), other taking the upper ends, at or below the
+    exact value of the bound.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must be in (0, 1)")
-    steps = SimoTwoStep(spec, n + 1, cfg, stream_offset)
-    half = 0.5 * cfg.confidence_delta
-    gamma = steps.threshold(epsilon, "at_least", half)
-    rate = float(-steps.log_tail(gamma, "lower", half) / n)
-    log_mean = steps.log_mean_tail(steps.plug_in(epsilon, gamma, "at_least"))
-    return rate, (float(-log_mean / n), rate)
+    steps = SimoTwoStep(spec, n + 1, epsilon)
+    if steps.mean_q_s(steps.bracket[1])[0] < epsilon:
+        raise DomainError("less than epsilon of the gain law lies above the smallest gain the tails resolve, 1e-6/n")
+    gamma = steps.threshold(epsilon, "at_least", "lower")
+    rate = -steps.log_mean_q_l(gamma, "lower") / n
+    gamma_up = steps.threshold(epsilon, "at_least", "upper", (steps.bracket[0], gamma))
+    return rate, (-steps.log_mean_q_l(gamma_up, "upper") / n, rate)
 
 
 def iso_gains(spec, cfg, stream_offset=0):
@@ -334,6 +317,6 @@ def converse_iso(spec, n, epsilon, cfg, stream_offset=0, gains=None):
     k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", half)
     gamma = float(values[k - 1])
     log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM, ev)
-    log_mean, log_lo = mc.log_mean_bound(log_q, half, "lower")
+    log_mean, log_lo = mc.log_mean_bound(log_q, half)
     rate = float(-log_lo / n)
     return rate, (float(-log_mean / n), rate)

@@ -9,8 +9,8 @@ bit-identical for any worker-thread count. Reductions are order-independent
 its own statistic to the flat sample. The confidence tools are exact
 Clopper-Pearson ends for a count of hits (`cp_lower`, `cp_upper`), the
 order-statistic index whose value has the requested one-sided coverage
-(`quantile_order_indices`), and a conservative bound on a log-domain mean
-(`log_mean_bound`). Each calls `scipy.special` directly: the Clopper-Pearson
+(`quantile_order_indices`), and a conservative lower bound on a log-domain
+mean (`log_mean_bound`). Each calls `scipy.special` directly: the Clopper-Pearson
 ends are inverse regularized incomplete beta functions, the binomial tails
 of the order-statistic search are incomplete beta functions, and the normal
 quantile is `ndtri` (docs/DECISIONS.md, section 5).
@@ -38,7 +38,6 @@ __all__ = [
     "root_find_monotone",
     "cp_lower",
     "cp_upper",
-    "log_mean",
     "log_mean_bound",
 ]
 
@@ -128,11 +127,9 @@ def _run_chunks(sampler, cfg, stream_offset, given):
 def cp_lower(successes, trials, delta):
     """Exact one-sided lower confidence bound on a binomial proportion.
 
-    `successes` may be fractional: for means of [0,1]-valued variables the
-    Bernoulli law is extremal in convex order, so the binomial bound with the
-    fractional success count remains conservative. Where Boost cannot invert
-    the beta law it returns NaN (a few successes and delta below about
-    1e-150), and the bound falls back to 0, which always holds.
+    Where Boost cannot invert the beta law it returns NaN (a few successes
+    and delta below about 1e-150), and the bound falls back to 0, which
+    always holds.
     """
     if successes <= 0:
         return 0.0
@@ -290,30 +287,23 @@ def root_find_monotone(f, target, bracket, side, max_iter=80):
     raise ConvergenceError(f"root search did not reach its tolerance in {max_iter} steps")
 
 
-def log_mean(log_values):
-    """Log of the sample mean of positive values given in log domain: a
-    plug-in estimate, which spends no confidence."""
-    log_values = np.asarray(log_values, dtype=float)
-    shift = float(np.max(log_values))
-    if not np.isfinite(shift):
-        return -np.inf
-    return shift + math.log(float(np.mean(np.exp(log_values - shift))))
-
-
 # batches of the batch-means standard error in `log_mean_bound`
 _LOG_MEAN_BATCHES = 64
 
 
-def log_mean_bound(log_values, delta, side):
-    """Conservative log of the mean of positive values given in log domain.
+def log_mean_bound(log_values, delta):
+    """Conservative lower bound on the log of the mean of positive values
+    given in log domain.
 
-    Returns (log_mean, log_bound): the log-domain sample mean and a
-    confidence bound on it, shifted to `side` ('lower' or 'upper'). Used
-    where the mean spans hundreds of orders of magnitude and an exact
-    binomial envelope is unavailable. The lower side combines a batch-means
-    normal bound with a distribution-free Markov fallback (a nonnegative
-    unbiased estimate exceeds its mean by 1/d with probability at most d),
-    so it stays finite even when a few samples carry most of the mass.
+    Returns (log_mean, log_lower): the log of the sample mean, and a lower
+    confidence bound on the log of the true mean. Used where the mean spans
+    hundreds of orders of magnitude and an exact binomial envelope is
+    unavailable. The bound is the larger of a batch-means normal bound and a
+    distribution-free Markov bound (a nonnegative unbiased estimate exceeds
+    its mean by 1/d with probability at most d), so it stays finite even when
+    a few samples carry most of the mass. Each is taken at level delta / 2,
+    and the larger holds when both do, so the bound holds with probability
+    at least 1 - delta (union bound).
     """
     log_values = np.asarray(log_values, dtype=float)
     n = log_values.size
@@ -322,18 +312,10 @@ def log_mean_bound(log_values, delta, side):
         return -np.inf, -np.inf
     w = np.exp(log_values - shift)
     mean = float(np.mean(w))
-    log_mean = shift + math.log(mean)
     b = min(_LOG_MEAN_BATCHES, n)
     batch = np.array_split(w, b)
     bm = np.array([np.mean(x) for x in batch])
     se = float(np.std(bm, ddof=1) / math.sqrt(b)) if b > 1 else 0.0
-    if side == "lower":
-        z = float(-sp.ndtri(0.5 * delta))
-        normal_lo = mean - z * se
-        markov_lo = 0.5 * delta * mean
-        lo = max(normal_lo, markov_lo)
-        return log_mean, shift + math.log(lo)
-    if side == "upper":
-        z = float(-sp.ndtri(delta))
-        return log_mean, shift + math.log(mean + z * se)
-    raise DomainError("side must be 'lower' or 'upper'")
+    z = float(-sp.ndtri(0.5 * delta))
+    lo = max(mean - z * se, 0.5 * delta * mean)
+    return shift + math.log(mean), shift + math.log(lo)

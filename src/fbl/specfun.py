@@ -23,6 +23,7 @@ __all__ = [
     "noncentral_chi2_chernoff",
     "noncentral_chi2_sf_batch",
     "noncentral_chi2_logcdf_batch",
+    "noncentral_chi2_cdf_sf",
     "sample_noncentral_chi2",
     "gaussian_q",
     "gaussian_q_inv",
@@ -32,6 +33,8 @@ __all__ = [
 # `_chi_quadrature`: Boost is within 4e-14 up to delta = 1e6, then drifts
 # (4e-12 at delta = 1e10) and fails (docs/DECISIONS.md, section 5).
 _LARGE_DELTA_PER_DOF = 100.0
+# Boost's noncentral chi-square is within 4e-14 up to this noncentrality
+_BOOST_MAX_DELTA = 1e6
 # `_chi_quadrature` works on blocks of this many rows, to bound its memory
 _QUAD_ROWS = 64
 
@@ -156,24 +159,35 @@ def noncentral_chi2_sf_batch(x, k, delta):
     return out
 
 
-def noncentral_chi2_logcdf_batch(x, k, delta, rel_cutoff=46.0):
-    """log P[chi'2_k(delta) <= x] for arrays x, delta (common even k).
-
-    Rows whose Chernoff upper bound falls more than `rel_cutoff` nats below
-    the largest row bound are reported as -inf (their contribution to any
-    mean over the batch is negligible, and dropping them only understates
-    the mean). The rest are evaluated by `_chi_quadrature`.
-    """
+def noncentral_chi2_logcdf_batch(x, k, delta):
+    """log P[chi'2_k(delta) <= x] for arrays x, delta (common k), by
+    `_chi_quadrature`; -inf where x <= 0."""
     x = np.asarray(x, dtype=float)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
     out = np.full_like(x, -np.inf)
-    ch = noncentral_chi2_chernoff(x, k, delta, "lower")
-    top = float(np.max(ch)) if ch.size else -np.inf
-    if not np.isfinite(top):
-        return out
-    keep = ch >= top - rel_cutoff
-    out[keep] = _chi_quadrature(x[keep], k, delta[keep])
+    pos = x > 0.0
+    out[pos] = _chi_quadrature(x[pos], k, delta[pos])
     return out
+
+
+def noncentral_chi2_cdf_sf(x, k, delta):
+    """(P[chi'2_k(delta) <= x], P[chi'2_k(delta) > x]) for an array x > 0.
+
+    Both to relative precision, so that differences of either far from 1 do
+    not cancel: delta = 0 takes the regularized incomplete gamma functions,
+    0 < delta <= 1e6 Boost's `chndtr` and `_ncx2_sf` (the ufunc that
+    `_boost_sf` calls). k may be fractional. Past delta = 1e6, where Boost
+    drifts and then fails (at delta = 2e12 it is off by 0.12 at the mean),
+    the CDF comes from `_chi_quadrature`, to relative precision, and the
+    survival function is its complement, to absolute precision.
+    """
+    x = np.asarray(x, dtype=float)
+    if delta == 0.0:
+        return sp.gammainc(0.5 * k, 0.5 * x), sp.gammaincc(0.5 * k, 0.5 * x)
+    if delta <= _BOOST_MAX_DELTA:
+        return sp.chndtr(x, k, delta), _ncx2_sf(x, k, delta)
+    cdf = np.exp(_chi_quadrature(x, k, np.full(x.shape, float(delta))))
+    return cdf, 1.0 - cdf
 
 
 def sample_noncentral_chi2(k, delta, rng, size=None):

@@ -5,7 +5,8 @@ single-antenna conditional tail laws, multiprecision (mpmath) quadratures
 of the noncentral chi-square density that referee both tails, the
 decoding statistic measured on an explicit n x r received block by QR (the
 referee of the closed-form sampler), a plain sampler of the isotropic
-auxiliary statistic (the referee of the tilted one), the Markov and
+auxiliary statistic (the referee of the tilted one), a fine-grid
+trapezoid reference for the gain-law means of the t = 1 bounds, the Markov and
 Chernoff bounds, the rank-one binomial sum and an mpmath matrix
 exponential that referee the beta-product tail, water-filling of one
 eigenvalue vector, log-domain incomplete and multivariate gamma functions
@@ -191,6 +192,47 @@ def mp_noncentral_chi2_logcdf(x, k, delta, dps=20):
         pts = sorted({max(mpmath.mpf(0), x - m * scale) for m in (256, 64, 16, 8, 4, 2, 1, 0.5, 0)} | {mpmath.mpf(0)})
         density = lambda t: mpmath.exp(_mp_log_pdf(t, k, delta)) if t > 0 else mpmath.mpf(0)  # noqa: E731
         return float(mpmath.log(mpmath.quad(density, pts)))
+
+
+class _FineSimoTable(cv.SimoTailTable):
+    GRID = 8193
+    TAIL_NATS = 30.0
+
+
+class FineSimoMeans:
+    """Reference means over the gain law of the two t = 1 conditional tails.
+
+    The trapezoid rule with the exact cell probabilities on a grid 16 times
+    finer than `converse.SimoTailTable`'s, reaching into the gain-law tails
+    down to a Chernoff bound of epsilon * e^-30, whose mass is left out.
+    Its error is far below the width of the quadrature bracket, so it
+    stands in for the exact means.
+    """
+
+    def __init__(self, spec, n, epsilon):
+        self.table = _FineSimoTable(spec, n, epsilon)
+        top = float(np.log1p(self.table.grid[-1])) + 1.0
+        self.bracket = (-top - 10.0, top)
+
+    def mean_q_s(self, gamma):
+        q = self.table.q_s(gamma)
+        return float(self.table.prob @ (0.5 * (q[:-1] + q[1:])))
+
+    def log_mean_q_l(self, gamma):
+        v = self.table.log_q_l(gamma)
+        return float(sp.logsumexp(np.logaddexp(v[:-1], v[1:]) - math.log(2.0), b=self.table.prob))
+
+    def threshold(self, budget, side):
+        return mc.root_find_monotone(self.mean_q_s, budget, self.bracket, side)
+
+    def converse(self, n, epsilon):
+        """The converse at blocklength n (statistics of n + 1) on the reference means."""
+        return -self.log_mean_q_l(self.threshold(epsilon, "at_least")) / n
+
+    def kappa_beta(self, n, epsilon, tau):
+        """The receiver-side-information bound at one tau on the reference means."""
+        gamma = self.threshold(epsilon - tau, "below")
+        return max(0.0, (math.log(tau) - self.log_mean_q_l(gamma)) / n)
 
 
 def reg_inc_beta(x, a, b):

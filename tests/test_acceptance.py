@@ -47,12 +47,12 @@ def _report(num, ok, detail):
 @functools.lru_cache(maxsize=None)
 def _conv_fig2(n):
     """Converse on the fig-2 setting at blocklength n."""
-    return cv.converse_simo(FIG2_SPEC, n, 1e-3, CFG)
+    return cv.converse_simo(FIG2_SPEC, n, 1e-3)
 
 
 @functools.lru_cache(maxsize=None)
 def _kb_fig2(n):
-    return ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, None, CFG)
+    return ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, None)
 
 
 @functools.lru_cache(maxsize=None)

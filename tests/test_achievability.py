@@ -302,39 +302,44 @@ class TestCsirKappaBetaSimo:
         # the check is converse.SimoTwoStep's, as for conv-simo
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
         with pytest.raises(DomainError):
-            ach.csir_kappa_beta_simo(spec, 100, 1e-3, None, self.cfg)
+            ach.csir_kappa_beta_simo(spec, 100, 1e-3, None)
 
     def test_vanishing_snr_gives_zero(self):
         spec = ch.ChannelSpec(t=1, r=2, snr=1e-12, fading=ch.Rayleigh())
-        rate, _ = ach.csir_kappa_beta_simo(spec, 100, 1e-3, None, self.cfg)
+        rate, _ = ach.csir_kappa_beta_simo(spec, 100, 1e-3, None)
         assert rate == pytest.approx(0.0, abs=1e-3)
 
     def test_beats_no_side_information_curve(self):
         for n in (100, 300, 600):
-            csir, _ = ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, None, self.cfg)
+            csir, _ = ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, None)
             plain, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, self.cfg)
             assert csir >= plain - 1e-9
 
-    def test_ci_runs_from_bound_to_plug_in_value(self):
-        # the opposite end of ci is the plug-in estimate at the winning tau,
-        # above the reported bound by the selection and log-mean confidence
-        # shifts; the shifts shrink as the sample grows, and the plug-in end
-        # ignores delta. One tau serves all three calls, so the plug-in ends
-        # are taken at the same tau.
-        points = [
-            ach.csir_kappa_beta_simo(
-                FIG2_SPEC, 100, 1e-3, 1e-4,
-                mc.MCConfig(seed=13, samples=samples, confidence_delta=delta),
-            )
-            for samples, delta in ((10_000, 0.01), (100_000, 0.01), (10_000, 0.05))
-        ]
-        for rate, (lo, hi) in points:
-            assert lo == rate
-            assert hi >= rate
-        (small, small_ci), (_, large_ci), (loose, loose_ci) = points
-        assert small_ci[1] - small_ci[0] > large_ci[1] - large_ci[0] > 0.0
-        assert loose_ci[1] == pytest.approx(small_ci[1], abs=1e-9)
-        assert loose > small
+    @pytest.mark.parametrize("n, tau", [(100, 1e-4), (500, 5e-4)])
+    def test_ci_is_a_bracket_about_the_reference(self, n, tau):
+        # ci runs from the reported upper-end quadrature to the lower-end
+        # one, and holds the fine-grid reference value of the bound at the
+        # tau given. At n = 500 the mean of beta is about e^-340, far below
+        # the mass outside the grid: only its bound e^-n*gamma on q_l keeps
+        # that mass's term negligible
+        rate, (lo, hi) = ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, tau)
+        assert lo == rate
+        ref = oracles.FineSimoMeans(FIG2_SPEC, n, 1e-3).kappa_beta(n, 1e-3, tau)
+        assert rate <= ref <= hi
+        assert hi - rate < 0.003 * math.log(2)
+        steps = cv.SimoTwoStep(FIG2_SPEC, n, 1e-3)
+        gamma = steps.threshold(1e-3 - tau, "below", "upper")
+        log_beta = steps.log_mean_q_l(gamma, "upper")
+        if n == 500:
+            assert steps.table.log_tail > log_beta + 200.0
+            assert steps.table.log_tail - n * gamma < log_beta - 5.0
+
+    def test_other_end_is_taken_at_the_winning_tau(self):
+        taus = ach.tau_grid(300, 1e-3)
+        rates = {t: ach.csir_kappa_beta_simo(FIG2_SPEC, 300, 1e-3, t) for t in taus}
+        rate, ci = ach.csir_kappa_beta_simo(FIG2_SPEC, 300, 1e-3, None)
+        best = max(taus, key=lambda t: rates[t][0])
+        assert rate == rates[best][0] and ci == rates[best][1]
 
     @staticmethod
     def _density_ratio_rows(u, a):
@@ -358,7 +363,8 @@ class TestCsirKappaBetaSimo:
         # evaluation of the scalar Gaussian-vs-Gaussian testing problem
         n, a = 20, 1.3
         gamma = 0.12  # places the type-II error near 1e-3, reachable by MC
-        table = cv.SimoTailTable(n, np.array([a, a]))
+        table = cv.SimoTailTable(FIG2_SPEC, n, 1e-3)
+        table.grid = np.array([a])  # the table's tails at the chosen gain
         beta_semi = math.exp(table.log_q_l(gamma)[0])
         rng = _rng(10)
         draws = 2_000_000
@@ -379,7 +385,8 @@ class TestCsirKappaBetaSimo:
         # the semi-analytic success probability must match direct Monte Carlo
         n, a = 20, 1.3
         gamma = math.log1p(a) - 0.1
-        table = cv.SimoTailTable(n, np.array([a, a]))
+        table = cv.SimoTailTable(FIG2_SPEC, n, 1e-3)
+        table.grid = np.array([a])  # the table's tails at the chosen gain
         q_s_semi = float(table.q_s(gamma)[0])
         rng = _rng(12)
         draws = 2_000_000

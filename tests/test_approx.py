@@ -73,7 +73,7 @@ class TestNormalApprox:
         # the converse exceeds the approximation, which carries the ln(n)/(2n)
         # term, by roughly ln(1/eps)/n, about 0.01 bit at n = 1000 here
         model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
-        rate, _ = cv.converse_simo(FIG2_SPEC, 1000, 1e-3, self.cfg)
+        rate, _ = cv.converse_simo(FIG2_SPEC, 1000, 1e-3)
         gap_bits = (rate - model.rate(1000, 1e-3)) / math.log(2)
         assert 0.0 < gap_bits < 0.03
 

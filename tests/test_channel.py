@@ -8,6 +8,7 @@ from scipy import stats
 import oracles
 from fbl import channel as ch
 from fbl import mc
+from fbl import specfun as sf
 from fbl.errors import DomainError
 
 
@@ -58,6 +59,33 @@ class TestFadingModels:
             ch.ChannelSpec(t=0, r=1, snr=1.0, fading=ch.Rayleigh())
         with pytest.raises(DomainError):
             ch.ChannelSpec(t=1, r=1, snr=-2.0, fading=ch.Rayleigh())
+
+
+class TestGainLaw:
+    """`gain_law` is the law of |h|^2 that `sample_channel` draws (t = 1)."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize(
+        "fading",
+        [ch.Rayleigh(), ch.Rician(k_factor=100.0), ch.Rician(k_factor=0.5), ch.Nakagami(m_shape=0.7)],
+        ids=["rayleigh", "rician-20db", "rician-3db", "nakagami"],
+    )
+    def test_ks_against_sample_channel(self, fading, r):
+        spec = ch.ChannelSpec(t=1, r=r, snr=1.0, fading=fading)
+        scale, dof, nc = ch.gain_law(spec)
+        x = scale * np.sum(np.abs(ch.sample_channel(spec, _rng(30 + r), 20_000)) ** 2, axis=(-2, -1))
+        assert stats.kstest(x, lambda v: sf.noncentral_chi2_cdf_sf(v, dof, nc)[0]).pvalue > 0.01
+        # the scipy.stats law of the same parameters, as a referee of the CDF
+        ref = stats.ncx2(dof, nc) if nc > 0.0 else stats.chi2(dof)
+        v = np.quantile(x, [0.001, 0.5, 0.999])
+        cdf, sf_ = sf.noncentral_chi2_cdf_sf(v, dof, nc)
+        assert cdf == pytest.approx(ref.cdf(v), rel=1e-9)
+        assert sf_ == pytest.approx(ref.sf(v), rel=1e-9)
+
+    def test_unit_mean_gain(self):
+        for fading in (ch.Rayleigh(), ch.Rician(k_factor=3.0), ch.Nakagami(m_shape=2.5)):
+            scale, dof, nc = ch.gain_law(ch.ChannelSpec(t=1, r=3, snr=1.0, fading=fading))
+            assert (dof + nc) / scale == pytest.approx(3.0, rel=1e-12)
 
 
 class TestEffectiveEigenvalues:

@@ -11,7 +11,6 @@ from fbl import channel as ch
 from fbl import cli
 from fbl import config as cf
 from fbl import converse as cv
-from fbl import mc
 from fbl.errors import ConfigurationError
 from fbl.mc import MCConfig
 
@@ -295,10 +294,34 @@ class TestRunSweep:
                 assert rate_nats == hi, row
         # conv-simo is aligned on the grid's n inside converse_simo
         for n in req.n_grid:
-            offset = mc.substream_index(cf.BOUND_NAMES.index("conv-simo"), n)
-            rate, ci = cv.converse_simo(req.spec, n, req.epsilon, req.mc, stream_offset=offset)
+            rate, ci = cv.converse_simo(req.spec, n, req.epsilon)
             expected = ",".join(cli._fmt(x) for x in (rate, rate / math.log(2.0), *ci))
             assert f"conv-simo,{n},{expected},upper,3,50000" in rows
+
+
+class TestGainLawQuadratureRows:
+    """conv-simo and ach-csir-kb draw nothing: their seed and samples cells carry no meaning."""
+
+    def test_rows_identical_across_seed_and_samples(self):
+        rows = []
+        for seed, samples in (("7", "10000"), ("8", "20000")):
+            req = cf.request_from_mapping({
+                "antennas": "1x2", "snr_db": "-1.55", "fading.kind": "rician", "fading.k_db": "20",
+                "epsilon": "1e-3", "bounds": "ach-csir-kb,conv-simo", "n_grid": "40,200",
+                "seed": seed, "samples": samples,
+            })
+            out = cli.run_sweep(req)
+            assert [row.split(",")[7:] for row in out] == [[seed, samples]] * 4
+            rows.append([row.split(",")[:7] for row in out])
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("bound", ["conv-simo", "ach-csir-kb"])
+    def test_single_n_row_is_the_grid_row(self, bound, capsys):
+        common = ["bound", bound, "--r", "2", "--snr-db", "2.74", "--epsilon", "0.1", "--seed", "7"]
+        assert cli.main([*common, "--n-grid", "20,40,80"]) == 0
+        grid = capsys.readouterr().out.splitlines()[1:]
+        assert cli.main([*common, "--n", "40"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [grid[1]]
 
 
 class TestSharedChannels:

@@ -333,12 +333,12 @@ class TestRootFindMonotone:
 
 class TestLogMeanBound:
     def test_ordering_and_consistency(self):
+        # the lower side only: the first value is the log of the sample
+        # mean, the second lies below it
         rng = np.random.default_rng(15)
         logs = -rng.exponential(2.0, 10_000) - 50.0
-        m, lo = mc.log_mean_bound(logs, 0.005, "lower")
-        m2, hi = mc.log_mean_bound(logs, 0.005, "upper")
-        assert m == m2 == mc.log_mean(logs)
-        assert lo <= m <= hi
+        m, lo = mc.log_mean_bound(logs, 0.005)
+        assert lo <= m
         direct = math.log(np.mean(np.exp(logs + 50.0))) - 50.0
         assert m == pytest.approx(direct, abs=1e-10)
 
@@ -346,27 +346,25 @@ class TestLogMeanBound:
         # one sample carrying nearly all mass must not collapse the lower bound
         logs = np.full(10_000, -800.0)
         logs[0] = -700.0
-        m, lo = mc.log_mean_bound(logs, 0.005, "lower")
+        m, lo = mc.log_mean_bound(logs, 0.005)
         assert np.isfinite(lo)
         # Markov fallback: mean * delta/2 is always valid
         assert lo >= m + math.log(0.0025) - 1e-9
 
     def test_all_minus_inf(self):
-        m, lo = mc.log_mean_bound(np.full(100, -np.inf), 0.005, "lower")
+        m, lo = mc.log_mean_bound(np.full(100, -np.inf), 0.005)
         assert m == -np.inf and lo == -np.inf
-        assert mc.log_mean(np.full(100, -np.inf)) == -np.inf
 
     def test_markov_coverage(self):
         # lower bound <= true mean in >= 1-delta of repetitions (heavy-tailed case)
         rng = np.random.default_rng(16)
         delta = 0.05
-        true_mean = 1.0  # pareto-like: X = U^{-1/3} has mean 1.5; use exact lognormal
         mu, sig = -0.5, 1.0
         true_mean = math.exp(mu + sig**2 / 2)
         ok = 0
         for _ in range(400):
             x = rng.lognormal(mu, sig, 2000)
-            _, lo = mc.log_mean_bound(np.log(x), delta, "lower")
+            _, lo = mc.log_mean_bound(np.log(x), delta)
             ok += math.exp(lo) <= true_mean
         assert ok / 400 >= 1 - delta
 
@@ -433,13 +431,14 @@ class TestConfidenceBudget:
         "bound, n_steps",
         [
             (lambda s: cv.converse_iso(s.mimo, 30, 1e-2, s.cfg), 2),
-            (lambda s: cv.converse_simo(s.simo, 300, 1e-2, s.cfg), 2),
+            # the t = 1 bounds are quadratures over the gain law: no steps
+            (lambda s: cv.converse_simo(s.simo, 300, 1e-2), 0),
             # the default tau grid at n = 300, eps = 1e-2 has three points
             (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, None, s.cfg), 3),
             (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, 5e-3, s.cfg), 1),
             (lambda s: ach.rate_lower_bound(s.mimo, ch.Isotropic(), 300, 1e-2, None, s.cfg), 3),
-            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, None, s.cfg), 6),
-            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, 5e-3, s.cfg), 2),
+            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, None), 0),
+            (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, 5e-3), 0),
         ],
         ids=["conv-iso", "conv-simo", "ach-simo-grid", "ach-simo-tau", "ach-nocsi-grid",
              "ach-csir-kb-grid", "ach-csir-kb-tau"],
@@ -448,3 +447,21 @@ class TestConfidenceBudget:
         steps = self.spent(monkeypatch, lambda: bound(self))
         assert len(steps) == n_steps
         assert sum(steps) <= self.cfg.confidence_delta * (1.0 + 1e-12), steps
+
+    @pytest.mark.parametrize("dominant", [False, True], ids=["normal", "markov"])
+    def test_log_mean_bound_spends_the_delta_it_is_passed(self, dominant):
+        # the bound is the larger of a normal and a Markov bound, each at
+        # delta / 2: the larger holds when both do, so it spends delta, the
+        # level the step above records
+        delta = 0.01
+        logs = -np.random.default_rng(17).exponential(1.0, 6400)
+        if dominant:
+            logs[0] = 30.0  # one sample carries the mean: Markov wins
+        w = np.exp(logs)
+        mean = float(np.mean(w))
+        se = float(np.std(np.mean(w.reshape(64, 100), axis=1), ddof=1) / 8.0)
+        normal = mean - float(stats.norm.isf(0.5 * delta)) * se
+        markov = 0.5 * delta * mean
+        assert (markov > normal) == dominant
+        _, lo = mc.log_mean_bound(logs, delta)
+        assert lo == pytest.approx(math.log(max(normal, markov)), rel=1e-12)

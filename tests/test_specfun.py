@@ -243,26 +243,24 @@ class TestBatchTails:
         want = stats.ncx2.sf(x, 20, delta)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_logcdf_batch_matches_scalar_where_kept(self):
+    def test_logcdf_batch_matches_scalar(self):
         x = np.array([100.0, 160.0, 220.0])
         delta = np.array([400.0, 400.0, 400.0])
         got = sf.noncentral_chi2_logcdf_batch(x, 100, delta)
         for g, xx, dd in zip(got, x, delta):
-            if np.isfinite(g):
-                assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 100, float(dd)), abs=1e-7)
+            assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 100, float(dd)), abs=1e-7)
 
-    def test_logcdf_batch_drop_is_conservative(self):
-        # rows dropped to -inf must be far below the retained maximum
-        x = np.linspace(10.0, 400.0, 50)
+    def test_logcdf_batch_evaluates_every_row(self):
+        # no row is dropped, however far below the others: rows at x <= 0
+        # are exactly -inf, and every other row is exact, below its
+        # Chernoff bound
+        x = np.concatenate([[-1.0, 0.0], np.linspace(10.0, 400.0, 50)])
         delta = np.full_like(x, 500.0)
         got = sf.noncentral_chi2_logcdf_batch(x, 60, delta)
-        top = np.max(got[np.isfinite(got)])
-        for g, xx in zip(got, x):
-            exact = oracles.noncentral_chi2_logcdf(float(xx), 60, 500.0)
-            if np.isfinite(g):
-                assert g == pytest.approx(exact, abs=1e-7)
-            else:
-                assert exact < top - 40.0
+        assert np.all(np.isneginf(got[:2])) and np.all(np.isfinite(got[2:]))
+        assert np.all(got[2:] <= sf.noncentral_chi2_chernoff(x[2:], 60, delta[2:], "lower"))
+        for g, xx in zip(got[2:], x[2:]):
+            assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 60, 500.0), abs=1e-7)
 
 
 def _sd_points(k, delta, multiples):
@@ -300,7 +298,7 @@ class TestBatchTailsReferee:
         # the mean, and about 30 and 300 nats down the left tail
         k = 2 * n
         x = _sd_points(k, delta, (0.0, -7.7, -24.5))
-        got = sf.noncentral_chi2_logcdf_batch(x, k, np.full(x.shape, delta), rel_cutoff=math.inf)
+        got = sf.noncentral_chi2_logcdf_batch(x, k, np.full(x.shape, delta))
         want = [oracles.mp_noncentral_chi2_logcdf(float(xx), k, delta) for xx in x]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -312,7 +310,7 @@ class TestBatchTailsReferee:
         [(3, 2.0, 700.0), (5, 0.3, 20.0), (2, 0.05, 5.0), (10, 4.0, 3e3), (500, 900.0, 10.0), (500, 300.0, 2e3)],
     )
     def test_logcdf_batch_deep_tail(self, n, x, delta):
-        got = sf.noncentral_chi2_logcdf_batch(np.array([x]), 2 * n, np.array([delta]), rel_cutoff=math.inf)
+        got = sf.noncentral_chi2_logcdf_batch(np.array([x]), 2 * n, np.array([delta]))
         want = oracles.mp_noncentral_chi2_logcdf(x, 2 * n, delta, dps=40)
         assert got[0] == pytest.approx(want, abs=1e-9)
 
@@ -362,10 +360,45 @@ class TestBatchTailsReferee:
         a = np.exp(np.linspace(math.log(0.05), math.log(20.0), 40))
         thr = 2.0 * n * (np.log1p(a) + 1.0 - gamma) / a
         delta = 2.0 * n * (1.0 + a) / a
-        got = sf.noncentral_chi2_logcdf_batch(thr, 2 * n, delta, rel_cutoff=500.0)
+        got = sf.noncentral_chi2_logcdf_batch(thr, 2 * n, delta)
         for g, xx, dd in zip(got, thr, delta):
-            if np.isfinite(g):
-                assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 2 * n, float(dd)), abs=1e-10)
+            assert g == pytest.approx(oracles.noncentral_chi2_logcdf(float(xx), 2 * n, float(dd)), abs=1e-10)
+
+
+class TestCdfSfPair:
+    @pytest.mark.parametrize("k, delta", [(4, 400.0), (6, 30.0), (2, 0.0), (5.4, 0.0)])
+    def test_matches_poisson_mixture_with_relative_precision_in_both_tails(self, k, delta):
+        mean, sd = k + delta, math.sqrt(2.0 * (k + 2.0 * delta))
+        x = mean + sd * np.array([-4.0, -1.0, 0.0, 1.0, 4.0, 8.0])
+        x = x[x > 0.0]
+        cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, k, delta)
+        for xi, c, s in zip(x, cdf, sf_):
+            if delta == 0.0:
+                ref_c = float(mpmath.gammainc(0.5 * k, 0, 0.5 * xi, regularized=True))
+                ref_s = float(mpmath.gammainc(0.5 * k, 0.5 * xi, mpmath.inf, regularized=True))
+            else:
+                ref_c = oracles.noncentral_chi2_cdf(xi, k, delta)
+                ref_s = 1.0 - ref_c if ref_c < 0.5 else None
+            assert c == pytest.approx(ref_c, rel=1e-9, abs=1e-13)
+            if ref_s is not None:
+                assert s == pytest.approx(ref_s, rel=1e-9, abs=1e-13)
+            assert c + s == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e8, 2e12])
+    def test_huge_noncentrality_is_nearly_normal(self, delta):
+        # past delta = 1e6 Boost drifts, and at 2e12 (a 120 dB K-factor) it
+        # fails; the quadrature tends to the normal law, within the
+        # skewness term 2^(3/2) (k + 3 delta) / (k + 2 delta)^(3/2) / 6
+        k = 2
+        z = np.linspace(-3.0, 3.0, 13)
+        x = k + delta + math.sqrt(2.0 * (k + 2.0 * delta)) * z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, k, delta)
+        skew = 2.0**1.5 * (k + 3.0 * delta) / (k + 2.0 * delta) ** 1.5
+        assert cdf == pytest.approx(stats.norm.cdf(z), abs=skew)
+        assert np.all(np.diff(cdf) > 0.0)
+        assert cdf + sf_ == pytest.approx(np.ones(13), abs=1e-15)
 
 
 class TestSampleNoncentralChi2:
