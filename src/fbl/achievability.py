@@ -84,14 +84,14 @@ def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
-def statistic_gains(spec, cov, cfg, stream_offset=0):
+def statistic_gains(spec, cov, cfg, stream_offset):
     """The mode gains the decoding statistic is drawn under, shape (samples, d).
 
-    d = min(t, r): the leading `og.mode_gains` of cfg.samples channel draws
-    from the channel stream of `stream_offset`, which no per-n stream
-    shares. One sample serves every n of a grid.
+    d = min(t, r): the `og.mode_gains` of cfg.samples channel draws from the
+    channel stream of `stream_offset`, which no per-n stream shares. One
+    sample serves every n of a grid.
     """
-    return og.gain_sample(spec, cov, cfg, stream_offset + og.CHANNEL_STREAM)[:, : spec.m]
+    return og.gain_sample(spec, cov, cfg, stream_offset + og.CHANNEL_STREAM)
 
 
 def _complex_normal(rng, shape):
@@ -172,7 +172,7 @@ def _taus(n, epsilon, tau):
     return taus
 
 
-def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0, gains=None):
+def rate_lower_bound(spec, n, epsilon, tau, cfg, stream_offset, gains):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
     Returns (rate, (rate, rate)). tau=None runs the default grid search and
@@ -180,14 +180,12 @@ def rate_lower_bound(spec, cov, n, epsilon, tau, cfg, stream_offset=0, gains=Non
     across the taus. Each tau's quantile spends cfg.confidence_delta / |taus|,
     so that the maximum holds at the stated confidence (union bound); a tau
     whose quantile needs more than cfg.samples draws is skipped. `gains` are
-    the channel's `statistic_gains`, shared by a blocklength grid; when None
-    they are drawn from the channel stream of `stream_offset`.
+    the channel's `statistic_gains`, which a blocklength grid shares; the
+    statistic is drawn given them from the streams of `stream_offset`.
     """
     taus = _taus(n, epsilon, tau)
     delta = cfg.confidence_delta / len(taus)
     sampler = sin2_statistic_sampler(spec, n)
-    if gains is None:
-        gains = statistic_gains(spec, cov, cfg, stream_offset)
     log_values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM, gains))
     rates = []
     for t in taus:

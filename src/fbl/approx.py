@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from . import channel as ch
 from . import mc
 from . import specfun as sf
 from .errors import DomainError
@@ -32,9 +31,6 @@ class NormalApprox:
     """
 
     def __init__(self, spec, cov, cfg, stream_offset=0):
-        if not isinstance(cov, (ch.WaterFill, ch.Isotropic)):
-            raise DomainError(f"unknown covariance policy: {cov!r}")
-
         def cv_sampler(rng, size):
             return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
 

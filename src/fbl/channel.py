@@ -26,7 +26,6 @@ __all__ = [
     "effective_eigenvalues",
     "gram_eigenvalues",
     "log_det_gram",
-    "isotropic_log_det",
 ]
 
 
@@ -208,28 +207,20 @@ def log_det_gram(h, scale=1.0):
     return total
 
 
-def isotropic_log_det(h, spec):
-    """C(H) = ln det(I + (rho/t) G) in nats: `log_det_gram` at scale rho/t."""
-    return log_det_gram(h, spec.snr / spec.t)
-
-
 def effective_eigenvalues(h, cov, spec):
-    """Eigenvalues feeding the capacity/dispersion formulas.
+    """Eigenvalues feeding the capacity/dispersion formulas, shape (..., m),
+    m = min(t, r), from the m-square Gram of H.
 
-    WaterFill: eigenvalues of H H^H (power is allocated downstream), the
-    spectrum of the min(t, r)-square Gram padded with t - r exact zeros.
-    Isotropic: (rho/t) times the eigenvalues of the min(t, r)-square Gram of H.
-    Accepts a single t x r matrix or a stack (..., t, r); returns (..., m),
-    with m = t under WaterFill and min(t, r) otherwise.
+    WaterFill: the eigenvalues themselves (power is allocated downstream);
+    the t - r further eigenvalues of H H^H when t > r are zero and carry no
+    power. Isotropic: rho/t times the eigenvalues. Accepts a single t x r
+    matrix or a stack (..., t, r).
     """
     h = np.asarray(h)
     if h.shape[-2] != spec.t or h.shape[-1] != spec.r:
         raise DomainError("channel dimensions do not match the configured antenna counts")
     if isinstance(cov, WaterFill):
-        lam = gram_eigenvalues(h)
-        if spec.t > spec.r:
-            lam = np.concatenate([lam, np.zeros(lam.shape[:-1] + (spec.t - spec.r,))], axis=-1)
-        return lam
+        return gram_eigenvalues(h)
     if isinstance(cov, Isotropic):
         return (spec.snr / spec.t) * gram_eigenvalues(h)
     raise DomainError(f"unknown covariance policy: {cov!r}")

@@ -86,13 +86,6 @@ def _bound_args(parser):
     parser.add_argument("--n", type=int, help="single blocklength")
 
 
-# the config keys that flags set: each such flag's dest is its key
-_FLAG_KEYS = (
-    "fading.kind", "fading.k_db", "fading.m_shape", "cov", "epsilon", "tau", "seed", "samples",
-    "chunk_size", "confidence_delta", "rate_bits", "n_grid", "output",
-)
-
-
 def _request(args):
     """The command's config mapping (the config file for `sweep`, the preset
     for `figure`, the channel flags and the bound's name otherwise) with the
@@ -106,9 +99,10 @@ def _request(args):
         # a command that takes a single bound is named after it
         bound = getattr(args, "name", args.command)
         kv = {"antennas": f"{args.t}x{args.r}", "snr_db": str(args.snr_db), "bounds": bound}
-    # --n is a one-point grid; an empty --n-grid or --output counts as not given
+    # a flag that sets a config key has that key as its dest; --n is a
+    # one-point grid, and an empty --n-grid or --output counts as not given
     given = {**vars(args), "n_grid": args.n_grid or getattr(args, "n", None), "output": args.output or None}
-    kv.update((key, str(given[key])) for key in _FLAG_KEYS if given.get(key) is not None)
+    kv.update((key, str(given[key])) for key in cf.KEYS if given.get(key) is not None)
     return cf.request_from_mapping(kv)
 
 

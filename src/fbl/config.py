@@ -77,7 +77,7 @@ def _kappa_beta(cov):
     def evaluate(req, offset):
         gains = ach.statistic_gains(req.spec, cov, req.mc, offset(0))
         return [
-            ach.rate_lower_bound(req.spec, cov, n, req.epsilon, req.tau, req.mc, offset(n), gains)
+            ach.rate_lower_bound(req.spec, n, req.epsilon, req.tau, req.mc, offset(n), gains)
             for n in req.n_grid
         ]
 

@@ -91,8 +91,7 @@ class SimoTailTable:
     def q_s(self, gamma):
         """P[S_n <= n*gamma | a] at every grid point."""
         thr = (1.0 + self.grid) * self._thr_l(gamma)
-        tail = sf.noncentral_chi2_sf_batch(np.maximum(thr, 0.0), 2 * self.n, 2.0 * self.n / self.grid)
-        return np.where(thr <= 0.0, 1.0, tail)
+        return sf.noncentral_chi2_sf_batch(thr, 2 * self.n, 2.0 * self.n / self.grid)
 
     def log_q_l(self, gamma):
         """log P[L_n >= n*gamma | a] at every grid point."""
@@ -201,7 +200,7 @@ def converse_simo(spec, n, epsilon):
     return rate, (-steps.log_mean_q_l(gamma_up, "upper") / n, rate)
 
 
-def iso_gains(spec, cfg, stream_offset=0):
+def iso_gains(spec, cfg, stream_offset):
     """The (selection, evaluation) samples of isotropic mode gains of `converse_iso`.
 
     Each is the effective eigenvalues of cfg.samples channel draws, shape
@@ -300,18 +299,18 @@ def _iso_log_tail_sampler(spec, n, gamma):
     return draw
 
 
-def converse_iso(spec, n, epsilon, cfg, stream_offset=0, gains=None):
+def converse_iso(spec, n, epsilon, cfg, stream_offset, gains):
     """Upper bound on the rate of isotropic codebooks at blocklength n, as
     (rate, (nominal, rate)) with nominal the log-mean estimate at the same
     threshold. The order-statistic threshold and the log-mean bound each
     spend half of cfg.confidence_delta. `gains` are the channel's
-    `iso_gains`, shared by a blocklength grid; when None they are drawn
-    from the channel streams of `stream_offset`."""
+    `iso_gains`, which a blocklength grid shares; the statistics are drawn
+    given them from the streams of `stream_offset`."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
         raise DomainError("requires n >= 1")
-    sel, ev = iso_gains(spec, cfg, stream_offset) if gains is None else gains
+    sel, ev = gains
     values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM, sel))
     half = 0.5 * cfg.confidence_delta
     k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", half)

@@ -93,37 +93,6 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def _chunk_plan(cfg):
-    n_chunks = (cfg.samples + cfg.chunk_size - 1) // cfg.chunk_size
-    sizes = [cfg.chunk_size] * n_chunks
-    sizes[-1] = cfg.samples - cfg.chunk_size * (n_chunks - 1)
-    return sizes
-
-
-def _run_chunks(sampler, cfg, stream_offset, given):
-    """Evaluate `sampler(rng, size)`, or `sampler(rng, size, rows)` with the
-    chunk's rows of `given`, over all chunks, in chunk-index order."""
-    sizes = _chunk_plan(cfg)
-    results = [None] * len(sizes)
-    extra = [()] * len(sizes)
-    if given is not None:
-        if len(given) != cfg.samples:
-            raise DomainError(f"given holds {len(given)} rows for {cfg.samples} samples")
-        extra = [(rows,) for rows in np.split(given, np.cumsum(sizes)[:-1])]
-
-    def work(i):
-        results[i] = np.asarray(sampler(rng(cfg.seed, stream_offset + i), sizes[i], *extra[i]))
-
-    threads = worker_count()
-    if threads == 1 or len(sizes) == 1:
-        for i in range(len(sizes)):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(sizes))))
-    return results
-
-
 def cp_lower(successes, trials, delta):
     """Exact one-sided lower confidence bound on a binomial proportion.
 
@@ -154,10 +123,29 @@ def sample_values(value_sampler, cfg, stream_offset=0, given=None):
     under the same cfg (a `sample_values` result), chunk i calls
     value_sampler(rng, size, rows) with rows the chunk's own rows of
     `given`: one sample, such as the channel draws of a blocklength grid,
-    can then condition the draws of many calls.
+    can then condition the draws of many calls. Chunks run on the worker
+    pool and are concatenated in chunk-index order.
     """
-    chunks = _run_chunks(value_sampler, cfg, stream_offset, given)
-    return np.concatenate(chunks)
+    full = (cfg.samples - 1) // cfg.chunk_size  # chunks before the last
+    sizes = [cfg.chunk_size] * full + [cfg.samples - cfg.chunk_size * full]
+    results = [None] * len(sizes)
+    extra = [()] * len(sizes)
+    if given is not None:
+        if len(given) != cfg.samples:
+            raise DomainError(f"given holds {len(given)} rows for {cfg.samples} samples")
+        extra = [(rows,) for rows in np.split(given, np.cumsum(sizes)[:-1])]
+
+    def work(i):
+        results[i] = np.asarray(value_sampler(rng(cfg.seed, stream_offset + i), sizes[i], *extra[i]))
+
+    threads = worker_count()
+    if threads == 1 or len(sizes) == 1:
+        for i in range(len(sizes)):
+            work(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, range(len(sizes))))
+    return np.concatenate(results)
 
 
 def quantile_order_indices(n, target_prob, direction, delta):

@@ -56,11 +56,10 @@ def water_fill_batch(lam, rho):
 
 
 def mode_gains(spec, cov, rng, size):
-    """Per-mode SNR gains v * lambda of `size` channel draws, shape (size, m).
+    """Per-mode SNR gains of `size` channel draws, shape (size, m), m = min(t, r).
 
-    Isotropic: the effective eigenvalues themselves (m = min(t, r)).
-    WaterFill: the water-filling powers v times the eigenvalues of H H^H
-    (m = t, the modes past min(t, r) have gain 0).
+    Isotropic: the effective eigenvalues themselves. WaterFill: the
+    water-filling powers v times the eigenvalues of the m-square Gram.
     """
     lam = ch.effective_eigenvalues(ch.sample_channel(spec, rng, size), cov, spec)
     if isinstance(cov, ch.WaterFill):
@@ -84,30 +83,27 @@ def gain_sample(spec, cov, cfg, stream_offset):
 def capacity_dispersion(gains):
     """Instantaneous capacity C (nats) and dispersion V (nats^2).
 
-    Accepts stacks of per-mode gains of shape (..., m); returns (C, V) arrays
-    (or floats for 1-D input). Inactive modes (gain 0) contribute zero to
-    both.
+    Accepts stacks of per-mode gains of shape (..., m); returns (C, V)
+    arrays of shape (...). Inactive modes (gain 0) contribute zero to both.
     """
     g = np.asarray(gains, dtype=float)
     c = np.sum(np.log1p(g), axis=-1)
     active = g > 0.0
     var = np.sum(active, axis=-1) - np.sum(np.where(active, (1.0 + g) ** -2.0, 0.0), axis=-1)
-    if g.ndim == 1:
-        return float(c), float(max(var, 0.0))
     return c, np.clip(var, 0.0, None)
 
 
 def capacity_sampler(spec, cov):
     """Batched sampler of the instantaneous capacity C(H) in nats.
 
-    Isotropic input with min(t, r) >= 3 takes the log-determinant of
-    I + (rho/t) G without its spectrum; smaller Grams have closed-form
-    spectra, and water-filling needs the spectrum.
+    Isotropic input with min(t, r) >= 3 takes ln det(I + (rho/t) G) from
+    `channel.log_det_gram`, without the spectrum; smaller Grams have
+    closed-form spectra, and water-filling needs the spectrum.
     """
 
     def draw(rng, size):
         if isinstance(cov, ch.Isotropic) and spec.m >= 3:
-            return ch.isotropic_log_det(ch.sample_channel(spec, rng, size), spec)
+            return ch.log_det_gram(ch.sample_channel(spec, rng, size), spec.snr / spec.t)
         return np.sum(np.log1p(mode_gains(spec, cov, rng, size)), axis=-1)
 
     return draw

@@ -132,9 +132,10 @@ def _boost_sf(x, k, delta):
 def noncentral_chi2_sf_batch(x, k, delta):
     """Survival function P[chi'2_k(delta) >= x] for arrays x, delta (common k).
 
-    Absolute error ~1e-12: rows provably within 1e-13 of 0 or 1 (by Chernoff)
-    are short-circuited; the rest use Boost's tail (`_boost_sf`), except rows
-    with delta > 100 k or whose Boost call warned, which use `_chi_quadrature`.
+    Absolute error ~1e-12: rows with x <= 0 are exactly 1, and rows provably
+    within 1e-13 of 0 or 1 (by Chernoff) are short-circuited; the rest use
+    Boost's tail (`_boost_sf`), except rows with delta > 100 k or whose Boost
+    call warned, which use `_chi_quadrature`.
     """
     x = np.asarray(x, dtype=float)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape).copy()
@@ -190,17 +191,18 @@ def noncentral_chi2_cdf_sf(x, k, delta):
     return cdf, 1.0 - cdf
 
 
-def sample_noncentral_chi2(k, delta, rng, size=None):
+def sample_noncentral_chi2(k, delta, rng):
     """Exact noncentral chi-square sampler: Poisson-mixed central chi-square.
 
     `k` may be a scalar or array (even, >= 2); `delta` likewise; `rng` is a
-    numpy Generator. Returns draws of chi'2_k(delta).
+    numpy Generator. Returns one draw of chi'2_k(delta) per element of the
+    broadcast of k and delta.
     """
     k = np.asarray(k)
     delta = np.asarray(delta, dtype=float)
     if np.any(k < 2) or np.any(np.asarray(k) % 2 != 0) or np.any(delta < 0):
         raise DomainError("requires even k >= 2, delta >= 0")
-    j = rng.poisson(0.5 * delta, size=size)
+    j = rng.poisson(0.5 * delta)
     shape = 0.5 * k + j
     return 2.0 * rng.standard_gamma(shape)
 

@@ -10,8 +10,9 @@ trapezoid reference for the gain-law means of the t = 1 bounds, the Markov and
 Chernoff bounds, the rank-one binomial sum and an mpmath matrix
 exponential that referee the beta-product tail, water-filling of one
 eigenvalue vector, log-domain incomplete and multivariate gamma functions
-with the asymptotic converse constants built on them, and small helpers
-the tests share. Nothing in `fbl` calls them.
+with the asymptotic converse constants built on them, the Monte Carlo
+bounds at one stream offset with their channel gains drawn there, and small
+helpers the tests share. Nothing in `fbl` calls them.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def qr_sin2_sampler(spec, cov, n):
 
     def draw(rng, size):
         m_eff = spec.m
-        gains = og.mode_gains(spec, cov, rng, size)[..., :m_eff]
+        gains = og.mode_gains(spec, cov, rng, size)
         y = rng.standard_normal((size, n, r)) + 1j * rng.standard_normal((size, n, r))
         y *= math.sqrt(0.5)
         idx = np.arange(m_eff)
@@ -320,7 +321,7 @@ def plain_sin2_sampler(spec, cov, n):
     draw = ach.sin2_statistic_sampler(spec, n)
 
     def plain(rng, size):
-        gains = og.mode_gains(spec, cov, rng, size)[:, : spec.m]
+        gains = og.mode_gains(spec, cov, rng, size)
         return np.exp(draw(rng, size, gains))
 
     return plain
@@ -351,6 +352,16 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + ach._STAT_STREAM))
     k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + tau, "upper", cfg.confidence_delta)
     return float(values[k - 1])
+
+
+def kappa_beta_rate(spec, cov, n, epsilon, tau, cfg):
+    """`ach.rate_lower_bound` at stream offset 0, given the `ach.statistic_gains` drawn there."""
+    return ach.rate_lower_bound(spec, n, epsilon, tau, cfg, 0, ach.statistic_gains(spec, cov, cfg, 0))
+
+
+def converse_iso_rate(spec, n, epsilon, cfg):
+    """`cv.converse_iso` at stream offset 0, given the `cv.iso_gains` drawn there."""
+    return cv.converse_iso(spec, n, epsilon, cfg, 0, cv.iso_gains(spec, cfg, 0))
 
 
 def iso_aux_statistic_sampler(spec, n):

@@ -80,10 +80,11 @@ def test_criterion_2_fig3_epsilon_capacity():
 def test_criterion_3_ninety_percent_blocklengths():
     step = 20
     cfg_ach = mc.MCConfig(seed=23, samples=1_000_000)
-    ach_100, _ = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), 100, 1e-3, None, cfg_ach)
+    gains = ach.statistic_gains(FIG2_SPEC, ch.Isotropic(), cfg_ach, 0)
+    ach_100, _ = ach.rate_lower_bound(FIG2_SPEC, 100, 1e-3, None, cfg_ach, 0, gains)
     crossing = None
     for n in (460, 480, 480 + step):
-        rate, _ = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), n, 1e-3, None, cfg_ach)
+        rate, _ = ach.rate_lower_bound(FIG2_SPEC, n, 1e-3, None, cfg_ach, 0, gains)
         if rate / L2 >= 0.9:
             crossing = n
             break
@@ -142,17 +143,21 @@ def test_criterion_6_sandwich():
     # floating-point rounding, not the width of the converse interval
     slack = 1e-9
     violations = []
+    # each bound's channel gains are drawn once and serve every n
+    gains = ach.statistic_gains(FIG2_SPEC, ch.WaterFill(), CFG, 0)
     for n in (100, 200, 400, 800):
         conv, _ = _conv_fig2(n)
         for rate, _ in (
-            ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, CFG),
+            ach.rate_lower_bound(FIG2_SPEC, n, 1e-3, None, CFG, 0, gains),
             _kb_fig2(n),
         ):
             if rate > conv + slack:
                 violations.append(f"fig2 n={n}")
+    conv_gains = cv.iso_gains(FIG3_SPEC, CFG, 0)
+    gains = ach.statistic_gains(FIG3_SPEC, ch.Isotropic(), CFG, 0)
     for n in (100, 200, 400, 800):
-        conv, _ = cv.converse_iso(FIG3_SPEC, n, 1e-3, CFG)
-        rate, _ = ach.rate_lower_bound(FIG3_SPEC, ch.Isotropic(), n, 1e-3, None, CFG)
+        conv, _ = cv.converse_iso(FIG3_SPEC, n, 1e-3, CFG, 0, conv_gains)
+        rate, _ = ach.rate_lower_bound(FIG3_SPEC, n, 1e-3, None, CFG, 0, gains)
         if rate > conv + slack:
             violations.append(f"fig3 n={n}")
     elapsed = time.perf_counter() - start

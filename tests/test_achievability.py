@@ -241,7 +241,7 @@ class TestRateLowerBound:
 
     def test_vacuous_bound_clamps_to_zero(self):
         spec = ch.ChannelSpec(t=1, r=1, snr=1e-9, fading=ch.Rayleigh())
-        rate, _ = ach.rate_lower_bound(spec, ch.WaterFill(), 50, 0.5, 0.25, self.cfg)
+        rate, _ = oracles.kappa_beta_rate(spec, ch.WaterFill(), 50, 0.5, 0.25, self.cfg)
         assert rate == 0.0
 
     def test_fig2_crossing_window(self):
@@ -250,24 +250,24 @@ class TestRateLowerBound:
         # (sd 0.004 over seeds), so it runs on 1e6, where the conservative
         # quantile shaves less and n = 520 reads 0.906 +- 0.001 bit
         cfg = mc.MCConfig(seed=8, samples=1_000_000)
-        r520, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 520, 1e-3, None, cfg)
-        r100, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, None, cfg)
+        r520, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 520, 1e-3, None, cfg)
+        r100, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 100, 1e-3, None, cfg)
         assert r100 / math.log(2) < 0.9
         assert r520 / math.log(2) >= 0.9
 
     def test_never_exceeds_epsilon_capacity(self):
         _, (lo, hi) = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
         for n in (100, 400):
-            rate, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, self.cfg)
+            rate, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, self.cfg)
             assert rate <= hi + 3 * (hi - lo) + 1e-9
 
     def test_grid_search_dominates_each_tau(self):
         # the grid gives each tau an equal share of delta: it is the best of
         # the single-tau bounds taken at that share
-        best, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, None, self.cfg)
+        best, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, None, self.cfg)
         taus = ach.tau_grid(200, 1e-3)
         share = mc.MCConfig(seed=8, samples=100_000, confidence_delta=self.cfg.confidence_delta / len(taus))
-        singles = [ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, tau, share)[0] for tau in taus]
+        singles = [oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, tau, share)[0] for tau in taus]
         assert best == max(singles)
 
     def test_grid_skips_a_tau_whose_quantile_needs_more_samples(self):
@@ -278,20 +278,20 @@ class TestRateLowerBound:
         assert taus == [0.005, 0.025, 1.0 / 21]
         share = mc.MCConfig(seed=0, samples=2000, confidence_delta=0.01 / 3)
         with pytest.raises(ConfigurationError, match="too few samples"):
-            ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, 1.0 / 21, share)
-        best, _ = ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, None, mc.MCConfig(seed=0, samples=2000))
-        feasible = [ach.rate_lower_bound(spec, ch.WaterFill(), 21, 0.05, tau, share)[0] for tau in taus[:2]]
+            oracles.kappa_beta_rate(spec, ch.WaterFill(), 21, 0.05, 1.0 / 21, share)
+        best, _ = oracles.kappa_beta_rate(spec, ch.WaterFill(), 21, 0.05, None, mc.MCConfig(seed=0, samples=2000))
+        feasible = [oracles.kappa_beta_rate(spec, ch.WaterFill(), 21, 0.05, tau, share)[0] for tau in taus[:2]]
         assert best == max(feasible)
 
     def test_simo_waterfill_isotropic_consistency(self):
         # with one transmit antenna the two signaling paths coincide
-        a, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, 1e-4, self.cfg)
-        b, _ = ach.rate_lower_bound(FIG2_SPEC, ch.Isotropic(), 200, 1e-3, 1e-4, self.cfg)
+        a, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 200, 1e-3, 1e-4, self.cfg)
+        b, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.Isotropic(), 200, 1e-3, 1e-4, self.cfg)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_mimo_path_runs(self):
         spec = ch.ChannelSpec(t=2, r=3, snr=db_to_linear(2.12), fading=ch.Rayleigh())
-        rate, _ = ach.rate_lower_bound(spec, ch.Isotropic(), 200, 1e-3, None, self.cfg)
+        rate, _ = oracles.kappa_beta_rate(spec, ch.Isotropic(), 200, 1e-3, None, self.cfg)
         assert 0.0 < rate < math.log(1 + spec.snr * 6)
 
 
@@ -312,7 +312,7 @@ class TestCsirKappaBetaSimo:
     def test_beats_no_side_information_curve(self):
         for n in (100, 300, 600):
             csir, _ = ach.csir_kappa_beta_simo(FIG2_SPEC, n, 1e-3, None)
-            plain, _ = ach.rate_lower_bound(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, self.cfg)
+            plain, _ = oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), n, 1e-3, None, self.cfg)
             assert csir >= plain - 1e-9
 
     @pytest.mark.parametrize("n, tau", [(100, 1e-4), (500, 5e-4)])

@@ -1,5 +1,6 @@
 """Command-line front end: config handling, CSV emission, determinism, exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -128,18 +129,42 @@ class TestConfigRoundTrip:
 
     def test_flags_override_the_file_and_the_preset_alike(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("antennas = 1x2\nsnr_db = 0\nbounds = awgn\nseed = 5\nn_grid = 100\n")
-        flags = ["--seed", "9", "--n-grid", "20,40"]
+        cfg.write_text("antennas = 1x2\nsnr_db = 0\nbounds = awgn\nseed = 5\nsamples = 3000\nn_grid = 100\n"
+                       "output = a.csv\n")
+        out = str(tmp_path / "b.csv")
+        flags = ["--seed", "9", "--samples", "2000", "--n-grid", "20,40", "--output", out]
         parser = cli.build_parser()
         from_file = cli._request(parser.parse_args(["sweep", "--config", str(cfg), *flags]))
         from_preset = cli._request(parser.parse_args(["figure", "fig5", *flags]))
         for req in (from_file, from_preset):
-            assert req.mc.seed == 9 and req.n_grid == (20, 40)
+            assert req.mc.seed == 9 and req.mc.samples == 2000 and req.n_grid == (20, 40) and req.output == out
         assert from_file.bounds == ("awgn",)
         assert from_preset.bounds == ("ach-simo", "conv-simo", "normal")
+        # a bound command: one input per flag that sets a config key, each
+        # fading parameter under its own fading kind
+        common = [
+            ("--cov", "cov", "waterfill"), ("--epsilon", "epsilon", "0.02"), ("--tau", "tau", "0.005"),
+            ("--seed", "seed", "9"), ("--samples", "samples", "2000"), ("--chunk-size", "chunk_size", "500"),
+            ("--confidence-delta", "confidence_delta", "0.02"), ("--rate-bits", "rate_bits", "1.5"),
+            ("--n-grid", "n_grid", "20,40"), ("--output", "output", out),
+        ]
+        for fading in (
+            [("--fading", "fading.kind", "rician"), ("--k-db", "fading.k_db", "10")],
+            [("--fading", "fading.kind", "nakagami"), ("--m-shape", "fading.m_shape", "2.5")],
+        ):
+            argv = ["outage", "--t", "2", "--r", "3", "--snr-db", "1.5"]
+            kv = {"antennas": "2x3", "snr_db": "1.5", "bounds": "outage"}
+            for flag, key, value in fading + common:
+                argv += [flag, value]
+                kv[key] = value
+            assert cli._request(parser.parse_args(argv)) == cf.request_from_mapping(kv)
 
     def test_every_flag_key_is_a_config_key(self):
-        assert set(cli._FLAG_KEYS) <= set(cf.KEYS)
+        # `_request` lays a flag over the config mapping by its dest; the
+        # flags whose dest is no config key are read by name there
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+        assert dests - set(cf.KEYS) == {"help", "t", "r", "n", "config"}
 
     @pytest.mark.parametrize("line", ["cov = isotropic", "cov = csit", "fading.kind = rice"])
     def test_unlisted_values_rejected(self, line):

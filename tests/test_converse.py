@@ -358,14 +358,14 @@ class TestConverseIso:
     def test_epsilon_and_blocklength_domain(self):
         cfg = mc.MCConfig(seed=1, samples=1000)
         with pytest.raises(DomainError):
-            cv.converse_iso(FIG3_SPEC, 100, 0.0, cfg)
+            oracles.converse_iso_rate(FIG3_SPEC, 100, 0.0, cfg)
         with pytest.raises(DomainError):
-            cv.converse_iso(FIG3_SPEC, 0, 1e-3, cfg)
+            oracles.converse_iso_rate(FIG3_SPEC, 0, 1e-3, cfg)
 
     def test_vanishing_channel_rate_near_zero(self):
         spec = ch.ChannelSpec(t=1, r=1, snr=1e-12, fading=ch.Rayleigh())
         cfg = mc.MCConfig(seed=2, samples=5_000)
-        rate, _ = cv.converse_iso(spec, 100, 1e-3, cfg)
+        rate, _ = oracles.converse_iso_rate(spec, 100, 1e-3, cfg)
         assert 0.0 <= rate < 0.01
 
     def test_single_antenna_statistic_matches_gain_mixture_ks(self):
@@ -395,8 +395,8 @@ class TestConverseIso:
 
     def test_fig3_levels(self):
         cfg = mc.MCConfig(seed=3, samples=50_000)
-        near = cv.converse_iso(FIG3_SPEC, 800, 1e-3, cfg)[0] / math.log(2)
-        far = cv.converse_iso(FIG3_SPEC, 120, 1e-3, cfg)[0] / math.log(2)
+        near = oracles.converse_iso_rate(FIG3_SPEC, 800, 1e-3, cfg)[0] / math.log(2)
+        far = oracles.converse_iso_rate(FIG3_SPEC, 120, 1e-3, cfg)[0] / math.log(2)
         assert far >= 0.9
         assert near >= 0.9
         # approaches the one-bit limit from above

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 import fbl
+import oracles
 from fbl import achievability as ach
 from fbl import channel as ch
 from fbl import converse as cv
@@ -35,7 +36,7 @@ def converse_gamma(monkeypatch, statistic_sampler, epsilon, cfg):
     # both samplers are handed the chunk's channel gains, which these ignore
     monkeypatch.setattr(cv, "iso_statistic_sampler", lambda spec, n: lambda rng, size, lam: statistic_sampler(rng, size))
     monkeypatch.setattr(cv, "_iso_log_tail_sampler", tail_sampler)
-    cv.converse_iso(ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh()), 10, epsilon, cfg)
+    oracles.converse_iso_rate(ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh()), 10, epsilon, cfg)
     return seen[0]
 
 
@@ -430,13 +431,13 @@ class TestConfidenceBudget:
     @pytest.mark.parametrize(
         "bound, n_steps",
         [
-            (lambda s: cv.converse_iso(s.mimo, 30, 1e-2, s.cfg), 2),
+            (lambda s: oracles.converse_iso_rate(s.mimo, 30, 1e-2, s.cfg), 2),
             # the t = 1 bounds are quadratures over the gain law: no steps
             (lambda s: cv.converse_simo(s.simo, 300, 1e-2), 0),
             # the default tau grid at n = 300, eps = 1e-2 has three points
-            (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, None, s.cfg), 3),
-            (lambda s: ach.rate_lower_bound(s.simo, ch.WaterFill(), 300, 1e-2, 5e-3, s.cfg), 1),
-            (lambda s: ach.rate_lower_bound(s.mimo, ch.Isotropic(), 300, 1e-2, None, s.cfg), 3),
+            (lambda s: oracles.kappa_beta_rate(s.simo, ch.WaterFill(), 300, 1e-2, None, s.cfg), 3),
+            (lambda s: oracles.kappa_beta_rate(s.simo, ch.WaterFill(), 300, 1e-2, 5e-3, s.cfg), 1),
+            (lambda s: oracles.kappa_beta_rate(s.mimo, ch.Isotropic(), 300, 1e-2, None, s.cfg), 3),
             (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, None), 0),
             (lambda s: ach.csir_kappa_beta_simo(s.simo, 300, 1e-2, 5e-3), 0),
         ],

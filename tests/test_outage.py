@@ -99,6 +99,19 @@ class TestWaterFill:
             alloc = oracles.water_fill(lam[i], 2.0)
             np.testing.assert_allclose(v[i], alloc.v, atol=1e-12)
 
+    @pytest.mark.parametrize("t, r", [(3, 2), (4, 1)])
+    def test_mode_gains_fill_the_nonzero_modes_of_a_wide_gram(self, t, r):
+        # t > r: the t - r zero eigenvalues of H H^H take no power, and the
+        # gains are those of the min(t, r) nonzero modes
+        spec = ch.ChannelSpec(t=t, r=r, snr=2.0, fading=ch.Rayleigh())
+        got = og.mode_gains(spec, ch.WaterFill(), mc.rng(8, t), 200)
+        assert got.shape == (200, min(t, r))
+        h = ch.sample_channel(spec, mc.rng(8, t), 200)
+        for i in range(200):
+            lam = oracles.hermitian_eigenvalues(h[i] @ h[i].conj().T)[: min(t, r)]
+            want = oracles.water_fill(lam, spec.snr).v * lam
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12 * want[0])
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             oracles.water_fill(np.array([0.5, 2.0]), 1.0)  # not descending
@@ -108,18 +121,19 @@ class TestWaterFill:
 
 class TestCapacityDispersion:
     def test_unit_gain(self):
-        c, v = og.capacity_dispersion(np.array([1.0]))
-        assert c == pytest.approx(math.log(2.0), rel=1e-12)
-        assert v == pytest.approx(0.75, rel=1e-12)
+        c, v = og.capacity_dispersion(np.array([[1.0]]))
+        assert c.shape == v.shape == (1,)
+        assert c[0] == pytest.approx(math.log(2.0), rel=1e-12)
+        assert v[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_zero_gain(self):
-        c, v = og.capacity_dispersion(np.array([0.0, 0.0]))
-        assert c == 0.0 and v == 0.0
+        c, v = og.capacity_dispersion(np.array([[0.0, 0.0]]))
+        assert c[0] == 0.0 and v[0] == 0.0
 
     def test_inactive_modes_do_not_count(self):
-        c1, v1 = og.capacity_dispersion(np.array([2.0]))
-        c2, v2 = og.capacity_dispersion(np.array([2.0, 0.0]))
-        assert c1 == pytest.approx(c2) and v1 == pytest.approx(v2)
+        c1, v1 = og.capacity_dispersion(np.array([[2.0]]))
+        c2, v2 = og.capacity_dispersion(np.array([[2.0, 0.0]]))
+        assert c1[0] == pytest.approx(c2[0]) and v1[0] == pytest.approx(v2[0])
 
     def test_isotropic_determinant_oracle(self):
         spec = ch.ChannelSpec(t=2, r=3, snr=db_to_linear(2.12), fading=ch.Rayleigh())
@@ -137,7 +151,7 @@ class TestCapacityDispersion:
             spec = ch.ChannelSpec(t=t, r=r, snr=2.0, fading=ch.Rayleigh())
             got = og.capacity_sampler(spec, ch.Isotropic())(mc.rng(5, 1), 64)
             h = ch.sample_channel(spec, mc.rng(5, 1), 64)
-            np.testing.assert_array_equal(got, ch.isotropic_log_det(h, spec))
+            np.testing.assert_array_equal(got, ch.log_det_gram(h, spec.snr / spec.t))
             lam = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
             np.testing.assert_allclose(got, np.sum(np.log1p(lam), axis=-1), rtol=1e-13)
 
