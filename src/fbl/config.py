@@ -102,7 +102,8 @@ def _estimate(rate):
 
 
 def _normal(req, offset):
-    # one channel sample set serves the whole grid
+    # one set of nodes serves the whole grid: at t = 1 the gain-law cells,
+    # which draw nothing, and at t >= 2 one channel sample
     approx = ap.NormalApprox(req.spec, req.cov, req.mc, stream_offset=offset(0))
     return [_estimate(approx.rate(n, req.epsilon)) for n in req.n_grid]
 

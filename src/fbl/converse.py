@@ -25,6 +25,7 @@ from . import specfun as sf
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
+    "gain_cells",
     "SimoTailTable",
     "SimoTwoStep",
     "converse_simo",
@@ -53,36 +54,49 @@ def _tail_end(k, delta, log_mass, side):
     return mean * math.exp(-sign * u)
 
 
+def gain_cells(spec, epsilon, points, tail_nats, n=None):
+    """Cells over the closed-form law of the t = 1 gain a = rho |h|^2.
+
+    Returns (gains, prob, (below, above), log_tail): `points` log-spaced gains
+    between the points where the Chernoff bound on each tail of the law
+    (`channel.gain_law`) is epsilon * e^-tail_nats, and not below 1e-6 / n
+    when n is given; the probability of each cell between neighbouring
+    points, from the CDF below the median and the survival function above
+    it, so that neither difference cancels; the exact mass below the first
+    point and above the last; and a bound on the log of that mass.
+    """
+    scale, dof, nc = ch.gain_law(spec)
+    log_mass = math.log(epsilon) - tail_nats
+    x_lo, x_hi = _tail_end(dof, nc, log_mass, "lower"), _tail_end(dof, nc, log_mass, "upper")
+    if n is not None:
+        x_lo = max(x_lo, 1e-6 * scale / (spec.snr * n))
+        # all the mass can lie below that floor (a vanishing SNR): the grid
+        # then spans one octave above it and holds next to nothing
+        x_hi = max(x_hi, 2.0 * x_lo)
+    x = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), points))
+    x[0], x[-1] = x_lo, x_hi
+    cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, dof, nc)
+    prob = np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf_))
+    below = sf.noncentral_chi2_chernoff(x_lo, dof, nc, "lower")
+    log_tail = float(np.logaddexp(below, sf.noncentral_chi2_chernoff(x_hi, dof, nc, "upper")))
+    return spec.snr * x / scale, prob, (float(cdf[0]), float(sf_[-1])), log_tail
+
+
 class SimoTailTable:
     """The conditional tails of the t = 1 statistics on a grid over the gain law.
 
-    The gain a = rho |h|^2 has the closed-form law of `channel.gain_law`.
-    `grid` holds GRID log-spaced gains between the points where the Chernoff
-    bound on each tail of the law is epsilon * e^-TAIL_NATS, and not below
-    1e-6 / n, where the noncentralities ~n/a become intractable. `prob` holds
-    the probability of each cell between neighbouring points, from the CDF
-    below the median and the survival function above it, so that neither
-    difference cancels; `log_tail` bounds the log of the mass outside the grid.
+    `grid`, `prob` and `log_tail` are the `gain_cells` of GRID points with
+    tails of epsilon * e^-TAIL_NATS, not below 1e-6 / n, where the
+    noncentralities ~n/a become intractable; `log_tail` bounds the log of
+    the mass outside the grid.
     """
 
     GRID = 513
     TAIL_NATS = 9.0  # docs/DECISIONS.md, section 1
 
     def __init__(self, spec, n, epsilon):
-        scale, dof, nc = ch.gain_law(spec)
         self.n = int(n)
-        log_mass = math.log(epsilon) - self.TAIL_NATS
-        x_lo = max(_tail_end(dof, nc, log_mass, "lower"), 1e-6 * scale / (spec.snr * self.n))
-        # all the mass can lie below that floor (a vanishing SNR): the grid
-        # then spans one octave above it and holds next to nothing
-        x_hi = max(_tail_end(dof, nc, log_mass, "upper"), 2.0 * x_lo)
-        x = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), self.GRID))
-        x[0], x[-1] = x_lo, x_hi
-        cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, dof, nc)
-        self.prob = np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf_))
-        below = sf.noncentral_chi2_chernoff(x_lo, dof, nc, "lower")
-        self.log_tail = float(np.logaddexp(below, sf.noncentral_chi2_chernoff(x_hi, dof, nc, "upper")))
-        self.grid = spec.snr * x / scale
+        self.grid, self.prob, _, self.log_tail = gain_cells(spec, epsilon, self.GRID, self.TAIL_NATS, self.n)
 
     def _thr_l(self, gamma):
         """The chi-square threshold of L_n at every grid point; S_n's is (1 + a) times it."""

@@ -236,6 +236,30 @@ class FineSimoMeans:
         return max(0.0, (math.log(tau) - self.log_mean_q_l(gamma)) / n)
 
 
+def fine_normal_rate(spec, n, epsilon):
+    """Reference t = 1 normal-approximation rate R0 + ln(n)/(2n), R0 the root of
+    E_a[Q((C(a) - R0) / sqrt(V(a)/n))] = epsilon over the gain law of a = rho |h|^2.
+
+    The trapezoid rule with the exact cell probabilities on the grid of
+    `FineSimoMeans` (16 times finer than `converse.SimoTailTable`'s, tails
+    down to a Chernoff bound of epsilon * e^-30, whose mass is left out),
+    without the 1e-6/n floor, with `scipy.stats.norm.sf` for Q and Brent's
+    method for the root.
+    """
+    gains, prob, _, _ = cv.gain_cells(spec, epsilon, _FineSimoTable.GRID, _FineSimoTable.TAIL_NATS)
+    c = np.log1p(gains)
+    sigma = np.sqrt(-np.expm1(-2.0 * c) / n)  # V = 1 - (1 + a)^-2
+
+    def excess(r):
+        q = stats.norm.sf((c - r) / sigma)
+        return prob @ (0.5 * (q[:-1] + q[1:])) - epsilon
+
+    # Q(15) < 4e-51 at every node below the bracket, and 1 - Q(15) above it
+    width = 15.0 * float(np.max(sigma))
+    r0 = optimize.brentq(excess, c[0] - width, c[-1] + width, xtol=1e-15, rtol=1e-15)
+    return r0 + math.log(n) / (2.0 * n)
+
+
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b): the Beta(a, b) CDF at x."""
     if not (0.0 <= x <= 1.0) or a <= 0 or b <= 0:

@@ -3,10 +3,13 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+import oracles
 from fbl import approx as ap
 from fbl import channel as ch
+from fbl import cli
 from fbl import converse as cv
 from fbl import mc
 from fbl import outage as og
@@ -17,6 +20,8 @@ from fbl.errors import DomainError
 FIG2_SPEC = ch.ChannelSpec(
     t=1, r=2, snr=db_to_linear(-1.55), fading=ch.Rician(k_factor=db_to_linear(20.0))
 )
+FIG5_SPEC = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(2.74), fading=ch.Rayleigh())
+NAKAGAMI_SPEC = ch.ChannelSpec(t=1, r=3, snr=db_to_linear(2.74), fading=ch.Nakagami(m_shape=0.5))
 
 
 class TestNormalApprox:
@@ -62,12 +67,12 @@ class TestNormalApprox:
             model.rate(100, 1.0)
 
     def test_deep_epsilon_root_lies_inside_the_bracket(self):
-        # at eps = 1e-30 the root lies below min C - 10 sigma, where the average
-        # normal error is still 3e-29, so a bracket ending there returns its end
-        # (-2.2230); the reference is the root on the wider bracket
-        # +-(max C + 10 sigma)
+        # at eps = 1e-30 the root lies far below zero rate; the pinned value
+        # is the quadrature's, 2e-6 nats below the fine-grid reference
         model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), mc.MCConfig(seed=3, samples=20_000))
-        assert model.rate(10, 1e-30) == pytest.approx(-2.3081421417948054, abs=1e-12)
+        got = model.rate(10, 1e-30)
+        assert got == pytest.approx(-2.3082934241077857, abs=1e-12)
+        assert abs(got - oracles.fine_normal_rate(FIG2_SPEC, 10, 1e-30)) / math.log(2) < 1e-4
 
     def test_tracks_converse_at_large_blocklength(self):
         # the converse exceeds the approximation, which carries the ln(n)/(2n)
@@ -76,6 +81,71 @@ class TestNormalApprox:
         rate, _ = cv.converse_simo(FIG2_SPEC, 1000, 1e-3)
         gap_bits = (rate - model.rate(1000, 1e-3)) / math.log(2)
         assert 0.0 < gap_bits < 0.03
+
+
+class TestGainLawQuadrature:
+    """At t = 1 the expectation is a quadrature over the gain law's cells."""
+
+    cfg = mc.MCConfig(seed=11, samples=1_000)
+
+    @pytest.mark.parametrize(
+        "spec, n, eps",
+        [(FIG2_SPEC, 10, 1e-3), (FIG2_SPEC, 100, 1e-3), (FIG2_SPEC, 500, 1e-3), (FIG2_SPEC, 1000, 1e-3),
+         (FIG5_SPEC, 100, 0.1), (NAKAGAMI_SPEC, 100, 0.05)],
+        ids=["fig2-10", "fig2-100", "fig2-500", "fig2-1000", "fig5-100", "nakagami-100"],
+    )
+    def test_within_a_tenth_of_a_millibit_of_the_fine_grid(self, spec, n, eps):
+        got = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(n, eps)
+        assert abs(got - oracles.fine_normal_rate(spec, n, eps)) / math.log(2) < 1e-4
+
+    @pytest.mark.parametrize("spec, eps", [(FIG2_SPEC, 1e-3), (FIG5_SPEC, 0.1)], ids=["fig2", "fig5"])
+    def test_between_the_roots_of_the_cell_bound_ends(self, spec, eps):
+        # the mean of each cell's lower bound (0 outside the grid) and of its
+        # upper bound (plus the bound on the outside mass) enclose the exact
+        # average error, so their roots enclose the exact R0
+        n = 200
+        gains, prob, _, log_tail = cv.gain_cells(spec, eps, cv.SimoTailTable.GRID, cv.SimoTailTable.TAIL_NATS)
+        c, v = og.capacity_dispersion(gains[:, None])
+
+        def mean(r, end):
+            q = sf.gaussian_q((c - r) / np.sqrt(v / n))
+            return prob @ cv._cell_bounds(q, end) + (math.exp(log_tail) if end == "upper" else 0.0)
+
+        lo, hi = (mc.root_find_monotone(lambda r: mean(r, end), eps, (-1.0, 3.0), "at_least")
+                  for end in ("upper", "lower"))
+        r0 = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(n, eps) - math.log(n) / (2 * n)
+        assert lo <= r0 <= hi
+        assert (hi - lo) / math.log(2) < 0.02
+
+    def test_draws_nothing(self, monkeypatch):
+        # one rate for either seed, sample count and covariance policy, and no channel draw
+        calls = []
+        monkeypatch.setattr(ch, "sample_channel", lambda *args: calls.append(args))
+        rates = {
+            ap.NormalApprox(FIG2_SPEC, cov, mc.MCConfig(seed=seed, samples=samples)).rate(100, 1e-3)
+            for seed, samples in ((7, 10_000), (8, 20_000))
+            for cov in (ch.WaterFill(), ch.Isotropic())
+        }
+        assert len(rates) == 1 and calls == []
+
+    def test_vanishing_snr_gives_a_finite_rate(self):
+        # no 1e-6/n floor on the gains: at -80 dB and n = 100 it would lie at
+        # half the mean gain
+        spec = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(-80.0), fading=ch.Rayleigh())
+        got = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(100, 1e-3)
+        assert math.isfinite(got)
+        assert abs(got - oracles.fine_normal_rate(spec, 100, 1e-3)) / math.log(2) < 1e-4
+
+
+class TestMonteCarloPath:
+    def test_fig3_rows_pinned(self, capsys):
+        # t >= 2 keeps the sample mean over one channel sample per grid
+        assert cli.main(["figure", "fig3", "--seed", "7", "--samples", "20000", "--n-grid", "20,40"]) == 0
+        rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("normal,")]
+        assert rows == [
+            "normal,20,0.586807839702,0.846584760293,0.586807839702,0.586807839702,estimate,7,20000",
+            "normal,40,0.659447781692,0.951382044373,0.659447781692,0.659447781692,estimate,7,20000",
+        ]
 
 
 class TestAwgnReference:
