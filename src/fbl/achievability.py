@@ -19,12 +19,10 @@ from scipy import special as scisp
 from . import channel as ch
 from . import converse as cv
 from . import mc
-from . import outage as og
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "beta_product_log_tail",
-    "statistic_gains",
     "log_wilks_lambda",
     "sin2_statistic_sampler",
     "rate_lower_bound",
@@ -84,16 +82,6 @@ def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
-def statistic_gains(spec, cov, cfg, stream_offset):
-    """The mode gains the decoding statistic is drawn under, shape (samples, d).
-
-    d = min(t, r): the `og.mode_gains` of cfg.samples channel draws from the
-    channel stream of `stream_offset`, which no per-n stream shares. One
-    sample serves every n of a grid.
-    """
-    return og.gain_sample(spec, cov, cfg, stream_offset + og.CHANNEL_STREAM)
-
-
 def _complex_normal(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
 
@@ -130,8 +118,8 @@ def sin2_statistic_sampler(spec, n):
     entries plus sqrt(n * gain_i) at (i, i). With W = L L^H (complex
     Bartlett factor) it is `log_wilks_lambda` of X and L
     (docs/DECISIONS.md, section 6). The returned draw(rng, size, gains)
-    takes the (size, d) mode gains of `statistic_gains` and returns ln Lambda
-    of each draw.
+    takes the (size, d) mode gains of `outage.gain_sample` and returns
+    ln Lambda of each draw.
     """
     t_eff, r = spec.t, spec.r
     if n <= t_eff + r:
@@ -180,7 +168,8 @@ def rate_lower_bound(spec, n, epsilon, tau, cfg, stream_offset, gains):
     across the taus. Each tau's quantile spends cfg.confidence_delta / |taus|,
     so that the maximum holds at the stated confidence (union bound); a tau
     whose quantile needs more than cfg.samples draws is skipped. `gains` are
-    the channel's `statistic_gains`, which a blocklength grid shares; the
+    the channel's mode gains (`outage.gain_sample`, under the bound's
+    covariance), which a blocklength grid shares; the
     statistic is drawn given them from the streams of `stream_offset`.
     """
     taus = _taus(n, epsilon, tau)
@@ -207,7 +196,7 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau):
     The information density under the true and auxiliary channels reduces,
     given the fading gain, to the same scaled noncentral chi-square laws as
     the single-antenna converse statistics, so the type-I failure and the
-    type-II error beta are means over the gain law (`converse.SimoTwoStep`).
+    type-II error beta are means over the gain law (`converse.SimoTailTable`).
     For each tau the threshold is the largest value where the upper end of
     the mean of the type-I failure stays at or below eps - tau, at or below
     the exact threshold, and beta takes the upper end of its mean: both only
@@ -216,19 +205,19 @@ def csir_kappa_beta_simo(spec, n, epsilon, tau):
     of the bound at that tau.
     """
     taus = _taus(n, epsilon, tau)
-    steps = cv.SimoTwoStep(spec, n, epsilon)
+    table = cv.SimoTailTable(spec, n, epsilon)
     best = None
     for t in taus:
         try:
-            gamma = steps.threshold(epsilon - t, "below", "upper")
+            gamma = table.threshold(epsilon - t, "below", "upper")
         except DomainError:
             continue  # the upper end of the type-I failure exceeds eps - tau throughout
-        rate = max(0.0, (math.log(t) - steps.log_mean_q_l(gamma, "upper")) / n)
+        rate = max(0.0, (math.log(t) - table.log_mean_q_l(gamma, "upper")) / n)
         if best is None or rate > best[0]:
             best = (rate, t, gamma)
     if best is None:
         raise ConfigurationError("no tau in the grid was feasible")
     rate, t, gamma = best
-    gamma_lo = steps.threshold(epsilon - t, "below", "lower", (gamma, steps.bracket[1]))
-    other = max(0.0, (math.log(t) - steps.log_mean_q_l(gamma_lo, "lower")) / n)
+    gamma_lo = table.threshold(epsilon - t, "below", "lower", (gamma, table.bracket[1]))
+    other = max(0.0, (math.log(t) - table.log_mean_q_l(gamma_lo, "lower")) / n)
     return rate, (rate, other)

@@ -17,7 +17,7 @@ __all__ = ["NormalApprox", "awgn_reference_rate"]
 
 
 class NormalApprox:
-    """Outage-averaged normal approximation.
+    """Outage-averaged normal approximation at error probability epsilon.
 
     With C(h), V(h) the capacity and dispersion of channel realization h, the
     rate at blocklength n and error probability epsilon is
@@ -28,74 +28,60 @@ class NormalApprox:
     nonfading reference: for a deterministic channel R equals
     `awgn_reference_rate`.
 
-    The expectation is a weighted sum over nodes (C, V) (`nodes`). At t = 1,
-    C and V are functions of the gain rho |h|^2, and the nodes are the
-    gain-law cells of `converse.gain_cells` at epsilon, with trapezoid
-    weights: nothing is drawn, so cfg and stream_offset go unused
-    (docs/DECISIONS.md, section 2). At t >= 2 the nodes are one channel
-    sample and the expectation is their mean; the same sample (common random
-    numbers) serves every blocklength, which keeps curves smooth and
-    monotone in n.
+    The expectation is a weighted sum over nodes (C, V), built once for
+    every blocklength. At t = 1, C and V are functions of the gain
+    rho |h|^2, and the nodes are the gain-law cells of `converse.gain_cells`
+    at epsilon, with the trapezoid rule on the exact cell probabilities and
+    the mass outside the grid counted at its end nodes: nothing is drawn,
+    so cfg and stream_offset go unused (docs/DECISIONS.md, section 2). At
+    t >= 2 the nodes are one channel sample and the expectation is their
+    mean (weights None); the same sample (common random numbers) serves
+    every blocklength, which keeps curves smooth and monotone in n.
     """
 
-    def __init__(self, spec, cov, cfg, stream_offset=0):
-        self.spec = spec
-        self._cells = {}
-        self.sample = None
+    def __init__(self, spec, cov, epsilon, cfg, stream_offset=0):
+        if not (0.0 < epsilon < 1.0):
+            raise DomainError("epsilon must be in (0, 1)")
+        self.epsilon = epsilon
         if spec.t == 1:
+            # one gain serves both covariance policies
             if not isinstance(cov, (ch.WaterFill, ch.Isotropic)):
                 raise DomainError(f"unknown covariance policy: {cov!r}")
+            table = cv.SimoTailTable
+            gains, prob, (below, above), _ = cv.gain_cells(spec, epsilon, table.GRID, table.TAIL_NATS)
+            self.weights = np.append(below, 0.5 * prob) + np.append(0.5 * prob, above)
+            self.c, self.v = capacity_dispersion(gains[:, None])
             return
 
         def cv_sampler(rng, size):
             return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
 
         pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
-        self.sample = (pairs[:, 0], pairs[:, 1], None)
+        self.c, self.v, self.weights = pairs[:, 0], pairs[:, 1], None
 
-    def nodes(self, epsilon):
-        """(c, v, weights) of the average at target epsilon; weights None is the sample mean.
-
-        At t = 1 one gain serves both covariance policies, and the weights
-        are the trapezoid rule with the exact cell probabilities, the mass
-        outside the grid counted at its end nodes.
-        """
-        if self.sample is not None:
-            return self.sample
-        if epsilon not in self._cells:
-            table = cv.SimoTailTable
-            gains, prob, (below, above), _ = cv.gain_cells(self.spec, epsilon, table.GRID, table.TAIL_NATS)
-            weights = np.append(below, 0.5 * prob) + np.append(0.5 * prob, above)
-            self._cells[epsilon] = (*capacity_dispersion(gains[:, None]), weights)
-        return self._cells[epsilon]
-
-    def outage_cdf(self, rate, n, epsilon):
-        """Average of the per-node normal error estimate at `rate`, on the nodes for epsilon."""
-        c, v, weights = self.nodes(epsilon)
-        sigma = np.sqrt(v / n)
+    def outage_cdf(self, rate, n):
+        """Average of the per-node normal error estimate at `rate`."""
+        sigma = np.sqrt(self.v / n)
         positive = sigma > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(positive, (c - rate) / np.where(positive, sigma, 1.0), 0.0)
+            z = np.where(positive, (self.c - rate) / np.where(positive, sigma, 1.0), 0.0)
         terms = np.where(
             positive,
             sf.gaussian_q(z),
-            np.where(c < rate, 1.0, np.where(c == rate, 0.5, 0.0)),
+            np.where(self.c < rate, 1.0, np.where(self.c == rate, 0.5, 0.0)),
         )
-        return float(np.mean(terms)) if weights is None else float(weights @ terms)
+        return float(np.mean(terms)) if self.weights is None else float(self.weights @ terms)
 
-    def rate(self, n, epsilon):
+    def rate(self, n):
         """R0 + ln(n)/(2n), with R0 the rate whose average normal error is epsilon."""
         if n < 1:
             raise DomainError("requires n >= 1")
-        if not (0.0 < epsilon < 1.0):
-            raise DomainError("epsilon must be in (0, 1)")
-        c, v, _ = self.nodes(epsilon)
         # every term is below Q(Q^-1(eps) + 1) < eps at the low end and above
         # 1 - Q(10) at the high end; small n can put the root below zero rate
-        sigma = math.sqrt(max(np.max(v), 1e-12) / n)
-        lo = float(np.min(c)) - max(10.0, sf.gaussian_q_inv(epsilon) + 1.0) * sigma
-        hi = float(np.max(c)) + 10.0 * sigma
-        r0 = mc.root_find_monotone(lambda r: self.outage_cdf(r, n, epsilon), epsilon, (lo, hi), "at_least")
+        sigma = math.sqrt(max(np.max(self.v), 1e-12) / n)
+        lo = float(np.min(self.c)) - max(10.0, sf.gaussian_q_inv(self.epsilon) + 1.0) * sigma
+        hi = float(np.max(self.c)) + 10.0 * sigma
+        r0 = mc.root_find_monotone(lambda r: self.outage_cdf(r, n), self.epsilon, (lo, hi), "at_least")
         return r0 + math.log(n) / (2.0 * n)
 
 

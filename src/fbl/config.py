@@ -75,7 +75,7 @@ def _once(point):
 # n's row of any grid, and the gains are freed when the grid is done.
 def _kappa_beta(cov):
     def evaluate(req, offset):
-        gains = ach.statistic_gains(req.spec, cov, req.mc, offset(0))
+        gains = og.gain_sample(req.spec, cov, req.mc, offset(0))
         return [
             ach.rate_lower_bound(req.spec, n, req.epsilon, req.tau, req.mc, offset(n), gains)
             for n in req.n_grid
@@ -104,8 +104,8 @@ def _estimate(rate):
 def _normal(req, offset):
     # one set of nodes serves the whole grid: at t = 1 the gain-law cells,
     # which draw nothing, and at t >= 2 one channel sample
-    approx = ap.NormalApprox(req.spec, req.cov, req.mc, stream_offset=offset(0))
-    return [_estimate(approx.rate(n, req.epsilon)) for n in req.n_grid]
+    approx = ap.NormalApprox(req.spec, req.cov, req.epsilon, req.mc, stream_offset=offset(0))
+    return [_estimate(approx.rate(n)) for n in req.n_grid]
 
 
 def _awgn(req, n, s):

@@ -27,7 +27,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "gain_cells",
     "SimoTailTable",
-    "SimoTwoStep",
     "converse_simo",
     "converse_iso",
     "iso_gains",
@@ -72,7 +71,8 @@ def gain_cells(spec, epsilon, points, tail_nats, n=None):
         x_lo = max(x_lo, 1e-6 * scale / (spec.snr * n))
         # all the mass can lie below that floor (a vanishing SNR): the grid
         # then spans one octave above it and holds next to nothing
-        x_hi = max(x_hi, 2.0 * x_lo)
+        if x_hi <= x_lo:
+            x_hi = 2.0 * x_lo
     x = np.exp(np.linspace(math.log(x_lo), math.log(x_hi), points))
     x[0], x[-1] = x_lo, x_hi
     cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, dof, nc)
@@ -80,37 +80,6 @@ def gain_cells(spec, epsilon, points, tail_nats, n=None):
     below = sf.noncentral_chi2_chernoff(x_lo, dof, nc, "lower")
     log_tail = float(np.logaddexp(below, sf.noncentral_chi2_chernoff(x_hi, dof, nc, "upper")))
     return spec.snr * x / scale, prob, (float(cdf[0]), float(sf_[-1])), log_tail
-
-
-class SimoTailTable:
-    """The conditional tails of the t = 1 statistics on a grid over the gain law.
-
-    `grid`, `prob` and `log_tail` are the `gain_cells` of GRID points with
-    tails of epsilon * e^-TAIL_NATS, not below 1e-6 / n, where the
-    noncentralities ~n/a become intractable; `log_tail` bounds the log of
-    the mass outside the grid.
-    """
-
-    GRID = 513
-    TAIL_NATS = 9.0  # docs/DECISIONS.md, section 1
-
-    def __init__(self, spec, n, epsilon):
-        self.n = int(n)
-        self.grid, self.prob, _, self.log_tail = gain_cells(spec, epsilon, self.GRID, self.TAIL_NATS, self.n)
-
-    def _thr_l(self, gamma):
-        """The chi-square threshold of L_n at every grid point; S_n's is (1 + a) times it."""
-        return 2.0 * self.n * (np.log1p(self.grid) + 1.0 - gamma) / self.grid
-
-    def q_s(self, gamma):
-        """P[S_n <= n*gamma | a] at every grid point."""
-        thr = (1.0 + self.grid) * self._thr_l(gamma)
-        return sf.noncentral_chi2_sf_batch(thr, 2 * self.n, 2.0 * self.n / self.grid)
-
-    def log_q_l(self, gamma):
-        """log P[L_n >= n*gamma | a] at every grid point."""
-        delta = 2.0 * self.n * (1.0 + self.grid) / self.grid
-        return sf.noncentral_chi2_logcdf_batch(self._thr_l(gamma), 2 * self.n, delta)
 
 
 def _cell_bounds(values, side):
@@ -147,37 +116,59 @@ def _cell_bounds(values, side):
     return out
 
 
-class SimoTwoStep:
+class SimoTailTable:
     """The two steps of a t = 1 bound at blocklength n, as quadratures over the gain law.
 
-    `threshold` finds gamma from the mean of q_s = P[S_n <= n*gamma | a],
-    and `log_mean_q_l` gives the mean of q_l = P[L_n >= n*gamma | a]. The
-    'lower' end of a mean sums each cell's probability times its lower
-    bound (`_cell_bounds`), and 0 outside the grid; the 'upper' end the upper
-    bounds, and outside the grid min(1, e^(n*gamma)) for q_s and
-    min(1, e^(-n*gamma)) for q_l, which bound the tails at every gain (a
-    change of measure, since S_n and L_n are one log-likelihood ratio drawn
-    under the two output laws). The ends enclose the exact mean and spend no
-    confidence (docs/DECISIONS.md, section 1).
+    `grid`, `prob` and `log_tail` are the `gain_cells` of GRID points with
+    tails of epsilon * e^-TAIL_NATS, not below 1e-6 / n, where the
+    noncentralities ~n/a become intractable; `log_tail` bounds the log of
+    the mass outside the grid. `q_s` and `log_q_l` are the conditional tails
+    at every grid point. `threshold` finds gamma from the mean of
+    q_s = P[S_n <= n*gamma | a], and `log_mean_q_l` gives the mean of
+    q_l = P[L_n >= n*gamma | a]. The 'lower' end of a mean sums each cell's
+    probability times its lower bound (`_cell_bounds`), and 0 outside the
+    grid; the 'upper' end the upper bounds, and outside the grid
+    min(1, e^(n*gamma)) for q_s and min(1, e^(-n*gamma)) for q_l, which bound
+    the tails at every gain (a change of measure, since S_n and L_n are one
+    log-likelihood ratio drawn under the two output laws). The ends enclose
+    the exact mean and spend no confidence (docs/DECISIONS.md, section 1).
     """
+
+    GRID = 513
+    TAIL_NATS = 9.0  # docs/DECISIONS.md, section 1
 
     def __init__(self, spec, n, epsilon):
         if spec.t != 1:
             raise DomainError("single-transmit-antenna bound requires t = 1")
         if not (0.0 < epsilon < 1.0):
             raise DomainError("epsilon must be in (0, 1)")
-        self.table = SimoTailTable(spec, n, epsilon)
-        hi = float(np.log1p(self.table.grid[-1])) + 1.0
+        self.n = int(n)
+        self.grid, self.prob, _, self.log_tail = gain_cells(spec, epsilon, self.GRID, self.TAIL_NATS, self.n)
+        hi = float(np.log1p(self.grid[-1])) + 1.0
         self.bracket = (-hi - 10.0, hi)
         self._means = {}
+
+    def _thr_l(self, gamma):
+        """The chi-square threshold of L_n at every grid point; S_n's is (1 + a) times it."""
+        return 2.0 * self.n * (np.log1p(self.grid) + 1.0 - gamma) / self.grid
+
+    def q_s(self, gamma):
+        """P[S_n <= n*gamma | a] at every grid point."""
+        thr = (1.0 + self.grid) * self._thr_l(gamma)
+        return sf.noncentral_chi2_sf_batch(thr, 2 * self.n, 2.0 * self.n / self.grid)
+
+    def log_q_l(self, gamma):
+        """log P[L_n >= n*gamma | a] at every grid point."""
+        delta = 2.0 * self.n * (1.0 + self.grid) / self.grid
+        return sf.noncentral_chi2_logcdf_batch(self._thr_l(gamma), 2 * self.n, delta)
 
     def mean_q_s(self, gamma):
         """(lower, upper) ends of the mean of q_s; cached, as searches share points."""
         if gamma not in self._means:
-            t = self.table
-            q = t.q_s(gamma)
-            outside = math.exp(t.log_tail + min(t.n * gamma, 0.0))
-            self._means[gamma] = (t.prob @ _cell_bounds(q, "lower"), t.prob @ _cell_bounds(q, "upper") + outside)
+            q = self.q_s(gamma)
+            outside = math.exp(self.log_tail + min(self.n * gamma, 0.0))
+            lower, upper = (self.prob @ _cell_bounds(q, end) for end in ("lower", "upper"))
+            self._means[gamma] = (lower, upper + outside)
         return self._means[gamma]
 
     def threshold(self, budget, side, end, bracket=None):
@@ -188,15 +179,14 @@ class SimoTwoStep:
 
     def log_mean_q_l(self, gamma, end):
         """The log of the `end` ('lower' or 'upper') of the mean of q_l."""
-        t = self.table
-        log_sum = float(special.logsumexp(_cell_bounds(t.log_q_l(gamma), end), b=t.prob))
-        return log_sum if end == "lower" else float(np.logaddexp(log_sum, t.log_tail + min(-t.n * gamma, 0.0)))
+        log_sum = float(special.logsumexp(_cell_bounds(self.log_q_l(gamma), end), b=self.prob))
+        return log_sum if end == "lower" else float(np.logaddexp(log_sum, self.log_tail + min(-self.n * gamma, 0.0)))
 
 
 def converse_simo(spec, n, epsilon):
     """Upper bound on the rate of the best blocklength-n code, t = 1.
 
-    With the statistics of blocklength n + 1 (`SimoTwoStep`), gamma is the
+    With the statistics of blocklength n + 1 (`SimoTailTable`), gamma is the
     smallest value where the lower end of the mean of P[S <= (n+1)*gamma]
     reaches epsilon, and the rate takes the lower end of the mean of
     P[L >= (n+1)*gamma]: both only enlarge the bound. Returns
@@ -205,13 +195,13 @@ def converse_simo(spec, n, epsilon):
     """
     if n < 1:
         raise DomainError("requires n >= 1")
-    steps = SimoTwoStep(spec, n + 1, epsilon)
-    if steps.mean_q_s(steps.bracket[1])[0] < epsilon:
+    table = SimoTailTable(spec, n + 1, epsilon)
+    if table.mean_q_s(table.bracket[1])[0] < epsilon:
         raise DomainError("less than epsilon of the gain law lies above the smallest gain the tails resolve, 1e-6/n")
-    gamma = steps.threshold(epsilon, "at_least", "lower")
-    rate = -steps.log_mean_q_l(gamma, "lower") / n
-    gamma_up = steps.threshold(epsilon, "at_least", "upper", (steps.bracket[0], gamma))
-    return rate, (-steps.log_mean_q_l(gamma_up, "upper") / n, rate)
+    gamma = table.threshold(epsilon, "at_least", "lower")
+    rate = -table.log_mean_q_l(gamma, "lower") / n
+    gamma_up = table.threshold(epsilon, "at_least", "upper", (table.bracket[0], gamma))
+    return rate, (-table.log_mean_q_l(gamma_up, "upper") / n, rate)
 
 
 def iso_gains(spec, cfg, stream_offset):
@@ -223,7 +213,7 @@ def iso_gains(spec, cfg, stream_offset):
     n of a grid (docs/DECISIONS.md, section 9).
     """
     return tuple(
-        og.gain_sample(spec, ch.Isotropic(), cfg, stream_offset + og.CHANNEL_STREAM + s)
+        og.gain_sample(spec, ch.Isotropic(), cfg, stream_offset + s)
         for s in (_SEL_STREAM, _EVAL_STREAM)
     )
 

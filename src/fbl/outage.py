@@ -75,9 +75,10 @@ CHANNEL_STREAM = 1 << 40
 
 
 def gain_sample(spec, cov, cfg, stream_offset):
-    """`mode_gains` of cfg.samples channel draws, chunk i from substream
-    stream_offset + i; shape (samples, m)."""
-    return mc.sample_values(lambda rng, size: mode_gains(spec, cov, rng, size), cfg, stream_offset)
+    """`mode_gains` of cfg.samples channel draws, shape (samples, m), from
+    the channel stream of `stream_offset`, which no per-n stream shares: one
+    sample serves every n of a grid."""
+    return mc.sample_values(lambda rng, size: mode_gains(spec, cov, rng, size), cfg, stream_offset + CHANNEL_STREAM)
 
 
 def capacity_dispersion(gains):

@@ -4,14 +4,12 @@ Everything a bound evaluation needs that could overflow or underflow is kept
 in log domain here: batched noncentral chi-square tails (including an
 accurate log of the far-left CDF tail) and their sampler.
 
-All routines are pure and thread-safe, except that `noncentral_chi2_sf_batch`
-watches for warnings with `warnings.catch_warnings`, which is process-wide.
+All routines are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import special as sp
@@ -29,11 +27,11 @@ __all__ = [
     "gaussian_q_inv",
 ]
 
-# Survival-function rows with delta > _LARGE_DELTA_PER_DOF * k use
-# `_chi_quadrature`: Boost is within 4e-14 up to delta = 1e6, then drifts
-# (4e-12 at delta = 1e10) and fails (docs/DECISIONS.md, section 5).
+# Survival-function rows with delta > min(_LARGE_DELTA_PER_DOF * k,
+# _BOOST_MAX_DELTA) use `_chi_quadrature`: Boost is within 4e-14 up to
+# delta = 1e6, then drifts (4e-12 at delta = 1e10) and fails
+# (docs/DECISIONS.md, section 5).
 _LARGE_DELTA_PER_DOF = 100.0
-# Boost's noncentral chi-square is within 4e-14 up to this noncentrality
 _BOOST_MAX_DELTA = 1e6
 # `_chi_quadrature` works on blocks of this many rows, to bound its memory
 _QUAD_ROWS = 64
@@ -108,37 +106,18 @@ def _chi_quadrature(x, k, delta):
     return out
 
 
-def _boost_sf(x, k, delta):
-    """Boost's noncentral chi-square survival function, and a mask of the rows
-    whose evaluation warned.
-
-    `_ncx2_sf` is the scipy ufunc that `scipy.stats.ncx2.sf` calls for
-    delta != 0; calling it directly keeps `scipy.stats` out of the import.
-    It is private, so a test pins it to `scipy.stats.ncx2.sf`.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        out = _ncx2_sf(x, k, delta)
-    bad = ~np.isfinite(out)
-    if caught:  # find the rows that warned
-        for i in range(x.size):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                _ncx2_sf(x[i], k, delta[i])
-            bad[i] |= bool(caught)
-    return out, bad
-
-
 def noncentral_chi2_sf_batch(x, k, delta):
     """Survival function P[chi'2_k(delta) >= x] for arrays x, delta (common k).
 
     Absolute error ~1e-12: rows with x <= 0 are exactly 1, and rows provably
     within 1e-13 of 0 or 1 (by Chernoff) are short-circuited; the rest use
-    Boost's tail (`_boost_sf`), except rows with delta > 100 k or whose Boost
-    call warned, which use `_chi_quadrature`.
+    Boost's tail where delta <= min(100 k, 1e6), and `_chi_quadrature`
+    above. `_ncx2_sf` is the scipy ufunc that `scipy.stats.ncx2.sf` calls for
+    delta != 0; calling it directly keeps `scipy.stats` out of the import.
+    It is private, so a test pins it to `scipy.stats.ncx2.sf`.
     """
     x = np.asarray(x, dtype=float)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape).copy()
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
     out = np.empty_like(x)
     cutoff = math.log(1e-13)
     lower_ch = noncentral_chi2_chernoff(x, k, delta, "lower")
@@ -149,11 +128,10 @@ def noncentral_chi2_sf_batch(x, k, delta):
     out[is_zero] = 0.0
     out[x <= 0.0] = 1.0
     mid = ~(is_one | is_zero) & (x > 0.0)
-    large = mid & (delta > _LARGE_DELTA_PER_DOF * k)
-    boost = np.nonzero(mid & ~large)[0]
-    if boost.size:
-        out[boost], bad = _boost_sf(x[boost], k, delta[boost])
-        large[boost[bad]] = True
+    large = mid & (delta > min(_LARGE_DELTA_PER_DOF * k, _BOOST_MAX_DELTA))
+    boost = mid & ~large
+    if np.any(boost):
+        out[boost] = _ncx2_sf(x[boost], k, delta[boost])
     if np.any(large):
         out[large] = -np.expm1(_chi_quadrature(x[large], k, delta[large]))
     out[mid] = np.clip(out[mid], 0.0, 1.0)
@@ -177,10 +155,11 @@ def noncentral_chi2_cdf_sf(x, k, delta):
     Both to relative precision, so that differences of either far from 1 do
     not cancel: delta = 0 takes the regularized incomplete gamma functions,
     0 < delta <= 1e6 Boost's `chndtr` and `_ncx2_sf` (the ufunc that
-    `_boost_sf` calls). k may be fractional. Past delta = 1e6, where Boost
-    drifts and then fails (at delta = 2e12 it is off by 0.12 at the mean),
-    the CDF comes from `_chi_quadrature`, to relative precision, and the
-    survival function is its complement, to absolute precision.
+    `noncentral_chi2_sf_batch` calls). k may be fractional. Past
+    delta = 1e6, where Boost drifts and then fails (at delta = 2e12 it is
+    off by 0.12 at the mean), the CDF comes from `_chi_quadrature`, to
+    relative precision, and the survival function is its complement, to
+    absolute precision.
     """
     x = np.asarray(x, dtype=float)
     if delta == 0.0:

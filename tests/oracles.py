@@ -212,8 +212,6 @@ class FineSimoMeans:
 
     def __init__(self, spec, n, epsilon):
         self.table = _FineSimoTable(spec, n, epsilon)
-        top = float(np.log1p(self.table.grid[-1])) + 1.0
-        self.bracket = (-top - 10.0, top)
 
     def mean_q_s(self, gamma):
         q = self.table.q_s(gamma)
@@ -224,7 +222,7 @@ class FineSimoMeans:
         return float(sp.logsumexp(np.logaddexp(v[:-1], v[1:]) - math.log(2.0), b=self.table.prob))
 
     def threshold(self, budget, side):
-        return mc.root_find_monotone(self.mean_q_s, budget, self.bracket, side)
+        return mc.root_find_monotone(self.mean_q_s, budget, self.table.bracket, side)
 
     def converse(self, n, epsilon):
         """The converse at blocklength n (statistics of n + 1) on the reference means."""
@@ -379,8 +377,8 @@ def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
 
 
 def kappa_beta_rate(spec, cov, n, epsilon, tau, cfg):
-    """`ach.rate_lower_bound` at stream offset 0, given the `ach.statistic_gains` drawn there."""
-    return ach.rate_lower_bound(spec, n, epsilon, tau, cfg, 0, ach.statistic_gains(spec, cov, cfg, 0))
+    """`ach.rate_lower_bound` at stream offset 0, given the `og.gain_sample` drawn there."""
+    return ach.rate_lower_bound(spec, n, epsilon, tau, cfg, 0, og.gain_sample(spec, cov, cfg, 0))
 
 
 def converse_iso_rate(spec, n, epsilon, cfg):

@@ -57,7 +57,7 @@ def _kb_fig2(n):
 
 @functools.lru_cache(maxsize=None)
 def _normal_fig2():
-    return ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), CFG)
+    return ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, CFG)
 
 
 def test_criterion_1_fig2_epsilon_capacity():
@@ -80,7 +80,7 @@ def test_criterion_2_fig3_epsilon_capacity():
 def test_criterion_3_ninety_percent_blocklengths():
     step = 20
     cfg_ach = mc.MCConfig(seed=23, samples=1_000_000)
-    gains = ach.statistic_gains(FIG2_SPEC, ch.Isotropic(), cfg_ach, 0)
+    gains = og.gain_sample(FIG2_SPEC, ch.Isotropic(), cfg_ach, 0)
     ach_100, _ = ach.rate_lower_bound(FIG2_SPEC, 100, 1e-3, None, cfg_ach, 0, gains)
     crossing = None
     for n in (460, 480, 480 + step):
@@ -119,7 +119,7 @@ def test_criterion_5_normal_approximation_gap():
     worst_conv = worst_kb = 0.0
     details = []
     for n in (400, 600, 800, 1000):
-        rn = model.rate(n, 1e-3)
+        rn = model.rate(n)
         conv, conv_ci = _conv_fig2(n)
         kb, kb_ci = _kb_fig2(n)
         ci = (abs(conv_ci[1] - conv_ci[0]) + abs(kb_ci[1] - kb_ci[0])) / L2
@@ -144,7 +144,7 @@ def test_criterion_6_sandwich():
     slack = 1e-9
     violations = []
     # each bound's channel gains are drawn once and serve every n
-    gains = ach.statistic_gains(FIG2_SPEC, ch.WaterFill(), CFG, 0)
+    gains = og.gain_sample(FIG2_SPEC, ch.WaterFill(), CFG, 0)
     for n in (100, 200, 400, 800):
         conv, _ = _conv_fig2(n)
         for rate, _ in (
@@ -154,7 +154,7 @@ def test_criterion_6_sandwich():
             if rate > conv + slack:
                 violations.append(f"fig2 n={n}")
     conv_gains = cv.iso_gains(FIG3_SPEC, CFG, 0)
-    gains = ach.statistic_gains(FIG3_SPEC, ch.Isotropic(), CFG, 0)
+    gains = og.gain_sample(FIG3_SPEC, ch.Isotropic(), CFG, 0)
     for n in (100, 200, 400, 800):
         conv, _ = cv.converse_iso(FIG3_SPEC, n, 1e-3, CFG, 0, conv_gains)
         rate, _ = ach.rate_lower_bound(FIG3_SPEC, n, 1e-3, None, CFG, 0, gains)

@@ -151,7 +151,7 @@ class TestSin2Statistic:
             cfg = mc.MCConfig(seed=400 + case, samples=draws, chunk_size=1024)
             for n in (t + r + 1, 20, 100, 500):
                 closed = ach.sin2_statistic_sampler(spec, n)
-                gains = ach.statistic_gains(spec, ch.Isotropic(), cfg, n)
+                gains = og.gain_sample(spec, ch.Isotropic(), cfg, n)
                 qr = oracles.qr_sin2_sampler(spec, ch.Isotropic(), n)
                 pvalue = stats.ks_2samp(
                     np.exp(mc.sample_values(closed, cfg, n, gains)), mc.sample_values(qr, cfg, 1000 + n)
@@ -299,7 +299,7 @@ class TestCsirKappaBetaSimo:
     cfg = mc.MCConfig(seed=9, samples=100_000)
 
     def test_requires_single_transmit_antenna(self):
-        # the check is converse.SimoTwoStep's, as for conv-simo
+        # the check is converse.SimoTailTable's, as for conv-simo
         spec = ch.ChannelSpec(t=2, r=2, snr=1.0, fading=ch.Rayleigh())
         with pytest.raises(DomainError):
             ach.csir_kappa_beta_simo(spec, 100, 1e-3, None)
@@ -327,12 +327,12 @@ class TestCsirKappaBetaSimo:
         ref = oracles.FineSimoMeans(FIG2_SPEC, n, 1e-3).kappa_beta(n, 1e-3, tau)
         assert rate <= ref <= hi
         assert hi - rate < 0.003 * math.log(2)
-        steps = cv.SimoTwoStep(FIG2_SPEC, n, 1e-3)
-        gamma = steps.threshold(1e-3 - tau, "below", "upper")
-        log_beta = steps.log_mean_q_l(gamma, "upper")
+        table = cv.SimoTailTable(FIG2_SPEC, n, 1e-3)
+        gamma = table.threshold(1e-3 - tau, "below", "upper")
+        log_beta = table.log_mean_q_l(gamma, "upper")
         if n == 500:
-            assert steps.table.log_tail > log_beta + 200.0
-            assert steps.table.log_tail - n * gamma < log_beta - 5.0
+            assert table.log_tail > log_beta + 200.0
+            assert table.log_tail - n * gamma < log_beta - 5.0
 
     def test_other_end_is_taken_at_the_winning_tau(self):
         taus = ach.tau_grid(300, 1e-3)

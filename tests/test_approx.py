@@ -32,54 +32,62 @@ class TestNormalApprox:
         # single-atom closed form R = C - sqrt(V/n) * Qinv(eps) + ln(n)/(2n),
         # which is the nonfading reference curve
         spec = ch.ChannelSpec(t=1, r=1, snr=1.0, fading=ch.Rician(k_factor=1e12))
-        model = ap.NormalApprox(spec, ch.Isotropic(), self.cfg)
         n, eps = 500, 1e-3
+        model = ap.NormalApprox(spec, ch.Isotropic(), eps, self.cfg)
         c = math.log(2.0)
         v = 1.0 - 1.0 / 4.0  # dispersion of a unit-SNR deterministic mode
         want = c - math.sqrt(v / n) * sf.gaussian_q_inv(eps) + math.log(n) / (2 * n)
-        got = model.rate(n, eps)
+        got = model.rate(n)
         assert got == pytest.approx(want, abs=1e-4)
         assert got == pytest.approx(ap.awgn_reference_rate(1.0, n, eps), abs=1e-4)
 
     def test_large_n_reaches_epsilon_capacity(self):
-        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
         _, (lo, hi) = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
-        r = model.rate(10**9, 1e-3)
+        r = model.rate(10**9)
         width = hi - lo
         assert lo - 3 * width <= r <= hi + 3 * width
 
     def test_monotone_in_n_and_epsilon(self):
-        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
-        rates_n = [model.rate(n, 1e-3) for n in (50, 100, 400, 1600)]
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
+        rates_n = [model.rate(n) for n in (50, 100, 400, 1600)]
         assert rates_n == sorted(rates_n)
-        rates_e = [model.rate(300, e) for e in (1e-4, 1e-3, 1e-2, 1e-1)]
+        rates_e = [ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), e, self.cfg).rate(300) for e in (1e-4, 1e-3, 1e-2, 1e-1)]
         assert rates_e == sorted(rates_e)
 
     def test_rejects_unknown_covariance(self):
         with pytest.raises(DomainError):
-            ap.NormalApprox(FIG2_SPEC, object(), self.cfg)
+            ap.NormalApprox(FIG2_SPEC, object(), 1e-3, self.cfg)
 
     def test_domain_checks(self):
-        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
         with pytest.raises(DomainError):
-            model.rate(0, 1e-3)
+            model.rate(0)
         with pytest.raises(DomainError):
-            model.rate(100, 1.0)
+            ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1.0, self.cfg)
+
+    def test_epsilon_is_checked_before_any_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ch, "sample_channel", lambda *args: calls.append(args))
+        spec = ch.ChannelSpec(t=2, r=3, snr=1.0, fading=ch.Rayleigh())
+        with pytest.raises(DomainError):
+            ap.NormalApprox(spec, ch.Isotropic(), 0.0, self.cfg)
+        assert calls == []
 
     def test_deep_epsilon_root_lies_inside_the_bracket(self):
         # at eps = 1e-30 the root lies far below zero rate; the pinned value
         # is the quadrature's, 2e-6 nats below the fine-grid reference
-        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), mc.MCConfig(seed=3, samples=20_000))
-        got = model.rate(10, 1e-30)
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-30, mc.MCConfig(seed=3, samples=20_000))
+        got = model.rate(10)
         assert got == pytest.approx(-2.3082934241077857, abs=1e-12)
         assert abs(got - oracles.fine_normal_rate(FIG2_SPEC, 10, 1e-30)) / math.log(2) < 1e-4
 
     def test_tracks_converse_at_large_blocklength(self):
         # the converse exceeds the approximation, which carries the ln(n)/(2n)
         # term, by roughly ln(1/eps)/n, about 0.01 bit at n = 1000 here
-        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), self.cfg)
+        model = ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, self.cfg)
         rate, _ = cv.converse_simo(FIG2_SPEC, 1000, 1e-3)
-        gap_bits = (rate - model.rate(1000, 1e-3)) / math.log(2)
+        gap_bits = (rate - model.rate(1000)) / math.log(2)
         assert 0.0 < gap_bits < 0.03
 
 
@@ -95,7 +103,7 @@ class TestGainLawQuadrature:
         ids=["fig2-10", "fig2-100", "fig2-500", "fig2-1000", "fig5-100", "nakagami-100"],
     )
     def test_within_a_tenth_of_a_millibit_of_the_fine_grid(self, spec, n, eps):
-        got = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(n, eps)
+        got = ap.NormalApprox(spec, ch.WaterFill(), eps, self.cfg).rate(n)
         assert abs(got - oracles.fine_normal_rate(spec, n, eps)) / math.log(2) < 1e-4
 
     @pytest.mark.parametrize("spec, eps", [(FIG2_SPEC, 1e-3), (FIG5_SPEC, 0.1)], ids=["fig2", "fig5"])
@@ -113,7 +121,7 @@ class TestGainLawQuadrature:
 
         lo, hi = (mc.root_find_monotone(lambda r: mean(r, end), eps, (-1.0, 3.0), "at_least")
                   for end in ("upper", "lower"))
-        r0 = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(n, eps) - math.log(n) / (2 * n)
+        r0 = ap.NormalApprox(spec, ch.WaterFill(), eps, self.cfg).rate(n) - math.log(n) / (2 * n)
         assert lo <= r0 <= hi
         assert (hi - lo) / math.log(2) < 0.02
 
@@ -122,7 +130,7 @@ class TestGainLawQuadrature:
         calls = []
         monkeypatch.setattr(ch, "sample_channel", lambda *args: calls.append(args))
         rates = {
-            ap.NormalApprox(FIG2_SPEC, cov, mc.MCConfig(seed=seed, samples=samples)).rate(100, 1e-3)
+            ap.NormalApprox(FIG2_SPEC, cov, 1e-3, mc.MCConfig(seed=seed, samples=samples)).rate(100)
             for seed, samples in ((7, 10_000), (8, 20_000))
             for cov in (ch.WaterFill(), ch.Isotropic())
         }
@@ -132,7 +140,7 @@ class TestGainLawQuadrature:
         # no 1e-6/n floor on the gains: at -80 dB and n = 100 it would lie at
         # half the mean gain
         spec = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(-80.0), fading=ch.Rayleigh())
-        got = ap.NormalApprox(spec, ch.WaterFill(), self.cfg).rate(100, 1e-3)
+        got = ap.NormalApprox(spec, ch.WaterFill(), 1e-3, self.cfg).rate(100)
         assert math.isfinite(got)
         assert abs(got - oracles.fine_normal_rate(spec, 100, 1e-3)) / math.log(2) < 1e-4
 

@@ -162,14 +162,37 @@ class TestSimoTailTable:
         assert table.grid[0] == pytest.approx(1e-9, rel=1e-12)
         assert np.isfinite(table.log_tail) and math.exp(table.log_tail) > 1e-9
 
+    @pytest.mark.parametrize("k_db", [40.0, 60.0, 120.0])
+    def test_concentrated_gain_law_fills_the_grid(self, k_db):
+        # the grid spans the law's Chernoff ends, not an octave above the
+        # lower one: on a 1x1 Rician channel at 0 dB nearly every cell holds mass
+        spec = ch.ChannelSpec(t=1, r=1, snr=1.0, fading=ch.Rician(k_factor=db_to_linear(k_db)))
+        table = cv.SimoTailTable(spec, 501, 1e-3)
+        assert np.count_nonzero(table.prob > 1e-12) > 0.9 * (cv.SimoTailTable.GRID - 1)
+
+    def test_tails_leave_the_warning_filters_alone(self, monkeypatch):
+        # the warning filters are process-wide: the tails, which grid-level
+        # threads share, neither read nor change them
+        calls = []
+        catch_warnings = warnings.catch_warnings
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return catch_warnings(*args, **kwargs)
+
+        monkeypatch.setattr(warnings, "catch_warnings", recording)
+        q = cv.SimoTailTable(FIG2_SPEC, 500, 1e-3).q_s(0.6)
+        assert calls == []
+        assert np.all((q >= 0.0) & (q <= 1.0))
+
     def test_fig2_tails_raise_no_warnings(self):
-        steps = cv.SimoTwoStep(FIG2_SPEC, 500, 1e-3)
+        table = cv.SimoTailTable(FIG2_SPEC, 500, 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for gamma in (-1.0, 0.3, 0.6, 0.69, 1.0, 3.0):
-                steps.mean_q_s(gamma)
-                steps.log_mean_q_l(gamma, "lower")
-                steps.log_mean_q_l(gamma, "upper")
+                table.mean_q_s(gamma)
+                table.log_mean_q_l(gamma, "lower")
+                table.log_mean_q_l(gamma, "upper")
 
 
 class TestFig2SelectionRoot:
@@ -177,14 +200,14 @@ class TestFig2SelectionRoot:
 
     @pytest.mark.parametrize("n", [20, 200, 500, 2000])
     def test_few_evaluations_and_required_side(self, n):
-        steps = cv.SimoTwoStep(FIG2_SPEC, n, 1e-3)
+        table = cv.SimoTailTable(FIG2_SPEC, n, 1e-3)
         cases = [
-            (lambda g: steps.mean_q_s(g)[0], 1e-3, "at_least"),
-            (lambda g: steps.mean_q_s(g)[1], 1e-3 - 1e-4, "below"),
+            (lambda g: table.mean_q_s(g)[0], 1e-3, "at_least"),
+            (lambda g: table.mean_q_s(g)[1], 1e-3 - 1e-4, "below"),
         ]
         for f, target, side in cases:
             calls = []
-            gamma = mc.root_find_monotone(lambda g: calls.append(g) or f(g), target, steps.bracket, side)
+            gamma = mc.root_find_monotone(lambda g: calls.append(g) or f(g), target, table.bracket, side)
             assert len(calls) <= 25
             tol = 1e-12 * max(1.0, abs(gamma))
             if side == "at_least":
@@ -223,7 +246,7 @@ class TestCellBounds:
             cv._cell_bounds(np.array([0.0, 1.0, 0.5, 1.0, 0.0]), "upper")
 
 
-class TestSimoTwoStep:
+class TestSimoTailTableMeans:
     @pytest.mark.parametrize("spec", [FIG2_SPEC, FIG5_SPEC], ids=["fig2", "fig5"])
     @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.2, 0.6, 1.0, 3.0])
     def test_mean_ends_are_cell_sums_of_the_grid_values(self, spec, gamma):
@@ -231,10 +254,9 @@ class TestSimoTwoStep:
         # q_s is monotone on the grid, the lower end takes each cell's
         # smaller end and nothing outside the grid, the upper end its larger
         # end and all the mass outside
-        steps = cv.SimoTwoStep(spec, 60, 1e-3)
-        table = steps.table
+        table = cv.SimoTailTable(spec, 60, 1e-3)
         q = table.q_s(gamma)
-        lo, hi = steps.mean_q_s(gamma)
+        lo, hi = table.mean_q_s(gamma)
         assert np.all(np.diff(q) <= 1e-12)
         assert lo == pytest.approx(float(table.prob @ np.minimum(q[:-1], q[1:])), rel=1e-12, abs=1e-300)
         want = float(table.prob @ np.maximum(q[:-1], q[1:])) + math.exp(table.log_tail + min(60 * gamma, 0.0))
@@ -244,43 +266,43 @@ class TestSimoTwoStep:
         # at n = 11 and gamma = -0.75 q_s peaks inside the Fig. 5 grid: the
         # cells about the peak take the enclosing-difference slack, and the
         # fine-grid reference mean lies inside the ends
-        steps = cv.SimoTwoStep(FIG5_SPEC, 11, 0.1)
-        q = steps.table.q_s(-0.75)
+        table = cv.SimoTailTable(FIG5_SPEC, 11, 0.1)
+        q = table.q_s(-0.75)
         peak = int(np.argmax(q))
         assert 0 < peak < q.size - 1
         upper = cv._cell_bounds(q, "upper")
         assert upper[peak] > q[peak] and upper[peak - 1] > q[peak]
-        lo, hi = steps.mean_q_s(-0.75)
+        lo, hi = table.mean_q_s(-0.75)
         ref = oracles.FineSimoMeans(FIG5_SPEC, 11, 0.1).mean_q_s(-0.75)
         assert lo <= ref <= hi
         # apart from the mass outside the grid, the ends are within 5 %
-        assert hi - math.exp(steps.table.log_tail) - lo < 0.05 * ref
+        assert hi - math.exp(table.log_tail) - lo < 0.05 * ref
 
     @pytest.mark.parametrize("budget, side", [(1e-2, "at_least"), (1e-2 - 1e-3, "below")])
     def test_threshold_ends_enclose_the_reference_root(self, budget, side):
-        steps = cv.SimoTwoStep(FIG2_SPEC, 200, 1e-2)
-        g_lo = steps.threshold(budget, side, "lower")
-        g_up = steps.threshold(budget, side, "upper")
+        table = cv.SimoTailTable(FIG2_SPEC, 200, 1e-2)
+        g_lo = table.threshold(budget, side, "lower")
+        g_up = table.threshold(budget, side, "upper")
         ref = oracles.FineSimoMeans(FIG2_SPEC, 200, 1e-2).threshold(budget, side)
         # a smaller mean crosses the budget later
         assert g_up <= ref <= g_lo
         tol = 1e-12 * max(1.0, abs(g_lo))
         if side == "at_least":
-            assert steps.mean_q_s(g_lo)[0] >= budget > steps.mean_q_s(g_lo - tol)[0]
+            assert table.mean_q_s(g_lo)[0] >= budget > table.mean_q_s(g_lo - tol)[0]
         else:
-            assert steps.mean_q_s(g_up)[1] <= budget < steps.mean_q_s(g_up + tol)[1]
+            assert table.mean_q_s(g_up)[1] <= budget < table.mean_q_s(g_up + tol)[1]
 
     def test_threshold_returns_far_end_when_the_mean_does_not_cross(self):
         # both ends of the mean lie in [0, 1 + the mass outside the grid], and
         # the lower one in [0, 1], so budgets 0 and 1 are met at the far ends
-        steps = cv.SimoTwoStep(FIG2_SPEC, 200, 1e-3)
-        lo, hi = steps.bracket
-        assert steps.threshold(0.0, "at_least", "upper", (lo, 0.5)) == lo
-        assert steps.threshold(1.0, "below", "lower", (0.5, hi)) == hi
+        table = cv.SimoTailTable(FIG2_SPEC, 200, 1e-3)
+        lo, hi = table.bracket
+        assert table.threshold(0.0, "at_least", "upper", (lo, 0.5)) == lo
+        assert table.threshold(1.0, "below", "lower", (0.5, hi)) == hi
 
     def test_requires_single_transmit_antenna(self):
         with pytest.raises(DomainError):
-            cv.SimoTwoStep(FIG3_SPEC, 100, 1e-3)
+            cv.SimoTailTable(FIG3_SPEC, 100, 1e-3)
 
 
 class TestConverseSimo:

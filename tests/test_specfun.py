@@ -326,33 +326,54 @@ class TestBatchTailsReferee:
     @pytest.mark.parametrize("k", [20, 1000, 4000])
     @pytest.mark.parametrize("delta", [10.0, 1e3, 1e6, 1e10, 1e11, 1e12])
     def test_boost_tail_is_scipy_stats_ncx2(self, k, delta):
-        # pins the private ufunc behind _boost_sf to scipy.stats.ncx2.sf: the
-        # same values, and the same rows warn (all of them at delta = 1e12)
+        # pins the private ufunc that noncentral_chi2_sf_batch calls to
+        # scipy.stats.ncx2.sf: the same values, and the same rows warn (all
+        # of them at delta = 1e12)
         x = _sd_points(k, delta, (-3.0, 0.0, 3.0))
-        got, bad = sf._boost_sf(x, k, np.full(x.shape, delta))
-        warned = np.zeros(x.shape, dtype=bool)
-        for i, xx in enumerate(x):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                assert got[i] == stats.ncx2.sf(xx, k, delta)
-            warned[i] = bool(caught)
-        np.testing.assert_array_equal(bad, warned)
-        assert warned.all() == (delta == 1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = sf._ncx2_sf(x, k, np.full(x.shape, delta))
+        warned = {}
+        for name, f in (("ufunc", sf._ncx2_sf), ("stats", stats.ncx2.sf)):
+            warned[name] = np.zeros(x.shape, dtype=bool)
+            for i, xx in enumerate(x):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", RuntimeWarning)
+                    assert got[i] == f(xx, k, delta)
+                warned[name][i] = bool(caught)
+        np.testing.assert_array_equal(warned["ufunc"], warned["stats"])
+        assert warned["stats"].all() == (delta == 1e12)
 
-    def test_rows_whose_boost_call_warns_use_the_quadrature(self, monkeypatch):
-        k, delta = 1000, 1e4
-        x = _sd_points(k, delta, (0.0, 1.0))
-        want = stats.ncx2.sf(x, k, delta)
+    def test_rows_past_boost_accuracy_use_the_quadrature(self, monkeypatch):
+        # Boost takes the rows with delta <= min(100 k, 1e6); at k = 4e4 the
+        # rows with 1e6 < delta <= 100 k go to the quadrature as well
+        k = 40_000
+        deltas = np.array([5e5, 1e6, 2e6, 4e6, 5e6])
+        x = np.concatenate([_sd_points(k, d, (-2.0, 0.0, 2.0)) for d in deltas])
+        delta = np.repeat(deltas, 3)
+        reached = []
+        boost = sf._ncx2_sf
 
-        def warns_on_second_row(xx, kk, dd):
-            if np.any(np.asarray(xx) == x[1]):
-                warnings.warn("Series did not converge", RuntimeWarning)
-            return np.full(np.shape(xx), 0.25)
+        def recording(xx, kk, dd):
+            reached.extend(np.unique(dd))
+            return boost(xx, kk, dd)
 
-        monkeypatch.setattr(sf, "_ncx2_sf", warns_on_second_row)
-        got = sf.noncentral_chi2_sf_batch(x, k, np.full(x.shape, delta))
-        assert got[0] == 0.25  # Boost's value is kept where it did not warn
-        assert got[1] == pytest.approx(want[1], abs=1e-13)
+        monkeypatch.setattr(sf, "_ncx2_sf", recording)
+        got = sf.noncentral_chi2_sf_batch(x, k, delta)
+        assert sorted(reached) == [5e5, 1e6]
+        np.testing.assert_allclose(got, stats.ncx2.sf(x, k, delta), rtol=0, atol=1e-12)
+
+    def test_boost_does_not_warn_on_its_rows(self):
+        # a scan of the rows Boost takes, from delta = 1e-6 to min(100 k, 1e6)
+        # and x within 40 standard deviations of the mean
+        for k in (2, 20, 200, 2_000, 20_000, 100_000):
+            deltas = np.geomspace(1e-6, min(100.0 * k, 1e6), 9)
+            for d in deltas:
+                x = _sd_points(k, d, np.linspace(-40.0, 40.0, 33))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = sf.noncentral_chi2_sf_batch(x, k, np.full(x.shape, d))
+                assert np.all((got >= 0.0) & (got <= 1.0))
 
     def test_logcdf_batch_matches_scalar_oracle_on_a_simo_grid(self):
         # rows like those of SimoTailTable.log_q_l at n = 500
