@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import channel as ch
 from . import mc
@@ -179,7 +178,7 @@ class SimoTailTable:
 
     def log_mean_q_l(self, gamma, end):
         """The log of the `end` ('lower' or 'upper') of the mean of q_l."""
-        log_sum = float(special.logsumexp(_cell_bounds(self.log_q_l(gamma), end), b=self.prob))
+        log_sum = float(sf._log_sum_exp(_cell_bounds(self.log_q_l(gamma), end), b=self.prob))
         return log_sum if end == "lower" else float(np.logaddexp(log_sum, self.log_tail + min(-self.n * gamma, 0.0)))
 
 

@@ -35,6 +35,10 @@ _LARGE_DELTA_PER_DOF = 100.0
 _BOOST_MAX_DELTA = 1e6
 # `_chi_quadrature` works on blocks of this many rows, to bound its memory
 _QUAD_ROWS = 64
+# It evaluates the far normal tail only at nodes where a bound on it lies
+# less than this many nats below the near one: further down, exp of the
+# difference underflows (below -745) to exactly 0 and changes no bit
+_FAR_NATS = -800.0
 
 
 def noncentral_chi2_chernoff(x, k, delta, side):
@@ -63,6 +67,36 @@ def noncentral_chi2_chernoff(x, k, delta, side):
     return np.minimum(out, 0.0)
 
 
+def _log_sum_exp(v, b=None):
+    """log of the sum of b * exp(v) over the last axis, for weights b >= 0.
+
+    The steps of `scipy.special.logsumexp` (scipy 1.17), so that it gives
+    the same bits, without its array-API dispatch and the direct sum it
+    takes of every row: entries with b = 0 count as -inf; the maxima are
+    taken out of the sum and counted (by weight); the rest is summed,
+    shifted by the maximum and divided by that count; and the log is
+    log1p(rest) + log(count) + max. Only rows where that is not finite (all
+    -inf, or +inf or NaN entries) take the log of the direct sum.
+    """
+    v_in = v = np.asarray(v, dtype=float)
+    if b is not None:
+        b = np.broadcast_to(b, v.shape)
+        v = np.where(b == 0, -np.inf, v)
+    v_max = np.max(v, axis=-1, keepdims=True)
+    top = v == v_max
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.exp(np.where(top, -np.inf, v) - v_max)
+        count = np.sum(top if b is None else b * top, axis=-1, keepdims=True, dtype=float)
+        rest = np.sum(shifted if b is None else b * shifted, axis=-1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = (np.log1p(rest) + np.log(count) + v_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            direct = np.exp(v_in[bad])
+            out[bad] = np.log(np.sum(direct if b is None else b[bad] * direct, axis=-1))
+    return out[()]
+
+
 def _chi_quadrature(x, k, delta):
     """log P[chi'2_k(delta) <= x] from X = (Z + sqrt(delta))^2 + U^2, U ~ chi_{k-1}.
 
@@ -73,36 +107,47 @@ def _chi_quadrature(x, k, delta):
     sqrt(x))), beyond which the chi law has no mass. The integrand is an
     analytic function of sin(phi)^2, so the trapezoid rule on a fixed number
     of nodes converges exponentially. Where phi_max < pi/2 the nodes hold the
-    whole chi law, and the sum is divided by its own total weight. Rows are
-    taken in blocks of `_QUAD_ROWS`.
+    whole chi law, and the sum is divided by its own total weight; the rows
+    with phi_max = pi/2 share one set of nodes. Rows are taken in blocks of
+    `_QUAD_ROWS`.
     """
     intervals = max(256, math.ceil(4.0 * (math.sqrt(k) + 12.0)))
     frac = np.arange(intervals + 1) / intervals
     log_trap = np.full(intervals + 1, -math.log(intervals))
     log_trap[[0, -1]] -= math.log(2.0)
     log_norm = -(0.5 * (k - 1) - 1.0) * math.log(2.0) - sp.gammaln(0.5 * (k - 1))
+    # the nodes of every row with phi_max = pi/2 (np.arcsin(1.0) is exactly
+    # 0.5 * math.pi), built once
+    half_pi = 0.5 * math.pi
+    half_pi_sin2, half_pi_cos = np.sin(half_pi * frac) ** 2, np.cos(half_pi * frac)
     out = np.empty(x.shape)
     for b in range(0, x.size, _QUAD_ROWS):
         xb, db = x[b : b + _QUAD_ROWS, None], delta[b : b + _QUAD_ROWS, None]
         root_x = np.sqrt(xb)
         phi_max = np.arcsin(np.minimum(1.0, (math.sqrt(k) + 12.0) / root_x))
-        sin2 = np.sin(phi_max * frac) ** 2
-        r = root_x * np.cos(phi_max * frac)
-        s = np.sqrt(db)
+        whole = phi_max[:, 0] < half_pi
+        sin2, cos_phi = half_pi_sin2, half_pi_cos
+        if np.any(whole):
+            sin2, cos_phi = np.tile(sin2, (whole.size, 1)), np.tile(cos_phi, (whole.size, 1))
+            own = phi_max[whole] * frac
+            sin2[whole], cos_phi[whole] = np.sin(own) ** 2, np.cos(own)
+        x_sin2 = xb * sin2
+        r = root_x * cos_phi
+        t = r + np.sqrt(db)
         # chi_{k-1} log density at u, the Jacobian r and the trapezoid weight
-        log_w = (
-            0.5 * sp.xlogy(k - 2, xb * sin2) - 0.5 * xb * sin2 + log_norm + np.log(r) + np.log(phi_max) + log_trap
-        )
-        z = ((xb - db) - xb * sin2) / (r + s)  # r - sqrt(delta), without cancellation
-        near = sp.log_ndtr(z)
-        gap = np.full(near.shape, -np.inf)  # log of Phi(-r - sqrt(delta)) / Phi(z), <= 0
-        np.subtract(sp.log_ndtr(-r - s), near, out=gap, where=near > -np.inf)
+        log_w = 0.5 * sp.xlogy(k - 2, x_sin2) - 0.5 * x_sin2 + log_norm + np.log(r) + np.log(phi_max) + log_trap
+        z = ((xb - db) - x_sin2) / t  # r - sqrt(delta), without cancellation
+        log_p = sp.log_ndtr(z)
+        # log of the bracket, log Phi(z) + log1p(-Phi(-t) / Phi(z)) with
+        # t = r + sqrt(delta): log Phi(-t) <= -t^2 / 2 - log 2
+        live = (log_p > -np.inf) & (-0.5 * t * t - log_p >= _FAR_NATS)
+        near = log_p[live]
+        gap = np.minimum(sp.log_ndtr(-t[live]) - near, 0.0)
         with np.errstate(divide="ignore"):
-            log_p = near + np.log1p(-np.exp(np.minimum(gap, 0.0)))
-        whole = phi_max[:, 0] < 0.5 * math.pi
-        out[b : b + _QUAD_ROWS] = sp.logsumexp(log_w + log_p, axis=1) - np.where(
-            whole, sp.logsumexp(log_w, axis=1), 0.0
-        )
+            log_p[live] = near + np.log1p(-np.exp(gap))
+        out[b : b + _QUAD_ROWS] = _log_sum_exp(log_w + log_p)
+        if np.any(whole):
+            out[b : b + _QUAD_ROWS][whole] -= _log_sum_exp(log_w[whole])
     return out
 
 

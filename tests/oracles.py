@@ -3,6 +3,7 @@
 The scalar forms of the noncentral chi-square tails and of the
 single-antenna conditional tail laws, multiprecision (mpmath) quadratures
 of the noncentral chi-square density that referee both tails, the
+chi quadrature of that log-CDF with every node evaluated, the
 decoding statistic measured on an explicit n x r received block by QR (the
 referee of the closed-form sampler), a plain sampler of the isotropic
 auxiliary statistic (the referee of the tilted one), a fine-grid
@@ -193,6 +194,43 @@ def mp_noncentral_chi2_logcdf(x, k, delta, dps=20):
         pts = sorted({max(mpmath.mpf(0), x - m * scale) for m in (256, 64, 16, 8, 4, 2, 1, 0.5, 0)} | {mpmath.mpf(0)})
         density = lambda t: mpmath.exp(_mp_log_pdf(t, k, delta)) if t > 0 else mpmath.mpf(0)  # noqa: E731
         return float(mpmath.log(mpmath.quad(density, pts)))
+
+
+def every_node_chi_quadrature(x, k, delta):
+    """`specfun._chi_quadrature` with every node and every row evaluated alike.
+
+    Each row builds its own nodes, evaluates the far term log Phi(-r - sqrt(delta))
+    at every node and takes the total weight of every row, and both sums are
+    `scipy.special.logsumexp`. `_chi_quadrature` skips what cannot change a
+    bit of this and must return the same bits.
+    """
+    intervals = max(256, math.ceil(4.0 * (math.sqrt(k) + 12.0)))
+    frac = np.arange(intervals + 1) / intervals
+    log_trap = np.full(intervals + 1, -math.log(intervals))
+    log_trap[[0, -1]] -= math.log(2.0)
+    log_norm = -(0.5 * (k - 1) - 1.0) * math.log(2.0) - sp.gammaln(0.5 * (k - 1))
+    out = np.empty(x.shape)
+    for b in range(0, x.size, sf._QUAD_ROWS):
+        xb, db = x[b : b + sf._QUAD_ROWS, None], delta[b : b + sf._QUAD_ROWS, None]
+        root_x = np.sqrt(xb)
+        phi_max = np.arcsin(np.minimum(1.0, (math.sqrt(k) + 12.0) / root_x))
+        sin2 = np.sin(phi_max * frac) ** 2
+        r = root_x * np.cos(phi_max * frac)
+        s = np.sqrt(db)
+        log_w = (
+            0.5 * sp.xlogy(k - 2, xb * sin2) - 0.5 * xb * sin2 + log_norm + np.log(r) + np.log(phi_max) + log_trap
+        )
+        z = ((xb - db) - xb * sin2) / (r + s)
+        near = sp.log_ndtr(z)
+        gap = np.full(near.shape, -np.inf)
+        np.subtract(sp.log_ndtr(-r - s), near, out=gap, where=near > -np.inf)
+        with np.errstate(divide="ignore"):
+            log_p = near + np.log1p(-np.exp(np.minimum(gap, 0.0)))
+        whole = phi_max[:, 0] < 0.5 * math.pi
+        out[b : b + sf._QUAD_ROWS] = sp.logsumexp(log_w + log_p, axis=1) - np.where(
+            whole, sp.logsumexp(log_w, axis=1), 0.0
+        )
+    return out
 
 
 class _FineSimoTable(cv.SimoTailTable):

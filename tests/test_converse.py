@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from fbl import achievability as ach
 from fbl import channel as ch
 from fbl import converse as cv
 from fbl import mc
 from fbl import outage as og
 from fbl.config import db_to_linear
 from fbl import specfun as sf
-from fbl.errors import ConvergenceError, DomainError
+from fbl.errors import ConfigurationError, ConvergenceError, DomainError
 
 FIG2_SPEC = ch.ChannelSpec(
     t=1, r=2, snr=db_to_linear(-1.55), fading=ch.Rician(k_factor=db_to_linear(20.0))
@@ -374,6 +377,42 @@ class TestConverseSimo:
         far, _ = cv.converse_simo(FIG2_SPEC, 200, 1e-3)
         slack = 0.05 * math.log(2)
         assert abs(near - c_eps) <= abs(far - c_eps) + slack
+
+
+@st.composite
+def simo_channels(draw):
+    """A t = 1 channel of every fading kind, with epsilon and n."""
+    fading = draw(
+        st.one_of(
+            st.just(ch.Rayleigh()),
+            st.builds(lambda k_db: ch.Rician(k_factor=db_to_linear(k_db)), st.floats(-10.0, 30.0)),
+            st.builds(lambda m: ch.Nakagami(m_shape=m), st.floats(0.5, 4.0)),
+        )
+    )
+    spec = ch.ChannelSpec(t=1, r=draw(st.integers(1, 3)), snr=db_to_linear(draw(st.floats(-10.0, 20.0))), fading=fading)
+    return spec, 10.0 ** draw(st.floats(-5.0, math.log10(0.2))), draw(st.integers(1, 500))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(simo_channels())
+def test_t1_brackets_hold_the_fine_reference(channel):
+    # the standing form of the scan in docs/DECISIONS.md, section 1: neither
+    # bound raises ConvergenceError (a grid cell holding two extrema), and
+    # each ci holds the fine-grid value of its bound, the
+    # receiver-side-information bound's at its winning tau
+    spec, epsilon, n = channel
+    _, (lo, hi) = cv.converse_simo(spec, n, epsilon)
+    assert lo <= oracles.FineSimoMeans(spec, n + 1, epsilon).converse(n, epsilon) <= hi
+    at_tau = {}
+    for tau in ach.tau_grid(n, epsilon):
+        try:
+            at_tau[tau] = ach.csir_kappa_beta_simo(spec, n, epsilon, tau)
+        except ConfigurationError:
+            continue  # the type-I failure exceeds epsilon - tau throughout
+    tau = max(at_tau, key=lambda t: at_tau[t][0])
+    assert at_tau[tau] == ach.csir_kappa_beta_simo(spec, n, epsilon, None)
+    lo, hi = at_tau[tau][1]
+    assert lo <= oracles.FineSimoMeans(spec, n, epsilon).kappa_beta(n, epsilon, tau) <= hi
 
 
 class TestConverseIso:

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import oracles
+from fbl import channel as ch
+from fbl import converse as cv
 from fbl import specfun as sf
+from fbl.config import db_to_linear
 from fbl.errors import DomainError
 
 mpmath.mp.dps = 50
@@ -420,6 +423,95 @@ class TestCdfSfPair:
         assert cdf == pytest.approx(stats.norm.cdf(z), abs=skew)
         assert np.all(np.diff(cdf) > 0.0)
         assert cdf + sf_ == pytest.approx(np.ones(13), abs=1e-15)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLogSumExp:
+    """`_log_sum_exp` gives the bits of `scipy.special.logsumexp`."""
+
+    @staticmethod
+    def _blocks():
+        # -inf entries, rows that are all -inf, tied maxima, and a scale from
+        # a fraction of a nat to hundreds
+        rng = np.random.default_rng(2021)
+        for _ in range(40):
+            v = rng.normal(size=(70, 257)) * rng.uniform(0.1, 500.0)
+            v[rng.random(v.shape) < 0.3] = -np.inf
+            v[rng.integers(0, 70, 4)] = -np.inf
+            rows = rng.integers(0, 70, 6)
+            v[rows, 3] = v[rows, 200] = np.max(v[rows], axis=1) + 1.0
+            yield rng, v
+
+    def test_unweighted_rows(self):
+        for _, v in self._blocks():
+            assert _same_bits(sf._log_sum_exp(v), special.logsumexp(v, axis=1))
+
+    def test_weighted_with_zeros(self):
+        # zero weights, and rows whose weights are all zero; the weighted
+        # one-dimensional call is the one `SimoTailTable.log_mean_q_l` makes
+        for rng, v in self._blocks():
+            b = rng.random(v.shape)
+            b[rng.random(v.shape) < 0.2] = 0.0
+            b[rng.integers(0, 70, 3)] = 0.0
+            assert _same_bits(sf._log_sum_exp(v, b=b), special.logsumexp(v, axis=1, b=b))
+            for i in rng.integers(0, 70, 5):
+                got, want = sf._log_sum_exp(v[i], b=b[i]), special.logsumexp(v[i], b=b[i])
+                assert type(got) is type(want) and _same_bits(got, want)
+
+
+FIG2_SPEC = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(-1.55), fading=ch.Rician(k_factor=db_to_linear(20.0)))
+FIG5_SPEC = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(2.74), fading=ch.Rayleigh())
+
+
+class TestChiQuadratureBits:
+    """`_chi_quadrature` gives the bits of `oracles.every_node_chi_quadrature`,
+    which evaluates the far term at every node and builds every row's own nodes."""
+
+    @staticmethod
+    def _assert_same_bits(x, k, delta):
+        assert x.size > sf._QUAD_ROWS
+        got = sf._chi_quadrature(x, k, delta)
+        assert _same_bits(got, oracles.every_node_chi_quadrature(x, k, delta))
+        return got
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 10, 40, 1002, 4000])
+    def test_mixed_blocks(self, k):
+        # shuffled, so that every block of 64 mixes rows with phi_max = pi/2
+        # (x <= (sqrt(k) + 12)^2), rows with phi_max < pi/2 and rows whose far
+        # term is live (x near 0, delta <= 20). log Phi(z) is -inf at no
+        # finite input (z >= -sqrt(delta)); the last three rows take it to
+        # its floor, about -8.5e307, where their sums are -inf
+        rng = np.random.default_rng(k)
+        edge = (math.sqrt(k) + 12.0) ** 2
+        x = np.concatenate(
+            [rng.uniform(0.1, edge, 60), rng.uniform(edge, 50.0 * edge, 60), rng.uniform(1e-6, 2.0, 60), [1e-3, 1.0, 1e3]]
+        )
+        delta = np.concatenate(
+            [10.0 ** rng.uniform(-3.0, 12.0, 120), rng.uniform(0.0, 20.0, 60), [1e300, 1.7e308, 1.7e308]]
+        )
+        order = rng.permutation(x.size)
+        got = self._assert_same_bits(x[order], k, delta[order])
+        assert np.isneginf(got[np.isin(order, [x.size - 3, x.size - 2, x.size - 1])]).all()
+        assert np.isfinite(got[np.isin(order, np.arange(120, 180))]).all()
+
+    @pytest.mark.parametrize("spec, epsilon", [(FIG2_SPEC, 1e-3), (FIG5_SPEC, 0.1)], ids=["fig2", "fig5"])
+    @pytest.mark.parametrize("n", [21, 501, 1001])
+    def test_simo_rows(self, spec, epsilon, n):
+        # the rows of `SimoTailTable.log_q_l` at the converse's threshold and
+        # at the receiver-side-information bound's, tau = epsilon / 10
+        table = cv.SimoTailTable(spec, n, epsilon)
+        delta = 2.0 * n * (1.0 + table.grid) / table.grid
+        for gamma in (
+            table.threshold(epsilon, "at_least", "lower"),
+            table.threshold(0.9 * epsilon, "below", "upper"),
+        ):
+            x = table._thr_l(gamma)
+            pos = x > 0.0
+            self._assert_same_bits(x[pos], 2 * n, delta[pos])
 
 
 class TestSampleNoncentralChi2:
