@@ -137,13 +137,6 @@ def sin2_statistic_sampler(spec, n):
     return draw
 
 
-def _check_eps_tau(epsilon, tau):
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must be in (0, 1)")
-    if not (0.0 < tau < epsilon):
-        raise ConfigurationError("tau must satisfy 0 < tau < epsilon")
-
-
 def tau_grid(n, epsilon):
     """Default tau candidates: {eps/2, eps/10, 1/n}, keeping only tau < eps."""
     cands = [epsilon / 2.0, epsilon / 10.0, 1.0 / n]
@@ -151,13 +144,15 @@ def tau_grid(n, epsilon):
 
 
 def _taus(n, epsilon, tau):
-    """The tau values to try, the default grid or the caller's tau, each checked."""
-    taus = tau_grid(n, epsilon) if tau is None else [tau]
-    if not taus:
-        raise ConfigurationError("no feasible tau < epsilon")
-    for t in taus:
-        _check_eps_tau(epsilon, t)
-    return taus
+    """The tau values to try: the default grid, which always holds eps/2 and
+    eps/10, or the caller's tau. Checks epsilon first, then that tau."""
+    if not (0.0 < epsilon < 1.0):
+        raise DomainError("epsilon must be in (0, 1)")
+    if tau is None:
+        return tau_grid(n, epsilon)
+    if not (0.0 < tau < epsilon):
+        raise ConfigurationError("tau must satisfy 0 < tau < epsilon")
+    return [tau]
 
 
 def rate_lower_bound(spec, n, epsilon, tau, cfg, stream_offset, gains):

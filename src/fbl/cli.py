@@ -79,7 +79,6 @@ def _run_args(parser):
 
 
 def _bound_args(parser):
-    parser.add_argument("--chunk-size", type=int)
     parser.add_argument("--confidence-delta", type=float)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--tau", help="a number, or 'grid' for the default search")

@@ -181,7 +181,7 @@ class SweepRequest:
 
 def parse_n_grid(text):
     """Grid spec: 'a:b:step' (arithmetic, inclusive), 'geom:a:b:points',
-    a comma list, or a single integer."""
+    or a comma list (a single integer is a list of one)."""
     text = text.strip()
     try:
         if text.startswith("geom:"):
@@ -196,10 +196,7 @@ def parse_n_grid(text):
             if step < 1 or b < a:
                 raise ValueError
             return tuple(range(a, b + 1, step))
-        if "," in text:
-            vals = sorted({int(x) for x in text.split(",")})
-            return tuple(vals)
-        return (int(text),)
+        return tuple(sorted({int(x) for x in text.split(",")}))
     except ValueError as exc:
         raise ConfigurationError(f"bad n_grid spec: {text!r}") from exc
 
@@ -243,7 +240,7 @@ def parse_config_text(text):
     return kv
 
 
-_MC_KEYS = {"samples": int, "confidence_delta": float, "chunk_size": int}
+_MC_KEYS = {"samples": int, "confidence_delta": float}
 
 # every key a config mapping may hold
 KEYS = (

@@ -40,10 +40,11 @@ _EVAL_STREAM = 1 << 34
 def _tail_end(k, delta, log_mass, side):
     """The point nearest the mean of chi'2_k(delta) where the Chernoff bound
     on its `side` tail beyond the point falls to e^log_mass."""
-    mean, sign = k + delta, (-1.0 if side == "lower" else 1.0)
+    mean, end = k + delta, ("lower", "upper").index(side)
+    sign = (-1.0, 1.0)[end]
 
     def log_bound(u):  # the bound at the log-distance -u from the mean
-        return float(sf.noncentral_chi2_chernoff(mean * math.exp(-sign * u), k, delta, side))
+        return float(sf.noncentral_chi2_chernoff(mean * math.exp(-sign * u), k, delta)[end])
 
     far = 1.0
     while log_bound(-far) > log_mass:
@@ -76,13 +77,14 @@ def gain_cells(spec, epsilon, points, tail_nats, n=None):
     x[0], x[-1] = x_lo, x_hi
     cdf, sf_ = sf.noncentral_chi2_cdf_sf(x, dof, nc)
     prob = np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(sf_))
-    below = sf.noncentral_chi2_chernoff(x_lo, dof, nc, "lower")
-    log_tail = float(np.logaddexp(below, sf.noncentral_chi2_chernoff(x_hi, dof, nc, "upper")))
+    below, _ = sf.noncentral_chi2_chernoff(x_lo, dof, nc)
+    _, above = sf.noncentral_chi2_chernoff(x_hi, dof, nc)
+    log_tail = float(np.logaddexp(below, above))
     return spec.snr * x / scale, prob, (float(cdf[0]), float(sf_[-1])), log_tail
 
 
-def _cell_bounds(values, side):
-    """A 'lower' or 'upper' bound on a function over each cell of its grid.
+def _cell_bounds(values):
+    """(lower, upper) bounds on a function over each cell of its grid.
 
     A cell where the grid values are monotone is bounded by its ends. At a
     turning point of the values (flat runs included, and differences within
@@ -90,29 +92,31 @@ def _cell_bounds(values, side):
     the last difference before it to the first after it. If the function is
     concave about a maximum, the secant through two neighbouring points lies
     above it outside their cell, so the maximum exceeds those cells' ends by
-    at most the larger enclosing difference: 'upper' adds that slack about
-    each maximum, and 'lower' takes it off about each (convex) minimum.
-    Raises ConvergenceError where a maximum and a minimum share a cell,
-    which the grid does not resolve.
+    at most the larger enclosing difference: the upper bound adds that slack
+    about each maximum, and the lower bound takes it off about each (convex)
+    minimum. Raises ConvergenceError where a maximum and a minimum share a
+    cell, which the grid does not resolve.
     """
     v = np.asarray(values, dtype=float)
     with np.errstate(invalid="ignore"):
         d = np.diff(v)
         flat = np.isnan(d) | (np.abs(d) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:]))))
     d = np.where(flat & ~np.isinf(d), 0.0, d)  # NaN: two zeros (-inf in log domain)
-    upper = side == "upper"
-    out = np.maximum(v[:-1], v[1:]) if upper else np.minimum(v[:-1], v[1:])
+    lower, upper = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
     moves = np.flatnonzero(d)
     signs = np.sign(d[moves])
     turns = np.flatnonzero(signs[:-1] != signs[1:])
     if np.any(np.diff(turns) == 1):
         raise ConvergenceError("the gain grid does not resolve the extrema of a conditional tail")
-    for i in turns[(signs[turns] > 0) == upper]:
+    for i in turns:
         first, last = moves[i], moves[i + 1]
         slack = max(abs(d[first]), abs(d[last]))
         cells = slice(first, last + 1)
-        out[cells] = np.max(out[cells]) + slack if upper else np.min(out[cells]) - slack
-    return out
+        if signs[i] > 0:  # a maximum
+            upper[cells] = np.max(upper[cells]) + slack
+        else:
+            lower[cells] = np.min(lower[cells]) - slack
+    return lower, upper
 
 
 class SimoTailTable:
@@ -166,7 +170,7 @@ class SimoTailTable:
         if gamma not in self._means:
             q = self.q_s(gamma)
             outside = math.exp(self.log_tail + min(self.n * gamma, 0.0))
-            lower, upper = (self.prob @ _cell_bounds(q, end) for end in ("lower", "upper"))
+            lower, upper = (self.prob @ b for b in _cell_bounds(q))
             self._means[gamma] = (lower, upper + outside)
         return self._means[gamma]
 
@@ -178,7 +182,8 @@ class SimoTailTable:
 
     def log_mean_q_l(self, gamma, end):
         """The log of the `end` ('lower' or 'upper') of the mean of q_l."""
-        log_sum = float(sf._log_sum_exp(_cell_bounds(self.log_q_l(gamma), end), b=self.prob))
+        i = 0 if end == "lower" else 1
+        log_sum = float(sf._log_sum_exp(_cell_bounds(self.log_q_l(gamma))[i], b=self.prob))
         return log_sum if end == "lower" else float(np.logaddexp(log_sum, self.log_tail + min(-self.n * gamma, 0.0)))
 
 

@@ -1,6 +1,6 @@
 """Deterministic, parallelizable Monte Carlo engine.
 
-Work is split into fixed-size chunks; chunk i always draws from the
+Work is split into chunks of `CHUNK` draws; chunk i always draws from the
 counter-based substream (seed, stream_offset + i), so results are
 bit-identical for any worker-thread count. Reductions are order-independent
 (results are stored by chunk index before combining).
@@ -54,15 +54,12 @@ class MCConfig:
     seed: int
     samples: int = 100_000
     confidence_delta: float = 0.01
-    chunk_size: int = 4096
 
     def __post_init__(self):
         if self.samples < 100:
             raise ConfigurationError("samples must be >= 100")
         if not (0.0 < self.confidence_delta <= 0.05):
             raise ConfigurationError("confidence_delta must be in (0, 0.05]")
-        if self.chunk_size < 1:
-            raise ConfigurationError("chunk_size must be positive")
 
 
 def rng(seed, stream_index):
@@ -115,6 +112,11 @@ def cp_upper(successes, trials, delta):
     return 1.0 if math.isnan(hi) else hi
 
 
+# draws per chunk of `sample_values`: the seed, the sample count and the
+# stream offset then fix every draw
+CHUNK = 4096
+
+
 def sample_values(value_sampler, cfg, stream_offset=0, given=None):
     """Draw cfg.samples values deterministically; returns one flat array.
 
@@ -123,11 +125,11 @@ def sample_values(value_sampler, cfg, stream_offset=0, given=None):
     under the same cfg (a `sample_values` result), chunk i calls
     value_sampler(rng, size, rows) with rows the chunk's own rows of
     `given`: one sample, such as the channel draws of a blocklength grid,
-    can then condition the draws of many calls. Chunks run on the worker
-    pool and are concatenated in chunk-index order.
+    can then condition the draws of many calls. Chunks of `CHUNK` draws
+    run on the worker pool and are concatenated in chunk-index order.
     """
-    full = (cfg.samples - 1) // cfg.chunk_size  # chunks before the last
-    sizes = [cfg.chunk_size] * full + [cfg.samples - cfg.chunk_size * full]
+    full = (cfg.samples - 1) // CHUNK  # chunks before the last
+    sizes = [CHUNK] * full + [cfg.samples - CHUNK * full]
     results = [None] * len(sizes)
     extra = [()] * len(sizes)
     if given is not None:

@@ -41,12 +41,13 @@ _QUAD_ROWS = 64
 _FAR_NATS = -800.0
 
 
-def noncentral_chi2_chernoff(x, k, delta, side):
-    """Vectorized Chernoff exponent: log upper bound on a noncentral chi2 tail.
+def noncentral_chi2_chernoff(x, k, delta):
+    """Vectorized Chernoff exponents: log upper bounds on both noncentral chi2 tails.
 
-    side='lower' bounds P[X <= x] (requires x <= k + delta to be nontrivial),
-    side='upper' bounds P[X >= x]. Returns 0.0 (trivial bound) where the
-    threshold is on the wrong side of the mean.
+    Returns (lower, upper), lower bounding P[X <= x] and upper P[X >= x],
+    from one saddle-point exponent. Each is 0.0 (the trivial bound) where x
+    is on the wrong side of the mean for its tail, and lower is -inf where
+    x <= 0.
     """
     x = np.asarray(x, dtype=float)
     k = float(k)
@@ -56,15 +57,9 @@ def noncentral_chi2_chernoff(x, k, delta, side):
     # the saddle point u = (-k + sqrt(k^2 + 4 delta x)) / (2 delta), in a form
     # that does not cancel when delta x << k^2
     u = np.maximum(2.0 * xp / (k + np.sqrt(k * k + 4.0 * delta * xp)), 1e-300)
-    expo = 0.5 * delta * (u - 1.0) + 0.5 * k * np.log(u) - 0.5 * (u - 1.0) / u * xp
-    if side == "lower":
-        out = np.where(x < mean, expo, 0.0)
-        out = np.where(x <= 0.0, -np.inf, out)
-    elif side == "upper":
-        out = np.where(x > mean, expo, 0.0)
-    else:
-        raise DomainError("side must be 'lower' or 'upper'")
-    return np.minimum(out, 0.0)
+    expo = np.minimum(0.5 * delta * (u - 1.0) + 0.5 * k * np.log(u) - 0.5 * (u - 1.0) / u * xp, 0.0)
+    lower = np.where(x <= 0.0, -np.inf, np.where(x < mean, expo, 0.0))
+    return lower, np.where(x > mean, expo, 0.0)
 
 
 def _log_sum_exp(v, b=None):
@@ -165,8 +160,7 @@ def noncentral_chi2_sf_batch(x, k, delta):
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
     out = np.empty_like(x)
     cutoff = math.log(1e-13)
-    lower_ch = noncentral_chi2_chernoff(x, k, delta, "lower")
-    upper_ch = noncentral_chi2_chernoff(x, k, delta, "upper")
+    lower_ch, upper_ch = noncentral_chi2_chernoff(x, k, delta)
     is_one = lower_ch < cutoff
     is_zero = upper_ch < cutoff
     out[is_one] = 1.0

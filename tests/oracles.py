@@ -407,7 +407,7 @@ def sample_sin2_statistic(spec, cov, n, rng):
 
 def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
     """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
-    ach._check_eps_tau(epsilon, tau)
+    ach._taus(n, epsilon, tau)
     sampler = plain_sin2_sampler(spec, cov, n)
     values = np.sort(mc.sample_values(sampler, cfg, stream_offset + ach._STAT_STREAM))
     k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + tau, "upper", cfg.confidence_delta)

@@ -60,8 +60,9 @@ def _normal_fig2():
     return ap.NormalApprox(FIG2_SPEC, ch.WaterFill(), 1e-3, CFG)
 
 
-def test_criterion_1_fig2_epsilon_capacity():
-    cfg = mc.MCConfig(seed=21, samples=10_000_000, chunk_size=65_536)
+def test_criterion_1_fig2_epsilon_capacity(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK", 65_536)
+    cfg = mc.MCConfig(seed=21, samples=10_000_000)
     start = time.perf_counter()
     value, _ = og.epsilon_capacity(FIG2_SPEC, ch.WaterFill(), 1e-3, cfg)
     elapsed = time.perf_counter() - start
@@ -70,8 +71,9 @@ def test_criterion_1_fig2_epsilon_capacity():
     _report(1, ok, f"fig-2 C_eps = {bits:.4f} bits with 1e7 samples in {elapsed:.1f} s")
 
 
-def test_criterion_2_fig3_epsilon_capacity():
-    cfg = mc.MCConfig(seed=22, samples=10_000_000, chunk_size=65_536)
+def test_criterion_2_fig3_epsilon_capacity(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK", 65_536)
+    cfg = mc.MCConfig(seed=22, samples=10_000_000)
     value, _ = og.epsilon_capacity(FIG3_SPEC, ch.Isotropic(), 1e-3, cfg)
     bits = value / L2
     _report(2, abs(bits - 1.0) <= 0.01, f"fig-3 C_iso = {bits:.4f} bits")

@@ -139,16 +139,17 @@ class TestSin2Statistic:
         draws = sampler(_rng(3), 200)
         assert np.max(draws) < 1e-3
 
-    def test_matches_qr_oracle_in_law(self):
+    def test_matches_qr_oracle_in_law(self, monkeypatch):
         # two-sample KS of the closed form against the statistic measured on
         # an explicit n x r received block; 24 cases at 1e-3 each. At -10 dB
         # n * gain runs from ~0.5 to ~50, so both the noise Gram and the
         # signal block shape the law.
+        monkeypatch.setattr(mc, "CHUNK", 1024)
         draws = 10_000
         failures = []
         for case, (t, r) in enumerate(((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2))):
             spec = ch.ChannelSpec(t=t, r=r, snr=0.1, fading=ch.Rayleigh())
-            cfg = mc.MCConfig(seed=400 + case, samples=draws, chunk_size=1024)
+            cfg = mc.MCConfig(seed=400 + case, samples=draws)
             for n in (t + r + 1, 20, 100, 500):
                 closed = ach.sin2_statistic_sampler(spec, n)
                 gains = og.gain_sample(spec, ch.Isotropic(), cfg, n)
@@ -293,6 +294,17 @@ class TestRateLowerBound:
         spec = ch.ChannelSpec(t=2, r=3, snr=db_to_linear(2.12), fading=ch.Rayleigh())
         rate, _ = oracles.kappa_beta_rate(spec, ch.Isotropic(), 200, 1e-3, None, self.cfg)
         assert 0.0 < rate < math.log(1 + spec.snr * 6)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1])
+def test_epsilon_checked_before_the_tau_grid(epsilon):
+    # the default tau grid is empty at such an epsilon: both bounds report
+    # the epsilon, as the converses and the normal approximation do
+    cfg = mc.MCConfig(seed=1, samples=1000)
+    with pytest.raises(DomainError, match=r"epsilon must be in \(0, 1\)"):
+        oracles.kappa_beta_rate(FIG2_SPEC, ch.WaterFill(), 100, epsilon, None, cfg)
+    with pytest.raises(DomainError, match=r"epsilon must be in \(0, 1\)"):
+        ach.csir_kappa_beta_simo(FIG2_SPEC, 100, epsilon, None)
 
 
 class TestCsirKappaBetaSimo:

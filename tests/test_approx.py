@@ -117,7 +117,8 @@ class TestGainLawQuadrature:
 
         def mean(r, end):
             q = sf.gaussian_q((c - r) / np.sqrt(v / n))
-            return prob @ cv._cell_bounds(q, end) + (math.exp(log_tail) if end == "upper" else 0.0)
+            lower, upper = cv._cell_bounds(q)
+            return prob @ lower if end == "lower" else prob @ upper + math.exp(log_tail)
 
         lo, hi = (mc.root_find_monotone(lambda r: mean(r, end), eps, (-1.0, 3.0), "at_least")
                   for end in ("upper", "lower"))

@@ -12,6 +12,7 @@ from fbl import channel as ch
 from fbl import cli
 from fbl import config as cf
 from fbl import converse as cv
+from fbl import mc
 from fbl.errors import ConfigurationError
 from fbl.mc import MCConfig
 
@@ -65,7 +66,6 @@ class TestConfigRoundTrip:
         seed = 7
         samples = 5000
         confidence_delta = 0.02
-        chunk_size = 1000
         """
         assert cf.request_from_mapping(cf.parse_config_text(text)) == cf.SweepRequest(
             spec=ch.ChannelSpec(
@@ -75,7 +75,7 @@ class TestConfigRoundTrip:
             epsilon=1e-3,
             n_grid=(100, 200),
             bounds=("ach-simo", "conv-simo"),
-            mc=MCConfig(seed=7, samples=5000, confidence_delta=0.02, chunk_size=1000),
+            mc=MCConfig(seed=7, samples=5000, confidence_delta=0.02),
             tau=0.0005,
         )
 
@@ -93,7 +93,7 @@ class TestConfigRoundTrip:
             epsilon=1e-3,
             n_grid=(100,),
             bounds=("outage",),
-            mc=MCConfig(seed=1, samples=100_000, confidence_delta=0.01, chunk_size=4096),
+            mc=MCConfig(seed=1, samples=100_000, confidence_delta=0.01),
             tau=None,
             rate_nats=math.log(2.0),
             output="x.csv",
@@ -144,7 +144,7 @@ class TestConfigRoundTrip:
         # fading parameter under its own fading kind
         common = [
             ("--cov", "cov", "waterfill"), ("--epsilon", "epsilon", "0.02"), ("--tau", "tau", "0.005"),
-            ("--seed", "seed", "9"), ("--samples", "samples", "2000"), ("--chunk-size", "chunk_size", "500"),
+            ("--seed", "seed", "9"), ("--samples", "samples", "2000"),
             ("--confidence-delta", "confidence_delta", "0.02"), ("--rate-bits", "rate_bits", "1.5"),
             ("--n-grid", "n_grid", "20,40"), ("--output", "output", out),
         ]
@@ -282,7 +282,7 @@ class TestFigurePresets:
         assert req.epsilon == epsilon
         assert req.n_grid == (10, 15, 23, 35, 53, 81, 123, 187, 285, 433, 658, 1000)
         assert req.bounds == bounds
-        assert req.mc == MCConfig(seed=1, samples=100_000, confidence_delta=0.01, chunk_size=4096)
+        assert req.mc == MCConfig(seed=1, samples=100_000, confidence_delta=0.01)
         assert (req.tau, req.rate_nats, req.output) == (None, None, None)
 
 
@@ -371,6 +371,7 @@ class TestSharedChannels:
     def test_channels_drawn_once_per_chunk_and_stream(self, bound, streams, monkeypatch):
         # 3,000 samples in chunks of 1,000 on a three-point grid: one channel
         # draw per chunk of each channel stream, none per n
+        monkeypatch.setattr(mc, "CHUNK", 1000)
         calls = []
         sample_channel = ch.sample_channel
 
@@ -381,7 +382,7 @@ class TestSharedChannels:
         monkeypatch.setattr(ch, "sample_channel", counted)
         req = cf.request_from_mapping({
             "antennas": "2x3", "snr_db": "2.12", "epsilon": "0.1", "bounds": bound,
-            "n_grid": "20,40,80", "samples": "3000", "chunk_size": "1000", "seed": "7",
+            "n_grid": "20,40,80", "samples": "3000", "seed": "7",
         })
         assert len(cli.run_sweep(req)) == 3
         assert len(calls) == streams * 3
@@ -446,8 +447,8 @@ class TestCommandLine:
     def test_isotropic_log_det_thread_determinism(self, argv, shape, capsys, monkeypatch):
         # min(t, r) >= 3 under isotropic input: the spectrum-free log-det path
         t, r = shape
-        common = ["--t", t, "--r", r, "--snr-db", "3", "--cov", "iso", "--samples", "12000",
-                  "--chunk-size", "1000", "--seed", "11"]
+        common = ["--t", t, "--r", r, "--snr-db", "3", "--cov", "iso", "--samples", "12000", "--seed", "11"]
+        monkeypatch.setattr(mc, "CHUNK", 1000)
         outputs = []
         for threads in (1, 2, 4):
             monkeypatch.setenv("FBL_THREADS", str(threads))
@@ -558,6 +559,37 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: unknown config key: n_gird, sampels"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["outage", "--rate-bits", "1"], ["eps-capacity"], ["bound", "conv-iso"], ["approx", "normal"]],
+        ids=["outage", "eps-capacity", "bound", "approx"],
+    )
+    def test_chunk_size_flag_refused(self, argv):
+        # the chunk size is fixed (mc.CHUNK), so seed and samples fix every draw
+        res = _run([*argv, "--t", "2", "--r", "2", "--snr-db", "0", *FAST, "--chunk-size", "1000"])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "unrecognized arguments: --chunk-size 1000" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_chunk_size_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("antennas = 1x1\nsnr_db = 0\nbounds = awgn\nchunk_size = 1000\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: unknown config key: chunk_size"]
+
+    def test_row_over_several_chunks_pinned(self, capsys):
+        # 20,000 samples span five chunks of 4,096 draws; another chunk size
+        # moves every chunk's stream, and with it this row (0.850394132832
+        # nats in chunks of 1,000)
+        argv = ["bound", "conv-iso", "--t", "2", "--r", "3", "--snr-db", "2.12", "--seed", "7",
+                "--samples", "20000", "--n", "200"]
+        assert cli.main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:3] == ["conv-iso", "200", "0.844715432431"]
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats and the scipy.optimize it loads would double the start-up time

@@ -53,7 +53,6 @@ def channel_and_mc(draw):
         ("--r", whole(1, 3)),
         ("--cov", st.sampled_from(["iso", "waterfill"])),
         ("--seed", whole(0, 2**40)),
-        ("--chunk-size", whole(7, 4096)),
         ("--confidence-delta", real(1e-3, 0.05)),
         ("--epsilon", real(0.01, 0.5)),
         ("--tau", mostly(st.just("grid"), st.sampled_from(["0.001", "0.6", "nan", "abc"]))),

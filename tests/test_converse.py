@@ -222,14 +222,14 @@ class TestFig2SelectionRoot:
 class TestCellBounds:
     def test_monotone_values_bound_each_cell_by_its_ends(self):
         v = np.array([-np.inf, -np.inf, -9.0, -4.0, -1.0, 0.0, 0.0])
-        assert np.array_equal(cv._cell_bounds(v, "lower"), np.minimum(v[:-1], v[1:]))
-        assert np.array_equal(cv._cell_bounds(v, "upper"), np.maximum(v[:-1], v[1:]))
+        lower, upper = cv._cell_bounds(v)
+        assert np.array_equal(lower, np.minimum(v[:-1], v[1:]))
+        assert np.array_equal(upper, np.maximum(v[:-1], v[1:]))
 
     def test_extremum_widens_the_cells_about_it(self):
         # a maximum at point 3 (with a flat step) and a minimum at point 7
         v = np.array([0.0, 1.0, 3.0, 4.0, 4.0, 2.5, 1.0, 0.5, 2.0])
-        upper = cv._cell_bounds(v, "upper")
-        lower = cv._cell_bounds(v, "lower")
+        lower, upper = cv._cell_bounds(v)
         # the maximum lies in cells 2..4; the larger enclosing difference is 1.5
         assert np.array_equal(upper[2:5], [5.5, 5.5, 5.5])
         assert np.array_equal(upper[[0, 1, 5]], [1.0, 3.0, 2.5])
@@ -242,11 +242,11 @@ class TestCellBounds:
 
     def test_rounding_is_flat(self):
         v = np.array([1.0, 1.0 - 4e-16, 1.0, 1.0 - 4e-16, 0.5])
-        assert np.array_equal(cv._cell_bounds(v, "upper"), np.maximum(v[:-1], v[1:]))
+        assert np.array_equal(cv._cell_bounds(v)[1], np.maximum(v[:-1], v[1:]))
 
     def test_unresolved_extrema_raise(self):
         with pytest.raises(ConvergenceError):
-            cv._cell_bounds(np.array([0.0, 1.0, 0.5, 1.0, 0.0]), "upper")
+            cv._cell_bounds(np.array([0.0, 1.0, 0.5, 1.0, 0.0]))
 
 
 class TestSimoTailTableMeans:
@@ -273,7 +273,7 @@ class TestSimoTailTableMeans:
         q = table.q_s(-0.75)
         peak = int(np.argmax(q))
         assert 0 < peak < q.size - 1
-        upper = cv._cell_bounds(q, "upper")
+        _, upper = cv._cell_bounds(q)
         assert upper[peak] > q[peak] and upper[peak - 1] > q[peak]
         lo, hi = table.mean_q_s(-0.75)
         ref = oracles.FineSimoMeans(FIG5_SPEC, 11, 0.1).mean_q_s(-0.75)

@@ -63,8 +63,9 @@ class TestRngStream:
 
 
 class TestDeterminismAcrossThreads:
-    def test_bit_identical_for_any_thread_count(self):
-        cfg = mc.MCConfig(seed=9, samples=50_000, chunk_size=1024)
+    def test_bit_identical_for_any_thread_count(self, monkeypatch):
+        monkeypatch.setattr(mc, "CHUNK", 1024)
+        cfg = mc.MCConfig(seed=9, samples=50_000)
         results = []
         old = os.environ.get("FBL_THREADS")
         try:
@@ -80,13 +81,13 @@ class TestDeterminismAcrossThreads:
         np.testing.assert_array_equal(results[0], results[2])
 
     def test_chunking_boundary_exact(self):
-        cfg = mc.MCConfig(seed=9, samples=10_000, chunk_size=4096)
+        cfg = mc.MCConfig(seed=9, samples=10_000)
         vals = mc.sample_values(uniform_sampler, cfg, 0)
         assert vals.shape == (10_000,)
 
     def test_given_rows_reach_their_own_chunk(self, monkeypatch):
         # chunk i gets rows [4096 i, 4096 (i + 1)) of `given`, at any thread count
-        cfg = mc.MCConfig(seed=9, samples=10_000, chunk_size=4096)
+        cfg = mc.MCConfig(seed=9, samples=10_000)
         given = np.arange(10_000.0)
 
         def paired(rng, size, rows):
@@ -194,7 +195,7 @@ class TestConservativeQuantile:
 
     def test_takes_the_kth_order_statistic(self, monkeypatch):
         # one chunk holding 1..N in random order: the k-th smallest value is k
-        cfg = mc.MCConfig(seed=3, samples=1000, chunk_size=1000)
+        cfg = mc.MCConfig(seed=3, samples=1000)
         v = converse_gamma(monkeypatch, lambda rng, size: rng.permutation(size) + 1.0, 0.9, cfg)
         assert v == mc.quantile_order_indices(1000, 0.9, "upper", 0.5 * cfg.confidence_delta)
 
