@@ -82,10 +82,6 @@ def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     return min(0.0, -lam_min * x + log_c.max() + math.log(head + rest))
 
 
-def _complex_normal(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
-
-
 def log_wilks_lambda(x, diag, low):
     """ln Lambda = ln(prod diag^2 / det(Z Z^H)), Z = [X | L], for a stack of draws.
 
@@ -102,7 +98,8 @@ def log_wilks_lambda(x, diag, low):
         acc = x[..., i, :]
         for j in range(i):
             acc = acc - low[..., i * (i - 1) // 2 + j, None] * rows[j]
-        rows.append(acc / diag[..., i, None])
+        # the bits of acc / diag: numpy's complex / real multiplies by the reciprocal
+        rows.append(acc * (1.0 / diag[..., i, None]))
     return -ch.log_det_gram(np.stack(rows, axis=-2))
 
 
@@ -129,9 +126,9 @@ def sin2_statistic_sampler(spec, n):
 
     def draw(rng, size, gains):
         diag = np.sqrt(rng.standard_gamma(n - wide - idx, size=(size, d)))
-        x = _complex_normal(rng, (size, d, wide))
+        x = ch.complex_normal(rng, (size, d, wide))
         x[:, idx, idx] += np.sqrt(n * gains)
-        low = _complex_normal(rng, (size, d * (d - 1) // 2))
+        low = ch.complex_normal(rng, (size, d * (d - 1) // 2))
         return log_wilks_lambda(x, diag, low)
 
     return draw

@@ -51,25 +51,35 @@ class NormalApprox:
             gains, prob, (below, above), _ = cv.gain_cells(spec, epsilon, table.GRID, table.TAIL_NATS)
             self.weights = np.append(below, 0.5 * prob) + np.append(0.5 * prob, above)
             self.c, self.v = capacity_dispersion(gains[:, None])
-            return
+        else:
+            def cv_sampler(rng, size):
+                return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
 
-        def cv_sampler(rng, size):
-            return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
-
-        pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
-        self.c, self.v, self.weights = pairs[:, 0], pairs[:, 1], None
+            pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
+            self.c, self.v, self.weights = pairs[:, 0], pairs[:, 1], None
+        # division by n and sqrt are monotone, so sqrt(V/n) > 0 at every node
+        # exactly when min(V)/n > 0
+        self._v_min = float(np.min(self.v))
 
     def outage_cdf(self, rate, n):
-        """Average of the per-node normal error estimate at `rate`."""
+        """Average of the per-node normal error estimate at `rate`.
+
+        Where every sqrt(V/n) > 0 this is the mean of Q((C - rate) / sqrt(V/n));
+        nodes with V = 0 (every node at a vanishing SNR) count 1, 1/2 or 0 as
+        C is below, at or above the rate.
+        """
         sigma = np.sqrt(self.v / n)
-        positive = sigma > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(positive, (self.c - rate) / np.where(positive, sigma, 1.0), 0.0)
-        terms = np.where(
-            positive,
-            sf.gaussian_q(z),
-            np.where(self.c < rate, 1.0, np.where(self.c == rate, 0.5, 0.0)),
-        )
+        if self._v_min / n > 0.0:
+            terms = sf.gaussian_q((self.c - rate) / sigma)
+        else:
+            positive = sigma > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = np.where(positive, (self.c - rate) / np.where(positive, sigma, 1.0), 0.0)
+            terms = np.where(
+                positive,
+                sf.gaussian_q(z),
+                np.where(self.c < rate, 1.0, np.where(self.c == rate, 0.5, 0.0)),
+            )
         return float(np.mean(terms)) if self.weights is None else float(self.weights @ terms)
 
     def rate(self, n):

@@ -21,6 +21,7 @@ __all__ = [
     "ChannelSpec",
     "WaterFill",
     "Isotropic",
+    "complex_normal",
     "sample_channel",
     "gain_law",
     "effective_eigenvalues",
@@ -90,19 +91,31 @@ class Isotropic:
     """Q = (rho/t) I_t."""
 
 
+def complex_normal(rng, shape, scale=math.sqrt(0.5)):
+    """(a + ib) * scale, with a and b standard normal arrays of `shape` drawn
+    in that order: CN(0, 1) entries at the default scale. The parts of one
+    complex array are filled and scaled in place, with no complex
+    temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= scale
+    return z
+
+
 def sample_channel(spec, rng, size=1):
     """Draw `size` i.i.d. channel matrices; returns shape (size, t, r)."""
     shape = (size, spec.t, spec.r)
     fading = spec.fading
     if isinstance(fading, Rayleigh):
-        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return h * math.sqrt(0.5)
+        return complex_normal(rng, shape)
     if isinstance(fading, Rician):
         k = fading.k_factor
         los = math.sqrt(k / (k + 1.0))
         sigma = math.sqrt(1.0 / (k + 1.0))
-        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return los + sigma * math.sqrt(0.5) * h
+        h = complex_normal(rng, shape, sigma * math.sqrt(0.5))
+        h += los
+        return h
     if isinstance(fading, Nakagami):
         m = fading.m_shape
         power = rng.gamma(m, 1.0 / m, size=shape)
@@ -142,9 +155,40 @@ def _wide(h):
     return np.swapaxes(h, -1, -2) if h.shape[-2] > h.shape[-1] else h
 
 
+def _complex(re, im):
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def _gram(h):
-    """H H^H of a stack; an elementwise einsum, not one BLAS call per matrix."""
-    return np.einsum("...ik,...jk->...ij", h, np.conj(h))
+    """The lower triangle of H H^H of a stack, as {(i, j): (re, im)} for j <= i.
+
+    Elementwise real arithmetic on one contiguous array per entry of H, over
+    the columns in order: re += xr_i xr_j + xi_i xi_j and
+    im += xi_i xr_j - xr_i xi_j, from zero. These are the bits of
+    einsum("...ik,...jk->...ij", h, conj(h)) (docs/DECISIONS.md, section 7).
+    The diagonal's im is 0.0.
+    """
+    h = np.asarray(h)
+    m, k = h.shape[-2:]
+    xr = np.moveaxis(h.real, (-2, -1), (0, 1)).copy()
+    xi = np.moveaxis(h.imag, (-2, -1), (0, 1)).copy()
+    gram = {}
+    for i in range(m):
+        for j in range(i + 1):
+            re = np.zeros(h.shape[:-2])
+            im = np.zeros(h.shape[:-2]) if j < i else 0.0
+            for c in range(k):
+                term = xr[i, c] * xr[j, c]
+                term += xi[i, c] * xi[j, c]
+                re += term
+                if j < i:
+                    term = xi[i, c] * xr[j, c]
+                    term -= xr[i, c] * xi[j, c]
+                    im += term
+            gram[i, j] = re, im
+    return gram
 
 
 def gram_eigenvalues(h):
@@ -178,7 +222,10 @@ def gram_eigenvalues(h):
         lam1 = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * _abs2(b)))
         lam2 = np.minimum(det / np.where(lam1 > 0.0, lam1, 1.0), lam1)
         return np.stack([lam1, lam2], axis=-1)
-    return np.clip(np.linalg.eigvalsh(_gram(h))[..., ::-1].real, 0.0, None)
+    gram = np.zeros(h.shape[:-1] + (m,), dtype=complex)  # eigvalsh reads the lower triangle
+    for (i, j), (re, im) in _gram(h).items():
+        gram[..., i, j] = _complex(re, im)
+    return np.clip(np.linalg.eigvalsh(gram)[..., ::-1].real, 0.0, None)
 
 
 def log_det_gram(h, scale=1.0):
@@ -192,18 +239,25 @@ def log_det_gram(h, scale=1.0):
     unlike the stacked LAPACK and BLAS calls, it runs in parallel on the
     chunk pool. Accepts a stack (..., t, r); returns shape (...).
     """
-    a = scale * _gram(_wide(h))
-    m = a.shape[-1]
-    e = [a[..., j, j].real for j in range(m)]
-    low = {(i, k): a[..., i, k] for i in range(m) for k in range(i)}
+    h = _wide(h)
+    m = h.shape[-2]
+    gram = _gram(h)
+    e = [scale * gram[j, j][0] for j in range(m)]
+    low = {(i, k): (scale * re, scale * im) for (i, k), (re, im) in gram.items() if k < i}
     total = 0.0
     for j in range(m):
         total = total + np.log1p(e[j])
+        # the bits of the complex column over the pivot: numpy's complex /
+        # real multiplies by the reciprocal
+        inv = 1.0 / (1.0 + e[j])
         for i in range(j + 1, m):
-            w = low[i, j] / (1.0 + e[j])
-            e[i] = e[i] - (w.real * low[i, j].real + w.imag * low[i, j].imag)
+            lr, li = low[i, j]
+            wr, wi = lr * inv, li * inv
+            e[i] = e[i] - (wr * lr + wi * li)
             for k in range(j + 1, i):
-                low[i, k] = low[i, k] - w * np.conj(low[k, j])
+                # numpy's complex product, whose bits four real products do not give
+                z = _complex(*low[i, k]) - _complex(wr, wi) * np.conj(_complex(*low[k, j]))
+                low[i, k] = z.real, z.imag
     return total
 
 

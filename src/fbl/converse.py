@@ -258,15 +258,24 @@ def _tilt_solve(s, delta, k, c, active):
     Rows with c >= M(0), and rows not `active`, keep theta = 0. The solve
     stops when no row's step exceeds 1e-15 theta, or after _TILT_MAX_STEPS
     steps; a row cut off there keeps its last iterate, which only costs
-    variance (the tilted estimator is unbiased for any theta >= 0).
+    variance (the tilted estimator is unbiased for any theta >= 0). Each
+    step works on one array per mode and adds the modes in order, the bits
+    of a sum over the last axis of (..., m) arrays; 2 delta_i / d_i is taken
+    as 2 (delta_i / d_i), which is exact (docs/DECISIONS.md, section 7).
     """
+    modes = [(s[..., i], s[..., i] * s[..., i], delta[..., i]) for i in range(np.shape(s)[-1])]
     theta = np.zeros(np.shape(c))
     for _ in range(_TILT_MAX_STEPS):
-        d = 1.0 + 2.0 * theta[..., None] * s
-        excess = np.sum(s * (k + delta / d) / d, axis=-1) - c
-        slope = -2.0 * np.sum(s * s * (k + 2.0 * delta / d) / (d * d), axis=-1)
+        two_theta = 2.0 * theta
+        mean = slope = 0.0  # M(theta) and -M'(theta) / 2, summed over the modes in order
+        for s_i, s2_i, delta_i in modes:
+            d = 1.0 + two_theta * s_i
+            q = delta_i / d
+            mean = mean + s_i * (k + q) / d
+            slope = slope + s2_i * (k + 2.0 * q) / (d * d)
+        excess = mean - c
         rising = active & (excess > 0.0)
-        step = np.where(rising, excess / np.where(rising, -slope, 1.0), 0.0)
+        step = np.where(rising, excess / np.where(rising, 2.0 * slope, 1.0), 0.0)
         theta = theta + step
         if not np.any(step > 1e-15 * theta):
             break

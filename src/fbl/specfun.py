@@ -39,6 +39,8 @@ _QUAD_ROWS = 64
 # less than this many nats below the near one: further down, exp of the
 # difference underflows (below -745) to exactly 0 and changes no bit
 _FAR_NATS = -800.0
+# numpy's Poisson sampler refuses a mean above this (numpy.random._common)
+_POISSON_LAM_MAX = float(np.iinfo("l").max) - math.sqrt(np.iinfo("l").max) * 10
 
 
 def noncentral_chi2_chernoff(x, k, delta):
@@ -220,7 +222,13 @@ def sample_noncentral_chi2(k, delta, rng):
     delta = np.asarray(delta, dtype=float)
     if np.any(k < 2) or np.any(np.asarray(k) % 2 != 0) or np.any(delta < 0):
         raise DomainError("requires even k >= 2, delta >= 0")
-    j = rng.poisson(0.5 * delta)
+    lam = 0.5 * delta
+    if np.any(lam > _POISSON_LAM_MAX):
+        raise DomainError(
+            f"noncentral chi-square draw with delta = {np.max(delta):.3g}: the Poisson sampler takes "
+            f"delta/2 up to {_POISSON_LAM_MAX:.3g}; a mode gain near zero (a vanishing SNR) puts delta beyond it"
+        )
+    j = rng.poisson(lam)
     shape = 0.5 * k + j
     return 2.0 * rng.standard_gamma(shape)
 

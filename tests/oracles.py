@@ -12,8 +12,11 @@ Chernoff bounds, the rank-one binomial sum and an mpmath matrix
 exponential that referee the beta-product tail, water-filling of one
 eigenvalue vector, log-domain incomplete and multivariate gamma functions
 with the asymptotic converse constants built on them, the Monte Carlo
-bounds at one stream offset with their channel gains drawn there, and small
-helpers the tests share. Nothing in `fbl` calls them.
+bounds at one stream offset with their channel gains drawn there, the
+complex-array forms of the elementwise kernels (einsum Gram, divided pivots
+and rows, axis sums, masked normal error, a + 1j*b draws) whose bits the
+kernels must give, and small helpers the tests share. Nothing in `fbl`
+calls them.
 """
 
 from __future__ import annotations
@@ -678,3 +681,98 @@ def log_c_csir(spec, n, cfg, stream_offset=0):
     for i in range(1, r + 1):
         total += _log_bracket(float(n + r - 2 * i + 1), float(n + r - 2 * i))
     return float(total)
+
+
+# The complex-array forms of the elementwise kernels: `fbl` now gives their
+# bits from real arrays, and the tests compare the two under np.array_equal.
+
+
+def einsum_gram(h):
+    """H H^H of a stack by an elementwise einsum."""
+    return np.einsum("...ik,...jk->...ij", h, np.conj(h))
+
+
+def einsum_log_det_gram(h, scale=1.0):
+    """The LDL^H log-det of `channel.log_det_gram` on the einsum Gram, with
+    complex pivot columns divided by the pivot."""
+    a = scale * einsum_gram(ch._wide(h))
+    m = a.shape[-1]
+    e = [a[..., j, j].real for j in range(m)]
+    low = {(i, k): a[..., i, k] for i in range(m) for k in range(i)}
+    total = 0.0
+    for j in range(m):
+        total = total + np.log1p(e[j])
+        for i in range(j + 1, m):
+            w = low[i, j] / (1.0 + e[j])
+            e[i] = e[i] - (w.real * low[i, j].real + w.imag * low[i, j].imag)
+            for k in range(j + 1, i):
+                low[i, k] = low[i, k] - w * np.conj(low[k, j])
+    return total
+
+
+def einsum_gram_eigenvalues(h):
+    """Descending eigenvalues of the einsum Gram of a wide stack, by `eigvalsh`."""
+    return np.clip(np.linalg.eigvalsh(einsum_gram(ch._wide(h)))[..., ::-1].real, 0.0, None)
+
+
+def divided_log_wilks_lambda(x, diag, low):
+    """`ach.log_wilks_lambda` with complex rows divided by the diagonal and
+    the einsum log-det."""
+    rows = []
+    for i in range(x.shape[-2]):
+        acc = x[..., i, :]
+        for j in range(i):
+            acc = acc - low[..., i * (i - 1) // 2 + j, None] * rows[j]
+        rows.append(acc / diag[..., i, None])
+    return -einsum_log_det_gram(np.stack(rows, axis=-2))
+
+
+def axis_sum_tilt_solve(s, delta, k, c, active):
+    """`converse._tilt_solve` on (..., m) arrays, with the modes summed by
+    np.sum over the last axis."""
+    theta = np.zeros(np.shape(c))
+    for _ in range(cv._TILT_MAX_STEPS):
+        d = 1.0 + 2.0 * theta[..., None] * s
+        excess = np.sum(s * (k + delta / d) / d, axis=-1) - c
+        slope = -2.0 * np.sum(s * s * (k + 2.0 * delta / d) / (d * d), axis=-1)
+        rising = active & (excess > 0.0)
+        step = np.where(rising, excess / np.where(rising, -slope, 1.0), 0.0)
+        theta = theta + step
+        if not np.any(step > 1e-15 * theta):
+            break
+    return theta
+
+
+def masked_outage_cdf(model, rate, n):
+    """`NormalApprox.outage_cdf` with every node through the V = 0 masks."""
+    sigma = np.sqrt(model.v / n)
+    positive = sigma > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(positive, (model.c - rate) / np.where(positive, sigma, 1.0), 0.0)
+    terms = np.where(
+        positive,
+        sf.gaussian_q(z),
+        np.where(model.c < rate, 1.0, np.where(model.c == rate, 0.5, 0.0)),
+    )
+    return float(np.mean(terms)) if model.weights is None else float(model.weights @ terms)
+
+
+def sum_complex_normal(rng, shape):
+    """CN(0, 1) entries as (a + 1j * b) * sqrt(1/2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+def sum_sample_channel(spec, rng, size=1):
+    """`channel.sample_channel` with the Gaussian entries formed as a + 1j * b."""
+    shape = (size, spec.t, spec.r)
+    fading = spec.fading
+    if isinstance(fading, ch.Rayleigh):
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return h * math.sqrt(0.5)
+    if isinstance(fading, ch.Rician):
+        k = fading.k_factor
+        los = math.sqrt(k / (k + 1.0))
+        sigma = math.sqrt(1.0 / (k + 1.0))
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return los + sigma * math.sqrt(0.5) * h
+    return ch.sample_channel(spec, rng, size)

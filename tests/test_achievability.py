@@ -434,3 +434,18 @@ class TestCsirKappaBetaSimo:
             u = y @ h.conj() / math.sqrt(g)
             scalar = float(np.sum(self._density_ratio_rows(u, a)))
             assert full == pytest.approx(scalar, abs=1e-9)
+
+
+class TestRealArrayBits:
+    @pytest.mark.parametrize("d, wide", [(d, w) for d in range(1, 5) for w in range(d, 7)])
+    def test_log_wilks_lambda_equals_the_divided_einsum_form(self, d, wide):
+        # rows multiplied by the reciprocal of the diagonal, as numpy's
+        # complex / real does, and the real-array log-det
+        rng = _rng(60 + 8 * d + wide)
+        size, idx = 500, np.arange(d)
+        for n, n_gain in ((1000, 0.0), (20, 20.0), (100, 1e4)):
+            x = ch.complex_normal(rng, (size, d, wide))
+            x[:, idx, idx] += math.sqrt(n_gain)
+            diag = np.sqrt(rng.standard_gamma(n - wide - idx, size=(size, d)))
+            low = ch.complex_normal(rng, (size, d * (d - 1) // 2))
+            np.testing.assert_array_equal(ach.log_wilks_lambda(x, diag, low), oracles.divided_log_wilks_lambda(x, diag, low))

@@ -148,13 +148,49 @@ class TestGainLawQuadrature:
 
 class TestMonteCarloPath:
     def test_fig3_rows_pinned(self, capsys):
-        # t >= 2 keeps the sample mean over one channel sample per grid
+        # t >= 2 keeps the sample mean over one channel sample per grid; the
+        # bounds beside it pin the decoding statistic and the conv-iso tilt
         assert cli.main(["figure", "fig3", "--seed", "7", "--samples", "20000", "--n-grid", "20,40"]) == 0
-        rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("normal,")]
-        assert rows == [
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ach-nocsi,20,0,0,0,0,lower,7,20000",
+            "ach-nocsi,40,0.0801935967641,0.115694904363,0.0801935967641,0.0801935967641,lower,7,20000",
+            "conv-iso,20,0.91962603551,1.3267399209,0.905726978053,0.91962603551,upper,7,20000",
+            "conv-iso,40,0.857236673673,1.23673109798,0.841965268253,0.857236673673,upper,7,20000",
             "normal,20,0.586807839702,0.846584760293,0.586807839702,0.586807839702,estimate,7,20000",
             "normal,40,0.659447781692,0.951382044373,0.659447781692,0.659447781692,estimate,7,20000",
         ]
+
+
+class TestOutageCdf:
+    """Where every V > 0 the average skips the V = 0 masks, with the same bits."""
+
+    cfg = mc.MCConfig(seed=11, samples=20_000)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FIG2_SPEC, ch.ChannelSpec(t=2, r=3, snr=db_to_linear(2.12), fading=ch.Rayleigh()),
+         ch.ChannelSpec(t=2, r=2, snr=db_to_linear(2.0), fading=ch.Nakagami(m_shape=0.7))],
+        ids=["fig2", "fig3", "nakagami-2x2"],
+    )
+    def test_equals_the_masked_form(self, spec):
+        model = ap.NormalApprox(spec, ch.Isotropic(), 1e-3, self.cfg)
+        assert model._v_min > 0.0
+        for n in (1, 20, 500, 10**9):
+            for rate in np.quantile(model.c, [0.0, 0.001, 0.5, 1.0]):
+                assert model.outage_cdf(rate, n) == oracles.masked_outage_cdf(model, rate, n)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_masked_branch_at_minus_200_db(self, t):
+        # every V is exactly 0: the nodes count 1, 1/2 or 0, the root R0
+        # lies at the least capacity, and the rate R0 + ln(n) / (2n) is
+        # ln(n) / (2n) to within the search's tolerance
+        spec = ch.ChannelSpec(t=t, r=3, snr=db_to_linear(-200.0), fading=ch.Rayleigh())
+        model = ap.NormalApprox(spec, ch.Isotropic(), 1e-3, self.cfg)
+        assert np.all(model.v == 0.0) and model._v_min == 0.0
+        for rate in (0.0, *np.quantile(model.c, [0.0, 0.5, 1.0])):
+            assert model.outage_cdf(rate, 40) == oracles.masked_outage_cdf(model, rate, 40)
+        assert model.rate(40) == 0.04611099317643777
+        assert model.rate(500) == 0.006214608099268207
 
 
 class TestAwgnReference:

@@ -267,3 +267,32 @@ class TestIsotropicLogDet:
             assert got[2] == 0.0
             for i in (0, 1, 3, 4, 5):
                 assert got[i] == pytest.approx(_log_det_mpmath(h[i], spec), rel=1e-13, abs=0.0)
+
+
+class TestRealArrayBits:
+    """The real-array Gram, LDL^H and draws give the bits of their complex forms."""
+
+    SHAPES = [(t, r) for t in range(1, 7) for r in range(1, 7)]
+    FADINGS = (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7))
+
+    @pytest.mark.parametrize("t, r", SHAPES)
+    def test_log_det_and_spectrum_equal_the_einsum_forms(self, t, r):
+        for k, fading in enumerate(self.FADINGS):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1.0, fading=fading)
+            h = TestIsotropicLogDet._stack(spec, 300 + 8 * t + r + k) if min(t, r) >= 3 else (
+                ch.sample_channel(spec, _rng(300 + 8 * t + r + k), 64))
+            for scale in (1e-3, 1e-1, 1.0, 10.0, 100.0):
+                np.testing.assert_array_equal(ch.log_det_gram(h, scale), oracles.einsum_log_det_gram(h, scale))
+            if min(t, r) >= 3:
+                np.testing.assert_array_equal(ch.gram_eigenvalues(h), oracles.einsum_gram_eigenvalues(h))
+
+    @pytest.mark.parametrize("fading", FADINGS, ids=["rayleigh", "rician", "nakagami"])
+    def test_draws_equal_the_sum_form(self, fading):
+        for t, r in ((1, 2), (2, 3), (4, 4)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=1.0, fading=fading)
+            np.testing.assert_array_equal(
+                ch.sample_channel(spec, _rng(40 + t), 1000), oracles.sum_sample_channel(spec, _rng(40 + t), 1000)
+            )
+        np.testing.assert_array_equal(
+            ch.complex_normal(_rng(50), (100, 2, 3)), oracles.sum_complex_normal(_rng(50), (100, 2, 3))
+        )

@@ -591,6 +591,18 @@ class TestCommandLine:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[:3] == ["conv-iso", "200", "0.844715432431"]
 
+    @pytest.mark.parametrize("snr_db, seed", [("-150", "8"), ("-160", "1"), ("-200", "1")])
+    def test_vanishing_snr_conv_iso_exit_code(self, snr_db, seed):
+        # delta = 2n / gain of a noncentral chi-square draw passes twice
+        # numpy's Poisson limit (about 1.8e19) at these SNRs; at -150 dB only
+        # some seeds draw a gain that small, seed 8 among them
+        argv = ["bound", "conv-iso", "--t", "2", "--r", "3", "--snr-db", snr_db, "--samples", "2000", "--n", "20"]
+        res = _run([*argv, "--seed", seed])
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: noncentral chi-square draw with delta = ")
+
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats and the scipy.optimize it loads would double the start-up time
         code = "import sys, fbl.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"

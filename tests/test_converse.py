@@ -513,6 +513,23 @@ class TestTiltSolve:
         rel = np.abs(_tilted_mean(theta, s, delta, k) - c) / c
         assert np.all(rel[below] <= 1e-12)
 
+    @pytest.mark.parametrize("t, r", [(2, 3), (2, 2), (3, 3), (4, 6)])
+    def test_equals_the_axis_sum_form(self, t, r):
+        # per-mode arrays summed in order against np.sum over the last axis:
+        # n from 20 to 3000, thresholds from below every row's c (all
+        # active) to above it (all c <= 0), and channels with no usable mode
+        for fading in (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=db_to_linear(2.12), fading=fading)
+            lam = ch.effective_eigenvalues(ch.sample_channel(spec, _rng(25 + t + r), 1000), ch.Isotropic(), spec)
+            lam[:5] = 0.0
+            for n in (20, 100, 500, 3000):
+                for gamma in (-1.0, 1.0, 2.0, 3.0, 8.0):
+                    s, delta, c, ok = _tilt_inputs(lam, n, gamma)
+                    c = np.where(ok, c, 1.0)
+                    np.testing.assert_array_equal(
+                        cv._tilt_solve(s, delta, 2 * n, c, ok), oracles.axis_sum_tilt_solve(s, delta, 2 * n, c, ok)
+                    )
+
     def test_tilted_estimator_matches_plain_monte_carlo(self):
         # P[L_n >= n gamma] about 0.05 on a 2x2 channel at n = 10: the mean of
         # the importance weights and the plain hit rate agree within their

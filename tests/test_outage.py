@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from fbl import channel as ch
+from fbl import cli
 from fbl import mc
 from fbl import outage as og
 from fbl.config import db_to_linear
@@ -215,6 +216,21 @@ class TestEpsilonCapacity:
         value, (lo, hi) = og.epsilon_capacity(spec, ch.Isotropic(), epsilon, self.cfg)
         assert lo <= value <= hi
         assert lo < hi
+
+    @pytest.mark.parametrize(
+        "cov, row",
+        [
+            ("iso", "eps-capacity,100,1.46149378229,2.10848983199,1.434178909,1.48352667592,estimate,1,20000"),
+            ("waterfill", "eps-capacity,100,2.03261921889,2.93244966711,1.99655040748,2.05943979293,estimate,1,20000"),
+        ],
+    )
+    def test_four_by_four_rows_pinned(self, cov, row, capsys):
+        # m = 4: iso takes the LDL^H log-det and waterfill the eigvalsh
+        # spectrum, each of the Gram that channel._gram builds
+        argv = ["eps-capacity", "--t", "4", "--r", "4", "--snr-db", "0", "--cov", cov,
+                "--samples", "20000", "--epsilon", "0.01"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
 
     def test_quantile_instability_guard(self):
         spec = ch.ChannelSpec(t=1, r=1, snr=1.0, fading=ch.Rayleigh())
