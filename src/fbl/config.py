@@ -53,21 +53,6 @@ class Bound:
     t1_only: bool = False
 
 
-def _per_n(point):
-    """An evaluate that calls point(req, n, stream_offset) at each n of the grid."""
-    return lambda req, offset: [point(req, n, offset(n)) for n in req.n_grid]
-
-
-def _once(point):
-    """An evaluate for a quantity that does not depend on n: point is called
-    at the first n of the grid and its pair repeated over the grid."""
-
-    def evaluate(req, offset):
-        return [point(req, req.n_grid[0], offset(req.n_grid[0]))] * len(req.n_grid)
-
-    return evaluate
-
-
 # The evaluators look each bound function up in its module at call time, so
 # a wrapper installed on the module attribute (a tracer) sees every call.
 # The per-n bounds below draw their channel gains once, at offset(0): the
@@ -89,12 +74,12 @@ def _converse_iso(req, offset):
     return [cv.converse_iso(req.spec, n, req.epsilon, req.mc, offset(n), gains) for n in req.n_grid]
 
 
-def _csir_kappa_beta(req, n, s):
-    return ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau)
+def _csir_kappa_beta(req, offset):
+    return [ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau) for n in req.n_grid]
 
 
-def _converse_simo(req, n, s):
-    return cv.converse_simo(req.spec, n, req.epsilon)
+def _converse_simo(req, offset):
+    return [cv.converse_simo(req.spec, n, req.epsilon) for n in req.n_grid]
 
 
 def _estimate(rate):
@@ -108,20 +93,22 @@ def _normal(req, offset):
     return [_estimate(approx.rate(n)) for n in req.n_grid]
 
 
-def _awgn(req, n, s):
-    return _estimate(ap.awgn_reference_rate(req.spec.snr, n, req.epsilon))
+def _awgn(req, offset):
+    return [_estimate(ap.awgn_reference_rate(req.spec.snr, n, req.epsilon)) for n in req.n_grid]
 
 
-def _outage(req, n, s):
-    _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=s)
-    return req.rate_nats, ci
+# outage and eps-capacity do not depend on n: each draws once, on the stream
+# of the grid's first n, and its pair is repeated over the grid
+def _outage(req, offset):
+    _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=offset(req.n_grid[0]))
+    return [(req.rate_nats, ci)] * len(req.n_grid)
 
 
-def _eps_capacity(req, n, s):
-    value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=s)
+def _eps_capacity(req, offset):
+    value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=offset(req.n_grid[0]))
     if hi - lo < 1e-9 * max(1.0, abs(value)):
         print("warning: capacity quantile is epsilon-independent (degenerate fading?)", file=sys.stderr)
-    return value, (lo, hi)
+    return [(value, (lo, hi))] * len(req.n_grid)
 
 
 # Every bound name. The position of a name fixes its stream offset, so new
@@ -131,13 +118,13 @@ BOUNDS = {
     "ach-nocsi": Bound(_kappa_beta(ch.Isotropic()), "bound", "lower"),
     # the t = 1 case of ach-csit, under its own stream offset
     "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower", t1_only=True),
-    "ach-csir-kb": Bound(_per_n(_csir_kappa_beta), "bound", "lower", t1_only=True),
-    "conv-simo": Bound(_per_n(_converse_simo), "bound", "upper", t1_only=True),
+    "ach-csir-kb": Bound(_csir_kappa_beta, "bound", "lower", t1_only=True),
+    "conv-simo": Bound(_converse_simo, "bound", "upper", t1_only=True),
     "conv-iso": Bound(_converse_iso, "bound", "upper"),
     "normal": Bound(_normal, "approx", "estimate"),
-    "awgn": Bound(_per_n(_awgn), "approx", "estimate"),
-    "outage": Bound(_once(_outage), "outage", "outage"),
-    "eps-capacity": Bound(_once(_eps_capacity), "eps-capacity", "estimate"),
+    "awgn": Bound(_awgn, "approx", "estimate"),
+    "outage": Bound(_outage, "outage", "outage"),
+    "eps-capacity": Bound(_eps_capacity, "eps-capacity", "estimate"),
 }
 
 BOUND_NAMES = list(BOUNDS)

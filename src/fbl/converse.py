@@ -177,14 +177,14 @@ class SimoTailTable:
     def threshold(self, budget, side, end, bracket=None):
         """The gamma where the `end` of the mean of q_s meets `budget` on `side`
         (`mc.root_find_monotone`), in `bracket` or else the whole search bracket."""
-        i = 0 if end == "lower" else 1
+        i = ("lower", "upper").index(end)
         return mc.root_find_monotone(lambda g: self.mean_q_s(g)[i], budget, bracket or self.bracket, side)
 
     def log_mean_q_l(self, gamma, end):
         """The log of the `end` ('lower' or 'upper') of the mean of q_l."""
-        i = 0 if end == "lower" else 1
+        i = ("lower", "upper").index(end)
         log_sum = float(sf._log_sum_exp(_cell_bounds(self.log_q_l(gamma))[i], b=self.prob))
-        return log_sum if end == "lower" else float(np.logaddexp(log_sum, self.log_tail + min(-self.n * gamma, 0.0)))
+        return log_sum if i == 0 else float(np.logaddexp(log_sum, self.log_tail + min(-self.n * gamma, 0.0)))
 
 
 def converse_simo(spec, n, epsilon):

@@ -29,29 +29,19 @@ __all__ = [
 def water_fill_batch(lam, rho):
     """Vectorized water-filling over a stack of descending eigenvalue rows.
 
-    Returns (v, gamma_bar) with v of the same shape as lam. Rows whose
-    eigenvalues are all zero get v = 0 and gamma_bar = inf.
+    Returns (v, gamma_bar) with v of the same shape as lam. Rows where the
+    water clears no mode (all-zero rows among them) get v = 0 and
+    gamma_bar = inf.
     """
     lam = np.asarray(lam, dtype=float)
-    m = lam.shape[-1]
-    with np.errstate(divide="ignore"):
-        inv = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), np.inf)
-    csum = np.cumsum(np.where(np.isfinite(inv), inv, 0.0), axis=-1)
-    k = np.arange(1, m + 1, dtype=float)
-    cand = (rho + csum) / k
+    pos = lam > 0.0
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=pos)
+    cand = (rho + np.cumsum(inv, axis=-1)) / np.arange(1, lam.shape[-1] + 1)
     # a prefix of size k is feasible when the water level clears mode k
-    feasible = (cand > inv) & (lam > 0.0)
-    k_act = np.sum(feasible, axis=-1)  # largest feasible prefix
-    any_active = k_act > 0
-    idx = np.maximum(k_act - 1, 0)
-    gamma_bar = np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
-    gamma_bar = np.where(any_active, gamma_bar, np.inf)
-    # inf - inf would occur on all-zero rows; mask inv before subtracting
-    diff = np.where(np.isfinite(inv), gamma_bar[..., None], 0.0) - np.where(
-        np.isfinite(inv), inv, 0.0
-    )
-    v = np.clip(diff, 0.0, None)
-    v = np.where(any_active[..., None], v, 0.0)
+    k_act = np.sum((cand > inv) & pos, axis=-1)  # largest feasible prefix
+    live = k_act > 0
+    gamma_bar = np.where(live, np.take_along_axis(cand, np.maximum(k_act - 1, 0)[..., None], axis=-1)[..., 0], np.inf)
+    v = np.where(pos & live[..., None], np.clip(gamma_bar[..., None] - inv, 0.0, None), 0.0)
     return v, gamma_bar
 
 
@@ -97,13 +87,13 @@ def capacity_dispersion(gains):
 def capacity_sampler(spec, cov):
     """Batched sampler of the instantaneous capacity C(H) in nats.
 
-    Isotropic input with min(t, r) >= 3 takes ln det(I + (rho/t) G) from
-    `channel.log_det_gram`, without the spectrum; smaller Grams have
-    closed-form spectra, and water-filling needs the spectrum.
+    Isotropic input takes ln det(I + (rho/t) G) from `channel.log_det_gram`
+    at every min(t, r), without the spectrum; water-filling needs the
+    spectrum.
     """
 
     def draw(rng, size):
-        if isinstance(cov, ch.Isotropic) and spec.m >= 3:
+        if isinstance(cov, ch.Isotropic):
             return ch.log_det_gram(ch.sample_channel(spec, rng, size), spec.snr / spec.t)
         return np.sum(np.log1p(mode_gains(spec, cov, rng, size)), axis=-1)
 

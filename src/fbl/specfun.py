@@ -151,8 +151,9 @@ def _chi_quadrature(x, k, delta):
 def noncentral_chi2_sf_batch(x, k, delta):
     """Survival function P[chi'2_k(delta) >= x] for arrays x, delta (common k).
 
-    Absolute error ~1e-12: rows with x <= 0 are exactly 1, and rows provably
-    within 1e-13 of 0 or 1 (by Chernoff) are short-circuited; the rest use
+    Absolute error ~1e-12: rows provably within 1e-13 of 0 or 1 (by
+    Chernoff) are short-circuited, and rows with x <= 0, where the lower
+    exponent is -inf, are exactly 1; the rest (NaN rows included) use
     Boost's tail where delta <= min(100 k, 1e6), and `_chi_quadrature`
     above. `_ncx2_sf` is the scipy ufunc that `scipy.stats.ncx2.sf` calls for
     delta != 0; calling it directly keeps `scipy.stats` out of the import.
@@ -167,8 +168,7 @@ def noncentral_chi2_sf_batch(x, k, delta):
     is_zero = upper_ch < cutoff
     out[is_one] = 1.0
     out[is_zero] = 0.0
-    out[x <= 0.0] = 1.0
-    mid = ~(is_one | is_zero) & (x > 0.0)
+    mid = ~(is_one | is_zero)
     large = mid & (delta > min(_LARGE_DELTA_PER_DOF * k, _BOOST_MAX_DELTA))
     boost = mid & ~large
     if np.any(boost):
@@ -216,21 +216,26 @@ def sample_noncentral_chi2(k, delta, rng):
 
     `k` may be a scalar or array (even, >= 2); `delta` likewise; `rng` is a
     numpy Generator. Returns one draw of chi'2_k(delta) per element of the
-    broadcast of k and delta.
+    broadcast of k and delta. Past numpy's Poisson limit (delta/2 above
+    `_POISSON_LAM_MAX`, which a mode gain near zero reaches) a row takes the
+    law's other exact form, (Z + sqrt(delta))^2 + chi2_{k-1}; its normal and
+    gamma draws follow the mixture's, and only when some row needs them.
     """
     k = np.asarray(k)
     delta = np.asarray(delta, dtype=float)
     if np.any(k < 2) or np.any(np.asarray(k) % 2 != 0) or np.any(delta < 0):
         raise DomainError("requires even k >= 2, delta >= 0")
     lam = 0.5 * delta
-    if np.any(lam > _POISSON_LAM_MAX):
-        raise DomainError(
-            f"noncentral chi-square draw with delta = {np.max(delta):.3g}: the Poisson sampler takes "
-            f"delta/2 up to {_POISSON_LAM_MAX:.3g}; a mode gain near zero (a vanishing SNR) puts delta beyond it"
-        )
-    j = rng.poisson(lam)
-    shape = 0.5 * k + j
-    return 2.0 * rng.standard_gamma(shape)
+    far = lam > _POISSON_LAM_MAX
+    j = rng.poisson(np.where(far, 0.0, lam))
+    out = 2.0 * rng.standard_gamma(0.5 * k + j)
+    if np.any(far):
+        out = np.array(out)  # a scalar draw becomes writable
+        far = np.broadcast_to(far, out.shape)
+        root = np.sqrt(np.broadcast_to(delta, out.shape)[far])
+        dof = np.broadcast_to(k, out.shape)[far] - 1.0
+        out[far] = (rng.standard_normal(root.shape) + root) ** 2 + 2.0 * rng.standard_gamma(0.5 * dof)
+    return out
 
 
 def gaussian_q(x):

@@ -14,8 +14,8 @@ eigenvalue vector, log-domain incomplete and multivariate gamma functions
 with the asymptotic converse constants built on them, the Monte Carlo
 bounds at one stream offset with their channel gains drawn there, the
 complex-array forms of the elementwise kernels (einsum Gram, divided pivots
-and rows, axis sums, masked normal error, a + 1j*b draws) whose bits the
-kernels must give, and small helpers the tests share. Nothing in `fbl`
+and rows, axis sums, masked normal error, a + 1j*b draws) and the masked
+water-filling whose bits the kernels must give, and small helpers the tests share. Nothing in `fbl`
 calls them.
 """
 
@@ -776,3 +776,30 @@ def sum_sample_channel(spec, rng, size=1):
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return los + sigma * math.sqrt(0.5) * h
     return ch.sample_channel(spec, rng, size)
+
+
+# The earlier form of `outage.water_fill_batch`, whose bits the one-mask
+# form must give.
+
+
+def masked_water_fill_batch(lam, rho):
+    """`outage.water_fill_batch` with inf-valued inverses of the zero modes,
+    each masked by `isfinite`, and a separate pass over the rows with no
+    active mode."""
+    lam = np.asarray(lam, dtype=float)
+    m = lam.shape[-1]
+    with np.errstate(divide="ignore"):
+        inv = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), np.inf)
+    csum = np.cumsum(np.where(np.isfinite(inv), inv, 0.0), axis=-1)
+    k = np.arange(1, m + 1, dtype=float)
+    cand = (rho + csum) / k
+    feasible = (cand > inv) & (lam > 0.0)
+    k_act = np.sum(feasible, axis=-1)
+    any_active = k_act > 0
+    idx = np.maximum(k_act - 1, 0)
+    gamma_bar = np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
+    gamma_bar = np.where(any_active, gamma_bar, np.inf)
+    diff = np.where(np.isfinite(inv), gamma_bar[..., None], 0.0) - np.where(np.isfinite(inv), inv, 0.0)
+    v = np.clip(diff, 0.0, None)
+    v = np.where(any_active[..., None], v, 0.0)
+    return v, gamma_bar

@@ -229,7 +229,10 @@ def _log_det_mpmath(h, spec):
 
 
 class TestIsotropicLogDet:
-    SHAPES = [(t, r) for t in range(3, 7) for r in range(3, 7)] + [(8, 3)]
+    # min(t, r) <= 2, which the isotropic capacity also takes the log-det
+    # of, then three modes and more
+    SHAPES = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 1), (2, 2), (2, 3), (2, 6), (3, 2), (4, 1), (6, 2)]
+    SHAPES += [(t, r) for t in range(3, 7) for r in range(3, 7)] + [(8, 3)]
     FADINGS = (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7))
 
     @staticmethod
@@ -237,12 +240,14 @@ class TestIsotropicLogDet:
         # Gaussian draws plus a zero row, a repeated row and an all-zero H
         h = ch.sample_channel(spec, _rng(seed), 12)
         h[0, 0, :] = 0.0
-        h[1, 1, :] = h[1, 0, :]
+        if spec.t > 1:
+            h[1, 1, :] = h[1, 0, :]
         h[2] = 0.0
         if spec.t > spec.r:
             # the rows of the smaller Gram are the columns of H
             h[3, :, 0] = 0.0
-            h[4, :, 1] = h[4, :, 0]
+            if spec.r > 1:
+                h[4, :, 1] = h[4, :, 0]
         return h
 
     @pytest.mark.parametrize("t, r", SHAPES)

@@ -439,13 +439,13 @@ class TestCommandLine:
         assert one.returncode == 0
         assert one.stdout == four.stdout == eight.stdout
 
-    @pytest.mark.parametrize("shape", [("4", "4"), ("5", "3")], ids=["4x4", "5x3"])
+    @pytest.mark.parametrize("shape", [("4", "4"), ("5", "3"), ("2", "3")], ids=["4x4", "5x3", "2x3"])
     @pytest.mark.parametrize(
         "argv", [["outage", "--rate-bits", "4"], ["eps-capacity", "--epsilon", "0.01"]],
         ids=["outage", "eps-capacity"],
     )
     def test_isotropic_log_det_thread_determinism(self, argv, shape, capsys, monkeypatch):
-        # min(t, r) >= 3 under isotropic input: the spectrum-free log-det path
+        # isotropic input at any min(t, r): the spectrum-free log-det path
         t, r = shape
         common = ["--t", t, "--r", r, "--snr-db", "3", "--cov", "iso", "--samples", "12000", "--seed", "11"]
         monkeypatch.setattr(mc, "CHUNK", 1000)
@@ -594,14 +594,17 @@ class TestCommandLine:
     @pytest.mark.parametrize("snr_db, seed", [("-150", "8"), ("-160", "1"), ("-200", "1")])
     def test_vanishing_snr_conv_iso_exit_code(self, snr_db, seed):
         # delta = 2n / gain of a noncentral chi-square draw passes twice
-        # numpy's Poisson limit (about 1.8e19) at these SNRs; at -150 dB only
-        # some seeds draw a gain that small, seed 8 among them
+        # numpy's Poisson limit (about 1.8e19) at these SNRs (at -150 dB only
+        # some seeds draw a gain that small, seed 8 among them); those rows
+        # take the draw past the limit, and the bound is printed
         argv = ["bound", "conv-iso", "--t", "2", "--r", "3", "--snr-db", snr_db, "--samples", "2000", "--n", "20"]
         res = _run([*argv, "--seed", seed])
-        assert res.returncode == 2
+        assert res.returncode == 0, res.stderr
         assert "Traceback" not in res.stderr
-        assert len(res.stderr.splitlines()) == 1
-        assert res.stderr.startswith("error: noncentral chi-square draw with delta = ")
+        lines = res.stdout.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("conv-iso,20,")
+        rate = float(lines[1].split(",")[2])
+        assert math.isfinite(rate) and rate >= 0.0
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats and the scipy.optimize it loads would double the start-up time

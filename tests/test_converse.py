@@ -303,6 +303,15 @@ class TestSimoTailTableMeans:
         assert table.threshold(0.0, "at_least", "upper", (lo, 0.5)) == lo
         assert table.threshold(1.0, "below", "lower", (0.5, hi)) == hi
 
+    @pytest.mark.parametrize("end", ["Lower", "upper ", "both"])
+    def test_a_misspelt_end_raises(self, end):
+        # no misspelling falls through to the upper end of the bracket
+        table = cv.SimoTailTable(FIG2_SPEC, 200, 1e-3)
+        with pytest.raises(ValueError):
+            table.threshold(1e-3, "at_least", end)
+        with pytest.raises(ValueError):
+            table.log_mean_q_l(0.6, end)
+
     def test_requires_single_transmit_antenna(self):
         with pytest.raises(DomainError):
             cv.SimoTailTable(FIG3_SPEC, 100, 1e-3)

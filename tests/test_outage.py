@@ -100,6 +100,21 @@ class TestWaterFill:
             alloc = oracles.water_fill(lam[i], 2.0)
             np.testing.assert_allclose(v[i], alloc.v, atol=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_batch_gives_the_bits_of_the_masked_form(self, m):
+        # zero trailing modes, all-zero rows, gains too small for the water
+        # to clear (1/lambda swallows rho) and rho from 1e-3 to 100
+        rng = np.random.default_rng(40 + m)
+        for rho in (1e-3, 0.1, 1.0, 10.0, 100.0):
+            lam = np.sort(rng.exponential(1.0, (4000, m)) * 10.0 ** rng.uniform(-3, 2, (4000, 1)), axis=-1)[:, ::-1]
+            zeros = rng.integers(0, m + 1, 4000)
+            lam[np.arange(m) >= m - zeros[:, None]] = 0.0
+            lam[::97] = 0.0
+            lam[1::53] *= 1e-20
+            got, want = og.water_fill_batch(lam, rho), oracles.masked_water_fill_batch(lam, rho)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
     @pytest.mark.parametrize("t, r", [(3, 2), (4, 1)])
     def test_mode_gains_fill_the_nonzero_modes_of_a_wide_gram(self, t, r):
         # t > r: the t - r zero eigenvalues of H H^H take no power, and the
@@ -146,15 +161,20 @@ class TestCapacityDispersion:
             oracle = np.log(np.linalg.det(np.eye(2) + q @ h[i] @ h[i].conj().T)).real
             assert c[i] == pytest.approx(oracle, abs=1e-8)
 
-    def test_isotropic_sampler_takes_the_log_det_from_three_modes(self):
-        # the same draws as the spectrum path, without the spectrum
-        for t, r in ((3, 3), (4, 4), (5, 3)):
-            spec = ch.ChannelSpec(t=t, r=r, snr=2.0, fading=ch.Rayleigh())
+    @pytest.mark.parametrize("t, r", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3)])
+    def test_isotropic_sampler_takes_the_log_det(self, t, r):
+        # the same draws as the spectrum path, without the spectrum, at every rank
+        for fading in (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7)):
+            spec = ch.ChannelSpec(t=t, r=r, snr=2.0, fading=fading)
             got = og.capacity_sampler(spec, ch.Isotropic())(mc.rng(5, 1), 64)
             h = ch.sample_channel(spec, mc.rng(5, 1), 64)
             np.testing.assert_array_equal(got, ch.log_det_gram(h, spec.snr / spec.t))
             lam = ch.effective_eigenvalues(h, ch.Isotropic(), spec)
-            np.testing.assert_allclose(got, np.sum(np.log1p(lam), axis=-1), rtol=1e-13)
+            spectrum = np.sum(np.log1p(lam), axis=-1)
+            np.testing.assert_allclose(got, spectrum, rtol=1e-13)
+            if spec.m == 1:
+                # one mode: the same additions, so the spectrum's bits
+                np.testing.assert_array_equal(got, spectrum)
 
 
 class TestOutageProbability:

@@ -248,6 +248,16 @@ class TestBatchTails:
         want = stats.ncx2.sf(x, 20, delta)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
+    def test_sf_batch_nan_rows_read_nan(self):
+        # a NaN x meets no Chernoff cutoff and goes to Boost, which returns
+        # NaN; the other rows keep their values
+        x = np.array([math.nan, 3.0, math.nan, -1.0, 1e9])
+        delta = np.array([2.0, 2.0, 5e7, 2.0, 2.0])
+        got = sf.noncentral_chi2_sf_batch(x, 4, delta)
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        np.testing.assert_array_equal(got[[1, 3, 4]], sf.noncentral_chi2_sf_batch(x[[1, 3, 4]], 4, delta[[1, 3, 4]]))
+        assert got[3] == 1.0 and got[4] == 0.0
+
     def test_logcdf_batch_matches_scalar(self):
         x = np.array([100.0, 160.0, 220.0])
         delta = np.array([400.0, 400.0, 400.0])
@@ -535,6 +545,39 @@ class TestSampleNoncentralChi2:
         draws = sf.sample_noncentral_chi2(10, np.full(100_000, 25.0), rng)
         ks = stats.kstest(draws, lambda v: stats.ncx2.cdf(v, 10, 25.0))
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize("k, delta", [(2, 3.0), (10, 25.0), (40, 400.0)])
+    def test_past_the_poisson_limit_matches_cdf(self, k, delta, monkeypatch):
+        # with the limit lowered, every row takes (Z + sqrt(delta))^2 + chi2_{k-1}
+        monkeypatch.setattr(sf, "_POISSON_LAM_MAX", 0.0)
+        draws = sf.sample_noncentral_chi2(k, np.full(100_000, delta), np.random.default_rng(10 + k))
+        ks = stats.kstest(draws, lambda v: stats.ncx2.cdf(v, k, delta))
+        assert ks.pvalue > 0.01
+
+    def test_past_the_poisson_limit_in_a_mixed_batch(self, monkeypatch):
+        # the rows under the limit keep the mixture and the far rows take the
+        # other form: each follows its own law
+        monkeypatch.setattr(sf, "_POISSON_LAM_MAX", 1e3)
+        draws = sf.sample_noncentral_chi2(4, np.tile([2.0, 3e3], 50_000), np.random.default_rng(11))
+        for row, delta in ((0, 2.0), (1, 3e3)):
+            assert stats.kstest(draws[row::2], lambda v: stats.ncx2.cdf(v, 4, delta)).pvalue > 0.01
+
+    def test_past_the_poisson_limit_broadcasts(self):
+        # scalar and broadcast k and delta, at a noncentrality numpy's
+        # Poisson sampler refuses
+        rng = np.random.default_rng(13)
+        one = sf.sample_noncentral_chi2(4, 1e20, rng)
+        assert one.shape == () and float(one) == pytest.approx(1e20, rel=1e-8)
+        grid = sf.sample_noncentral_chi2(np.array([2, 4, 6]), np.array([[1e20], [1.0]]), rng)
+        assert grid.shape == (2, 3) and np.all(np.isfinite(grid))
+        np.testing.assert_allclose(grid[0], 1e20, rtol=1e-8)
+
+    def test_under_the_poisson_limit_keeps_its_draws(self):
+        # the Poisson mixture's draws, as before the far path existed
+        k, delta = 6, np.array([0.0, 1.0, 30.0, 1e6])
+        rng = np.random.default_rng(12)
+        want = 2.0 * rng.standard_gamma(0.5 * k + rng.poisson(0.5 * delta))
+        np.testing.assert_array_equal(sf.sample_noncentral_chi2(k, delta, np.random.default_rng(12)), want)
 
 
 class TestGaussianQ:
