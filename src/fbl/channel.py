@@ -200,8 +200,12 @@ def gram_eigenvalues(h):
     lambda_1 = (a + d + sqrt((a - d)^2 + 4|b|^2)) / 2 and
     lambda_2 = det / lambda_1, where det = sum_{j<k} |x_j y_k - x_k y_j|^2
     (Cauchy-Binet) is a sum of squares, so lambda_2 keeps its relative
-    accuracy as the channel nears rank one. Three or more modes: LAPACK
-    `eigvalsh` on the Gram. Returns shape (..., min(t, r)).
+    accuracy as the channel nears rank one. Three or more modes: the Gram is
+    reduced to a real symmetric tridiagonal by elementwise Householder steps
+    (`_tridiagonal`), and LAPACK `eigvalsh` takes the spectrum of that real
+    matrix. That costs about half as much as `eigvalsh` on the complex Gram
+    and, unlike it, gains wall time on two pool threads (docs/DECISIONS.md,
+    section 7). Returns shape (..., min(t, r)).
     """
     h = _wide(h)
     m = h.shape[-2]
@@ -222,10 +226,65 @@ def gram_eigenvalues(h):
         lam1 = 0.5 * (a + d + np.sqrt((a - d) ** 2 + 4.0 * _abs2(b)))
         lam2 = np.minimum(det / np.where(lam1 > 0.0, lam1, 1.0), lam1)
         return np.stack([lam1, lam2], axis=-1)
-    gram = np.zeros(h.shape[:-1] + (m,), dtype=complex)  # eigvalsh reads the lower triangle
-    for (i, j), (re, im) in _gram(h).items():
-        gram[..., i, j] = _complex(re, im)
-    return np.clip(np.linalg.eigvalsh(gram)[..., ::-1].real, 0.0, None)
+    diag, sub = _tridiagonal(_gram(h), m)
+    tri = np.zeros(h.shape[:-1] + (m,))  # eigvalsh reads the lower triangle
+    for j in range(m):
+        tri[..., j, j] = diag[j]
+        if j < m - 1:
+            tri[..., j + 1, j] = sub[j]
+    return np.clip(np.linalg.eigvalsh(tri)[..., ::-1], 0.0, None)
+
+
+def _tridiagonal(gram, m):
+    """The real symmetric tridiagonal that an m-square Hermitian Gram is
+    unitarily similar to, as (diagonal, |subdiagonal|) lists of arrays.
+
+    LAPACK's `zhetrd` step on the `_gram` lower triangle, elementwise real
+    arithmetic on one array per entry: step k takes the column x below the
+    diagonal, of norm s, and the Hermitian reflector I - tau u u^H with
+    u = x + s e^{i arg x_0} e_1 and tau = 1 / (s (s + |x_0|)), which maps x to
+    s times a phase, so the subdiagonal entry is s. The trailing block B
+    becomes B - u w^H - w u^H, w = tau (B u - (tau / 2) (u^H B u) u). A
+    column that is already zero (s = 0) gets tau = 0 and leaves B as it
+    is. A diagonal unitary similarity turns the last complex subdiagonal
+    entry into its modulus.
+    """
+    a = dict(gram)
+    sub = []
+    for k in range(m - 2):
+        rows = range(k + 1, m)
+        xr0, xi0 = a[k + 1, k]
+        x0 = np.hypot(xr0, xi0)
+        s = np.sqrt(sum(xr * xr + xi * xi for xr, xi in (a[i, k] for i in rows)))
+        sub.append(s)
+        # u_0 = x_0 + s e^{i arg x_0}, with arg 0 at x_0 = 0
+        scale = np.divide(s, x0, out=np.zeros_like(s), where=x0 > 0.0)
+        u = {i: a[i, k] for i in rows}
+        u[k + 1] = np.where(x0 > 0.0, xr0 + xr0 * scale, s), xi0 + xi0 * scale
+        denom = s * (s + x0)
+        tau = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        # q = B u, from the lower triangle and its conjugate above
+        q = {}
+        for i in rows:
+            qr = qi = 0.0
+            for j in rows:
+                (ur, ui), (br, bi) = u[j], a[i, j] if j <= i else (a[j, i][0], -a[j, i][1])
+                qr, qi = qr + (br * ur - bi * ui), qi + (br * ui + bi * ur)
+            q[i] = qr, qi
+        half = 0.5 * tau * sum(u[i][0] * q[i][0] + u[i][1] * q[i][1] for i in rows)
+        w = {i: (tau * (q[i][0] - half * u[i][0]), tau * (q[i][1] - half * u[i][1])) for i in rows}
+        for i in rows:
+            (ur_i, ui_i), (wr_i, wi_i) = u[i], w[i]
+            a[i, i] = a[i, i][0] - 2.0 * (ur_i * wr_i + ui_i * wi_i), 0.0
+            for j in range(k + 1, i):
+                (ur_j, ui_j), (wr_j, wi_j) = u[j], w[j]
+                br, bi = a[i, j]
+                a[i, j] = (
+                    br - (ur_i * wr_j + ui_i * wi_j + wr_i * ur_j + wi_i * ui_j),
+                    bi - (ui_i * wr_j - ur_i * wi_j + wi_i * ur_j - wr_i * ui_j),
+                )
+    sub.append(np.hypot(*a[m - 1, m - 2]))
+    return [a[j, j][0] for j in range(m)], sub
 
 
 def log_det_gram(h, scale=1.0):

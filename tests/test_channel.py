@@ -142,6 +142,23 @@ def _gram(h):
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
+def _eigenvalues_mpmath(h):
+    """Descending eigenvalues of the min(t, r)-square Gram of the exact float
+    entries of one matrix, by mpmath's `eigh` at 30 digits."""
+    small = h if h.shape[0] <= h.shape[1] else h.T
+    with mpmath.workdps(30):
+        hm = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in small])
+        lam = mpmath.eigh(hm * hm.H, eigvals_only=True)
+        return np.array([float(x) for x in lam])[::-1]
+
+
+def _assert_within_lambda1(got, want):
+    """|got - want| <= 1e-13 lambda_1 of `want`, row by row (exact at lambda_1 = 0)."""
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want[..., :1])
+
+
 class TestGramEigenvalues:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -212,6 +229,58 @@ class TestGramEigenvalues:
             assert stacked.shape == (4, 5, m)
             np.testing.assert_array_equal(stacked[2, 3], ch.gram_eigenvalues(h[2, 3]))
 
+    # the m >= 3 branch: a Householder reduction to a real tridiagonal
+    SHAPES = [(3, 3), (3, 5), (5, 3), (4, 4), (6, 6)]
+
+    def test_reduction_of_zero_stacks_is_exactly_zero(self):
+        for t, r in self.SHAPES:
+            lam = ch.gram_eigenvalues(np.zeros((5, t, r), dtype=complex))
+            assert lam.shape == (5, min(t, r))
+            assert np.all(lam == 0.0)
+
+    def test_reduction_skips_a_zero_column(self):
+        # rows with disjoint supports or exactly orthogonal Gaussian
+        # integers: the Gram is diagonal, every reflection is skipped, and
+        # the spectrum is the sorted diagonal to the bit
+        for h in (
+            np.array([[1 + 2j, 0, 0, 3], [0, 2 - 1j, 0, 0], [0, 0, 4j, 0]]),
+            np.array([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 2 - 1j, 0], [0, 0, 0, 0.5]]),
+        ):
+            np.testing.assert_array_equal(ch.gram_eigenvalues(h), np.sort(np.diag(_gram(h)).real)[::-1])
+        # only the first sub-column is zero: that reflection is skipped
+        h = np.array([[1, 1j, 0, 0], [1, -1j, 3, 0], [0, 0, 2, 1j]])
+        _assert_within_lambda1(ch.gram_eigenvalues(h), _eigenvalues_mpmath(h))
+
+    def test_reduction_of_a_repeated_row(self):
+        for t, r in self.SHAPES:
+            for k, fading in enumerate(TestIsotropicLogDet.FADINGS):
+                spec = ch.ChannelSpec(t=t, r=r, snr=1.0, fading=fading)
+                h = ch.sample_channel(spec, _rng(70 + 8 * t + r + k), 200)
+                # the rows of the smaller Gram are the columns of H when t > r
+                if t <= r:
+                    h[:, 1, :] = h[:, 0, :]
+                else:
+                    h[:, :, 1] = h[:, :, 0]
+                lam = ch.gram_eigenvalues(h)
+                assert np.all(lam[:, -1] >= 0.0)
+                assert np.all(lam[:, -1] <= 1e-13 * lam[:, 0])
+
+    def test_reduction_of_the_transpose(self):
+        # 5 x 3 takes the 3 x 5 path through `_wide`
+        h = ch.sample_channel(ch.ChannelSpec(t=3, r=5, snr=1.0), _rng(43), 500)
+        lam = ch.gram_eigenvalues(h)
+        np.testing.assert_array_equal(ch.gram_eigenvalues(np.swapaxes(h, -1, -2)), lam)
+        _assert_within_lambda1(ch.gram_eigenvalues(np.conj(np.swapaxes(h, -1, -2))), lam)
+
+    def test_reduction_near_rank_one_against_multiprecision(self):
+        # Rician K = 40 dB: lambda_2 / lambda_1 from 1e-5 to 1.3e-4 here
+        spec = ch.ChannelSpec(t=3, r=3, snr=1.0, fading=ch.Rician(k_factor=1e4))
+        h = ch.sample_channel(spec, _rng(44), 40)
+        got = ch.gram_eigenvalues(h)
+        assert np.all(got[:, 1] < 1e-3 * got[:, 0])
+        for i in range(40):
+            _assert_within_lambda1(got[i], _eigenvalues_mpmath(h[i]))
+
 
 def _log_det_oracle(h, spec):
     """sum log1p of (rho/t) times the LAPACK spectrum of the min(t, r)-square Gram."""
@@ -275,7 +344,9 @@ class TestIsotropicLogDet:
 
 
 class TestRealArrayBits:
-    """The real-array Gram, LDL^H and draws give the bits of their complex forms."""
+    """The real-array Gram, LDL^H and draws give the bits of their complex
+    forms; the m >= 3 spectrum, reduced to a real tridiagonal from that Gram,
+    is within 1e-13 lambda_1 of the complex LAPACK form and of mpmath."""
 
     SHAPES = [(t, r) for t in range(1, 7) for r in range(1, 7)]
     FADINGS = (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7))
@@ -289,7 +360,11 @@ class TestRealArrayBits:
             for scale in (1e-3, 1e-1, 1.0, 10.0, 100.0):
                 np.testing.assert_array_equal(ch.log_det_gram(h, scale), oracles.einsum_log_det_gram(h, scale))
             if min(t, r) >= 3:
-                np.testing.assert_array_equal(ch.gram_eigenvalues(h), oracles.einsum_gram_eigenvalues(h))
+                got = ch.gram_eigenvalues(h)
+                _assert_within_lambda1(got, oracles.einsum_gram_eigenvalues(h))
+                # a zero row, a repeated row (or column) and a plain draw
+                for i in (0, 1, 5):
+                    _assert_within_lambda1(got[i], _eigenvalues_mpmath(h[i]))
 
     @pytest.mark.parametrize("fading", FADINGS, ids=["rayleigh", "rician", "nakagami"])
     def test_draws_equal_the_sum_form(self, fading):

@@ -457,6 +457,25 @@ class TestCommandLine:
         assert len(outputs[0].splitlines()) == 2
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eps-capacity", "--t", "4", "--r", "4", "--cov", "waterfill", "--epsilon", "0.01"],
+            ["bound", "conv-iso", "--t", "3", "--r", "3", "--n", "30"],
+        ],
+        ids=["waterfill-4x4-eps-capacity", "conv-iso-3x3"],
+    )
+    def test_tridiagonal_spectrum_thread_determinism(self, argv, capsys, monkeypatch):
+        # min(t, r) >= 3 spectra: the Householder reduction runs on the pool
+        monkeypatch.setattr(mc, "CHUNK", 1000)
+        outputs = []
+        for threads in (1, 2):
+            monkeypatch.setenv("FBL_THREADS", str(threads))
+            assert cli.main([*argv, "--snr-db", "3", "--samples", "20000", "--seed", "11"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
+
     def test_configuration_error_exit_code(self):
         res = _run(["bound", "conv-simo", "--t", "2", "--r", "2", "--snr-db", "0", *FAST])
         assert res.returncode == 2
