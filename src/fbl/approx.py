@@ -57,29 +57,16 @@ class NormalApprox:
 
             pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
             self.c, self.v, self.weights = pairs[:, 0], pairs[:, 1], None
-        # division by n and sqrt are monotone, so sqrt(V/n) > 0 at every node
-        # exactly when min(V)/n > 0
-        self._v_min = float(np.min(self.v))
 
     def outage_cdf(self, rate, n):
-        """Average of the per-node normal error estimate at `rate`.
+        """Average of the per-node normal error estimate Q((C - rate) / sqrt(V/n)).
 
-        Where every sqrt(V/n) > 0 this is the mean of Q((C - rate) / sqrt(V/n));
-        nodes with V = 0 (every node at a vanishing SNR) count 1, 1/2 or 0 as
-        C is below, at or above the rate.
+        A node with V = 0 (every node at a vanishing SNR) counts Q(-inf) = 1,
+        1/2 or Q(inf) = 0 as C is below, at or above the rate.
         """
-        sigma = np.sqrt(self.v / n)
-        if self._v_min / n > 0.0:
-            terms = sf.gaussian_q((self.c - rate) / sigma)
-        else:
-            positive = sigma > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(positive, (self.c - rate) / np.where(positive, sigma, 1.0), 0.0)
-            terms = np.where(
-                positive,
-                sf.gaussian_q(z),
-                np.where(self.c < rate, 1.0, np.where(self.c == rate, 0.5, 0.0)),
-            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (self.c - rate) / np.sqrt(self.v / n)
+        terms = np.where(np.isnan(z), 0.5, sf.gaussian_q(z))
         return float(np.mean(terms)) if self.weights is None else float(self.weights @ terms)
 
     def rate(self, n):

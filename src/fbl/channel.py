@@ -155,12 +155,6 @@ def _wide(h):
     return np.swapaxes(h, -1, -2) if h.shape[-2] > h.shape[-1] else h
 
 
-def _complex(re, im):
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def _gram(h):
     """The lower triangle of H H^H of a stack, as {(i, j): (re, im)} for j <= i.
 
@@ -294,9 +288,10 @@ def log_det_gram(h, scale=1.0):
     the pivots are 1 + e_j, where e_j is the j-th diagonal entry of the
     Schur complement of A, so the log-det is sum_j log1p(e_j). The Schur
     complements of I + (PSD) minus I are PSD, so every e_j >= 0 and log1p
-    keeps the relative accuracy of small modes. Elementwise numpy only:
-    unlike the stacked LAPACK and BLAS calls, it runs in parallel on the
-    chunk pool. Accepts a stack (..., t, r); returns shape (...).
+    keeps the relative accuracy of small modes. Its per-entry loops of small
+    numpy calls hold the GIL and gain no wall time on the chunk pool: 64
+    chunks of 4,096 4 x 4 draws took 0.08 s on one thread and 0.10-0.11 s
+    on two (2-core VM). Accepts a stack (..., t, r); returns shape (...).
     """
     h = _wide(h)
     m = h.shape[-2]
@@ -314,9 +309,9 @@ def log_det_gram(h, scale=1.0):
             wr, wi = lr * inv, li * inv
             e[i] = e[i] - (wr * lr + wi * li)
             for k in range(j + 1, i):
-                # numpy's complex product, whose bits four real products do not give
-                z = _complex(*low[i, k]) - _complex(wr, wi) * np.conj(_complex(*low[k, j]))
-                low[i, k] = z.real, z.imag
+                # low[i, k] - w conj(low[k, j])
+                (br, bi), (kr, ki) = low[i, k], low[k, j]
+                low[i, k] = br - (wr * kr + wi * ki), bi - (wi * kr - wr * ki)
     return total
 
 

@@ -67,31 +67,17 @@ def noncentral_chi2_chernoff(x, k, delta):
 def _log_sum_exp(v, b=None):
     """log of the sum of b * exp(v) over the last axis, for weights b >= 0.
 
-    The steps of `scipy.special.logsumexp` (scipy 1.17), so that it gives
-    the same bits, without its array-API dispatch and the direct sum it
-    takes of every row: entries with b = 0 count as -inf; the maxima are
-    taken out of the sum and counted (by weight); the rest is summed,
-    shifted by the maximum and divided by that count; and the log is
-    log1p(rest) + log(count) + max. Only rows where that is not finite (all
-    -inf, or +inf or NaN entries) take the log of the direct sum.
+    Entries with b = 0 count as -inf, and each row is shifted by its maximum
+    (by 0 where that is not finite).
     """
-    v_in = v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     if b is not None:
-        b = np.broadcast_to(b, v.shape)
-        v = np.where(b == 0, -np.inf, v)
+        v = np.where(b > 0, v, -np.inf)
     v_max = np.max(v, axis=-1, keepdims=True)
-    top = v == v_max
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shifted = np.exp(np.where(top, -np.inf, v) - v_max)
-        count = np.sum(top if b is None else b * top, axis=-1, keepdims=True, dtype=float)
-        rest = np.sum(shifted if b is None else b * shifted, axis=-1, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / count)
-        out = (np.log1p(rest) + np.log(count) + v_max)[..., 0]
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            direct = np.exp(v_in[bad])
-            out[bad] = np.log(np.sum(direct if b is None else b[bad] * direct, axis=-1))
-    return out[()]
+    v_max = np.where(np.isfinite(v_max), v_max, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        shifted = np.exp(v - v_max)
+        return (np.log(np.sum(shifted if b is None else b * shifted, axis=-1)) + v_max[..., 0])[()]
 
 
 def _chi_quadrature(x, k, delta):

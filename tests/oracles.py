@@ -204,8 +204,8 @@ def every_node_chi_quadrature(x, k, delta):
 
     Each row builds its own nodes, evaluates the far term log Phi(-r - sqrt(delta))
     at every node and takes the total weight of every row, and both sums are
-    `scipy.special.logsumexp`. `_chi_quadrature` skips what cannot change a
-    bit of this and must return the same bits.
+    `specfun._log_sum_exp`. `_chi_quadrature` skips what cannot change a bit
+    of this and must return the same bits.
     """
     intervals = max(256, math.ceil(4.0 * (math.sqrt(k) + 12.0)))
     frac = np.arange(intervals + 1) / intervals
@@ -230,9 +230,7 @@ def every_node_chi_quadrature(x, k, delta):
         with np.errstate(divide="ignore"):
             log_p = near + np.log1p(-np.exp(np.minimum(gap, 0.0)))
         whole = phi_max[:, 0] < 0.5 * math.pi
-        out[b : b + sf._QUAD_ROWS] = sp.logsumexp(log_w + log_p, axis=1) - np.where(
-            whole, sp.logsumexp(log_w, axis=1), 0.0
-        )
+        out[b : b + sf._QUAD_ROWS] = sf._log_sum_exp(log_w + log_p) - np.where(whole, sf._log_sum_exp(log_w), 0.0)
     return out
 
 
@@ -744,7 +742,8 @@ def axis_sum_tilt_solve(s, delta, k, c, active):
 
 
 def masked_outage_cdf(model, rate, n):
-    """`NormalApprox.outage_cdf` with every node through the V = 0 masks."""
+    """`NormalApprox.outage_cdf` with the nodes where V = 0 masked: they count
+    1, 1/2 or 0 as C is below, at or above the rate."""
     sigma = np.sqrt(model.v / n)
     positive = sigma > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

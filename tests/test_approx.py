@@ -162,7 +162,8 @@ class TestMonteCarloPath:
 
 
 class TestOutageCdf:
-    """Where every V > 0 the average skips the V = 0 masks, with the same bits."""
+    """The one form of the average gives the bits of the masked form, where
+    every V > 0 and where every V = 0."""
 
     cfg = mc.MCConfig(seed=11, samples=20_000)
 
@@ -174,7 +175,7 @@ class TestOutageCdf:
     )
     def test_equals_the_masked_form(self, spec):
         model = ap.NormalApprox(spec, ch.Isotropic(), 1e-3, self.cfg)
-        assert model._v_min > 0.0
+        assert np.all(model.v > 0.0)
         for n in (1, 20, 500, 10**9):
             for rate in np.quantile(model.c, [0.0, 0.001, 0.5, 1.0]):
                 assert model.outage_cdf(rate, n) == oracles.masked_outage_cdf(model, rate, n)
@@ -186,7 +187,7 @@ class TestOutageCdf:
         # ln(n) / (2n) to within the search's tolerance
         spec = ch.ChannelSpec(t=t, r=3, snr=db_to_linear(-200.0), fading=ch.Rayleigh())
         model = ap.NormalApprox(spec, ch.Isotropic(), 1e-3, self.cfg)
-        assert np.all(model.v == 0.0) and model._v_min == 0.0
+        assert np.all(model.v == 0.0)
         for rate in (0.0, *np.quantile(model.c, [0.0, 0.5, 1.0])):
             assert model.outage_cdf(rate, 40) == oracles.masked_outage_cdf(model, rate, 40)
         assert model.rate(40) == 0.04611099317643777

@@ -344,9 +344,12 @@ class TestIsotropicLogDet:
 
 
 class TestRealArrayBits:
-    """The real-array Gram, LDL^H and draws give the bits of their complex
-    forms; the m >= 3 spectrum, reduced to a real tridiagonal from that Gram,
-    is within 1e-13 lambda_1 of the complex LAPACK form and of mpmath."""
+    """The real-array Gram and draws give the bits of their complex forms, and
+    so does the LDL^H log-det at min(t, r) <= 2; at m >= 3 its trailing update
+    takes four real products, and it is within 1e-13 relative of the complex
+    form and of mpmath. The m >= 3 spectrum, reduced to a real tridiagonal
+    from that Gram, is within 1e-13 lambda_1 of the complex LAPACK form and
+    of mpmath."""
 
     SHAPES = [(t, r) for t in range(1, 7) for r in range(1, 7)]
     FADINGS = (ch.Rayleigh(), ch.Rician(k_factor=5.0), ch.Nakagami(m_shape=0.7))
@@ -358,7 +361,15 @@ class TestRealArrayBits:
             h = TestIsotropicLogDet._stack(spec, 300 + 8 * t + r + k) if min(t, r) >= 3 else (
                 ch.sample_channel(spec, _rng(300 + 8 * t + r + k), 64))
             for scale in (1e-3, 1e-1, 1.0, 10.0, 100.0):
-                np.testing.assert_array_equal(ch.log_det_gram(h, scale), oracles.einsum_log_det_gram(h, scale))
+                got, want = ch.log_det_gram(h, scale), oracles.einsum_log_det_gram(h, scale)
+                if min(t, r) <= 2:
+                    np.testing.assert_array_equal(got, want)
+                    continue
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+                # a zero row, a repeated row (or column) and a plain draw
+                at_scale = ch.ChannelSpec(t=t, r=r, snr=scale * t, fading=fading)
+                for i in (0, 1, 5):
+                    assert got[i] == pytest.approx(_log_det_mpmath(h[i], at_scale), rel=1e-13, abs=0.0)
             if min(t, r) >= 3:
                 got = ch.gram_eigenvalues(h)
                 _assert_within_lambda1(got, oracles.einsum_gram_eigenvalues(h))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import oracles
 from fbl import channel as ch
@@ -443,12 +443,14 @@ def _same_bits(got, want):
 
 
 class TestLogSumExp:
-    """`_log_sum_exp` gives the bits of `scipy.special.logsumexp`."""
+    """`_log_sum_exp` within 1e-14 max(1, |ref|) of a log-sum-exp in mpmath at
+    30 digits, on a few rows of each block, and exact where the sum is empty
+    or holds +inf or NaN."""
 
     @staticmethod
     def _blocks():
         # -inf entries, rows that are all -inf, tied maxima, and a scale from
-        # a fraction of a nat to hundreds
+        # a fraction of a nat to hundreds; the tied rows come with each block
         rng = np.random.default_rng(2021)
         for _ in range(40):
             v = rng.normal(size=(70, 257)) * rng.uniform(0.1, 500.0)
@@ -456,23 +458,65 @@ class TestLogSumExp:
             v[rng.integers(0, 70, 4)] = -np.inf
             rows = rng.integers(0, 70, 6)
             v[rows, 3] = v[rows, 200] = np.max(v[rows], axis=1) + 1.0
-            yield rng, v
+            yield rng, v, rows
+
+    @staticmethod
+    def _assert_refereed(got, v, b=None):
+        b = np.ones_like(v) if b is None else b
+        with mpmath.workdps(30):
+            total = mpmath.fsum(mpmath.mpf(w) * mpmath.exp(x) for x, w in zip(v, b) if w > 0 and x > -np.inf)
+            want = float(mpmath.log(total)) if total > 0 else -math.inf
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_unweighted_rows(self):
-        for _, v in self._blocks():
-            assert _same_bits(sf._log_sum_exp(v), special.logsumexp(v, axis=1))
+        for _, v, rows in self._blocks():
+            got = sf._log_sum_exp(v)
+            assert got.shape == (70,)
+            assert np.all(got[np.all(v == -np.inf, axis=1)] == -np.inf)
+            for i in (*rows[:2], 0):
+                self._assert_refereed(got[i], v[i])
 
     def test_weighted_with_zeros(self):
         # zero weights, and rows whose weights are all zero; the weighted
         # one-dimensional call is the one `SimoTailTable.log_mean_q_l` makes
-        for rng, v in self._blocks():
+        for rng, v, rows in self._blocks():
             b = rng.random(v.shape)
             b[rng.random(v.shape) < 0.2] = 0.0
-            b[rng.integers(0, 70, 3)] = 0.0
-            assert _same_bits(sf._log_sum_exp(v, b=b), special.logsumexp(v, axis=1, b=b))
-            for i in rng.integers(0, 70, 5):
-                got, want = sf._log_sum_exp(v[i], b=b[i]), special.logsumexp(v[i], b=b[i])
-                assert type(got) is type(want) and _same_bits(got, want)
+            empty = rng.integers(0, 70, 3)
+            b[empty] = 0.0
+            got = sf._log_sum_exp(v, b=b)
+            assert got.shape == (70,) and np.all(got[empty] == -np.inf)
+            for i in (*rows[:2], 0):
+                self._assert_refereed(got[i], v[i], b[i])
+            for i in rng.integers(0, 70, 2):
+                one = sf._log_sum_exp(v[i], b=b[i])
+                assert type(one) is np.float64 and _same_bits(one, got[i])
+                self._assert_refereed(one, v[i], b[i])
+
+    def test_infinite_and_nan_entries(self):
+        # a row with +inf or NaN is not shifted, so its large entries overflow
+        v = np.array([[-np.inf] * 4, [0.0, 1.0, np.inf, 2.0], [-np.inf, 800.0, np.inf, 2.0], [0.0, np.nan, 800.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sf._log_sum_exp(v)
+            weighted = sf._log_sum_exp(v, b=np.array([1.0, 0.5, 2.0, 1.0]))
+        for out in (got, weighted):
+            assert out[0] == -np.inf and out[1] == np.inf and out[2] == np.inf and np.isnan(out[3])
+
+    def test_zero_weight_maximum(self):
+        # the largest entry has weight 0 and every weighted one lies at
+        # least 800 nats below it, where exp of the difference underflows:
+        # the sum is over the weighted entries alone, and finite
+        v = np.array([0.0, -800.0, -801.5, -830.0, -2000.0])
+        b = np.array([0.0, 0.25, 1.0, 3.0, 1.0])
+        got = sf._log_sum_exp(v, b=b)
+        assert np.isfinite(got)
+        self._assert_refereed(got, v, b)
+        rows = sf._log_sum_exp(np.tile(v, (3, 1)), b=np.tile(b, (3, 1)))
+        assert _same_bits(rows, np.full(3, got))
 
 
 FIG2_SPEC = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(-1.55), fading=ch.Rician(k_factor=db_to_linear(20.0)))
@@ -481,7 +525,9 @@ FIG5_SPEC = ch.ChannelSpec(t=1, r=2, snr=db_to_linear(2.74), fading=ch.Rayleigh(
 
 class TestChiQuadratureBits:
     """`_chi_quadrature` gives the bits of `oracles.every_node_chi_quadrature`,
-    which evaluates the far term at every node and builds every row's own nodes."""
+    which evaluates the far term at every node and builds every row's own
+    nodes: skipping nodes and sharing the pi/2 nodes change no bit. Both sum
+    with `_log_sum_exp`, which `TestLogSumExp` referees."""
 
     @staticmethod
     def _assert_same_bits(x, k, delta):
