@@ -39,8 +39,6 @@ _QUAD_ROWS = 64
 # less than this many nats below the near one: further down, exp of the
 # difference underflows (below -745) to exactly 0 and changes no bit
 _FAR_NATS = -800.0
-# numpy's Poisson sampler refuses a mean above this (numpy.random._common)
-_POISSON_LAM_MAX = float(np.iinfo("l").max) - math.sqrt(np.iinfo("l").max) * 10
 
 
 def noncentral_chi2_chernoff(x, k, delta):
@@ -198,30 +196,17 @@ def noncentral_chi2_cdf_sf(x, k, delta):
 
 
 def sample_noncentral_chi2(k, delta, rng):
-    """Exact noncentral chi-square sampler: Poisson-mixed central chi-square.
+    """Exact noncentral chi-square sampler: numpy's `noncentral_chisquare`.
 
     `k` may be a scalar or array (even, >= 2); `delta` likewise; `rng` is a
     numpy Generator. Returns one draw of chi'2_k(delta) per element of the
-    broadcast of k and delta. Past numpy's Poisson limit (delta/2 above
-    `_POISSON_LAM_MAX`, which a mode gain near zero reaches) a row takes the
-    law's other exact form, (Z + sqrt(delta))^2 + chi2_{k-1}; its normal and
-    gamma draws follow the mixture's, and only when some row needs them.
+    broadcast of k and delta, as chi2_{k-1} + (Z + sqrt(delta))^2.
     """
     k = np.asarray(k)
     delta = np.asarray(delta, dtype=float)
-    if np.any(k < 2) or np.any(np.asarray(k) % 2 != 0) or np.any(delta < 0):
+    if np.any(k < 2) or np.any(k % 2 != 0) or np.any(delta < 0):
         raise DomainError("requires even k >= 2, delta >= 0")
-    lam = 0.5 * delta
-    far = lam > _POISSON_LAM_MAX
-    j = rng.poisson(np.where(far, 0.0, lam))
-    out = 2.0 * rng.standard_gamma(0.5 * k + j)
-    if np.any(far):
-        out = np.array(out)  # a scalar draw becomes writable
-        far = np.broadcast_to(far, out.shape)
-        root = np.sqrt(np.broadcast_to(delta, out.shape)[far])
-        dof = np.broadcast_to(k, out.shape)[far] - 1.0
-        out[far] = (rng.standard_normal(root.shape) + root) ** 2 + 2.0 * rng.standard_gamma(0.5 * dof)
-    return out
+    return rng.noncentral_chisquare(k, delta)
 
 
 def gaussian_q(x):

@@ -457,12 +457,18 @@ class TestRealArrayBits:
         # rows multiplied by the reciprocal of the diagonal, as numpy's
         # complex / real does, and the real-array log-det: the same bits at
         # d <= 2; at d >= 3 the log-det's trailing update takes four real
-        # products, within 1e-13 relative of the complex form and of mpmath
+        # products, within 1e-13 relative of the complex form and of mpmath.
+        # The first three draws give Y = L^-1 X small off-diagonal Gram
+        # entries, so the trailing update barely reaches the log-det; the
+        # last, at n = t + r + 1 with a strong rank-one component in X, gives
+        # it large ones, and an error of 1e-12 relative in the update shows
         rng = _rng(60 + 8 * d + wide)
         size, idx = 500, np.arange(d)
-        for n, n_gain in ((1000, 0.0), (20, 20.0), (100, 1e4)):
+        for n, n_gain, common in ((1000, 0.0, 0.0), (20, 20.0, 0.0), (100, 1e4, 0.0), (d + wide + 1, 0.0, 3.0)):
             x = ch.complex_normal(rng, (size, d, wide))
             x[:, idx, idx] += math.sqrt(n_gain)
+            if common:
+                x += common * ch.complex_normal(rng, (size, d, 1)) * ch.complex_normal(rng, (size, 1, wide))
             diag = np.sqrt(rng.standard_gamma(n - wide - idx, size=(size, d)))
             low = ch.complex_normal(rng, (size, d * (d - 1) // 2))
             got, want = ach.log_wilks_lambda(x, diag, low), oracles.divided_log_wilks_lambda(x, diag, low)

@@ -154,8 +154,8 @@ class TestMonteCarloPath:
         assert capsys.readouterr().out.splitlines()[1:] == [
             "ach-nocsi,20,0,0,0,0,lower,7,20000",
             "ach-nocsi,40,0.0801935967641,0.115694904363,0.0801935967641,0.0801935967641,lower,7,20000",
-            "conv-iso,20,0.91962603551,1.3267399209,0.905726978053,0.91962603551,upper,7,20000",
-            "conv-iso,40,0.857236673673,1.23673109798,0.841965268253,0.857236673673,upper,7,20000",
+            "conv-iso,20,0.920567245699,1.32809780017,0.905296438367,0.920567245699,upper,7,20000",
+            "conv-iso,40,0.884237225264,1.27568465986,0.870595717535,0.884237225264,upper,7,20000",
             "normal,20,0.586807839702,0.846584760293,0.586807839702,0.586807839702,estimate,7,20000",
             "normal,40,0.659447781692,0.951382044373,0.659447781692,0.659447781692,estimate,7,20000",
         ]

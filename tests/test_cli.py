@@ -602,20 +602,19 @@ class TestCommandLine:
 
     def test_row_over_several_chunks_pinned(self, capsys):
         # 20,000 samples span five chunks of 4,096 draws; another chunk size
-        # moves every chunk's stream, and with it this row (0.850394132832
+        # moves every chunk's stream, and with it this row (0.816906788621
         # nats in chunks of 1,000)
         argv = ["bound", "conv-iso", "--t", "2", "--r", "3", "--snr-db", "2.12", "--seed", "7",
                 "--samples", "20000", "--n", "200"]
         assert cli.main(argv) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert row[:3] == ["conv-iso", "200", "0.844715432431"]
+        assert row[:3] == ["conv-iso", "200", "0.833668773228"]
 
     @pytest.mark.parametrize("snr_db, seed", [("-150", "8"), ("-160", "1"), ("-200", "1")])
     def test_vanishing_snr_conv_iso_exit_code(self, snr_db, seed):
-        # delta = 2n / gain of a noncentral chi-square draw passes twice
-        # numpy's Poisson limit (about 1.8e19) at these SNRs (at -150 dB only
-        # some seeds draw a gain that small, seed 8 among them); those rows
-        # take the draw past the limit, and the bound is printed
+        # delta = 2n / gain of a noncentral chi-square draw passes 1.8e19 at
+        # these SNRs (at -150 dB only some seeds draw a gain that small, seed
+        # 8 among them), and the bound is printed
         argv = ["bound", "conv-iso", "--t", "2", "--r", "3", "--snr-db", snr_db, "--samples", "2000", "--n", "20"]
         res = _run([*argv, "--seed", seed])
         assert res.returncode == 0, res.stderr
