@@ -30,9 +30,6 @@ __all__ = [
     "tau_grid",
 ]
 
-_STAT_STREAM = 1 << 35
-
-
 def beta_product_log_tail(n, t_eff, r, log_gamma_n):
     """ln P[prod_{j=1}^r Beta(n - t_eff - j + 1, t_eff) <= gamma_n], exactly.
 
@@ -152,7 +149,7 @@ def _taus(n, epsilon, tau):
     return [tau]
 
 
-def rate_lower_bound(spec, n, epsilon, tau, cfg, stream_offset, gains):
+def rate_lower_bound(spec, n, epsilon, tau, cfg, key, gains):
     """Achievability bound: rate = max(0, (ln tau - tail) / n) in nats.
 
     Returns (rate, (rate, rate)). tau=None runs the default grid search and
@@ -161,13 +158,13 @@ def rate_lower_bound(spec, n, epsilon, tau, cfg, stream_offset, gains):
     so that the maximum holds at the stated confidence (union bound); a tau
     whose quantile needs more than cfg.samples draws is skipped. `gains` are
     the channel's mode gains (`outage.gain_sample`, under the bound's
-    covariance), which a blocklength grid shares; the
-    statistic is drawn given them from the streams of `stream_offset`.
+    covariance), which a blocklength grid shares; the statistic is drawn
+    given them on the stream key `key`, which holds n.
     """
     taus = _taus(n, epsilon, tau)
     delta = cfg.confidence_delta / len(taus)
     sampler = sin2_statistic_sampler(spec, n)
-    log_values = np.sort(mc.sample_values(sampler, cfg, stream_offset + _STAT_STREAM, gains))
+    log_values = np.sort(mc.sample_values(sampler, cfg, key, gains))
     rates = []
     for t in taus:
         try:

@@ -11,7 +11,7 @@ from . import converse as cv
 from . import mc
 from . import specfun as sf
 from .errors import DomainError
-from .outage import capacity_dispersion, mode_gains
+from .outage import capacity_dispersion, gain_sample
 
 __all__ = ["NormalApprox", "awgn_reference_rate"]
 
@@ -33,13 +33,14 @@ class NormalApprox:
     rho |h|^2, and the nodes are the gain-law cells of `converse.gain_cells`
     at epsilon, with the trapezoid rule on the exact cell probabilities and
     the mass outside the grid counted at its end nodes: nothing is drawn,
-    so cfg and stream_offset go unused (docs/DECISIONS.md, section 2). At
-    t >= 2 the nodes are one channel sample and the expectation is their
-    mean (weights None); the same sample (common random numbers) serves
-    every blocklength, which keeps curves smooth and monotone in n.
+    so cfg and key go unused (docs/DECISIONS.md, section 2). At t >= 2 the
+    nodes are one channel sample (`outage.gain_sample` on the stream key
+    `key`) and the expectation is their mean (weights None); the same
+    sample (common random numbers) serves every blocklength, which keeps
+    curves smooth and monotone in n.
     """
 
-    def __init__(self, spec, cov, epsilon, cfg, stream_offset=0):
+    def __init__(self, spec, cov, epsilon, cfg, key=()):
         if not (0.0 < epsilon < 1.0):
             raise DomainError("epsilon must be in (0, 1)")
         self.epsilon = epsilon
@@ -52,11 +53,8 @@ class NormalApprox:
             self.weights = np.append(below, 0.5 * prob) + np.append(0.5 * prob, above)
             self.c, self.v = capacity_dispersion(gains[:, None])
         else:
-            def cv_sampler(rng, size):
-                return np.stack(capacity_dispersion(mode_gains(spec, cov, rng, size)), axis=-1)
-
-            pairs = mc.sample_values(cv_sampler, cfg, stream_offset).reshape(-1, 2)
-            self.c, self.v, self.weights = pairs[:, 0], pairs[:, 1], None
+            self.c, self.v = capacity_dispersion(gain_sample(spec, cov, cfg, key))
+            self.weights = None
 
     def outage_cdf(self, rate, n):
         """Average of the per-node normal error estimate Q((C - rate) / sqrt(V/n)).

@@ -10,7 +10,6 @@ FBL_THREADS worker count. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -45,8 +44,7 @@ def run_sweep(req):
     """Evaluate every requested bound on the blocklength grid; returns CSV lines."""
     rows = []
     for bound in req.bounds:
-        offset = functools.partial(mc.substream_index, cf.BOUND_NAMES.index(bound))
-        pairs = cf.BOUNDS[bound].evaluate(req, offset)
+        pairs = cf.BOUNDS[bound].evaluate(req, (cf.BOUND_NAMES.index(bound),))
         rows += [_row(bound, n, rate, ci, req.mc) for n, (rate, ci) in zip(req.n_grid, pairs, strict=True)]
     return rows
 

@@ -40,11 +40,11 @@ __all__ = [
 class Bound:
     """One entry of BOUNDS.
 
-    evaluate(req, offset) returns one (rate_nats, (ci_lo, ci_hi)) pair per n
-    of req.n_grid, where offset(n) is the bound's random-stream offset at
-    blocklength n; command is the CLI subcommand that takes the name; side
-    is the row's `side` cell ('lower', 'upper', 'estimate' or 'outage');
-    t1_only marks the bounds that need a single transmit antenna.
+    evaluate(req, key) returns one (rate_nats, (ci_lo, ci_hi)) pair per n
+    of req.n_grid, drawing on the bound's stream key `key` (`mc.rng`) and,
+    at blocklength n, on (*key, n); command is the CLI subcommand that takes
+    the name; side is the row's `side` cell ('lower', 'upper', 'estimate' or
+    'outage'); t1_only marks the bounds that need a single transmit antenna.
     """
 
     evaluate: Callable
@@ -55,30 +55,30 @@ class Bound:
 
 # The evaluators look each bound function up in its module at call time, so
 # a wrapper installed on the module attribute (a tracer) sees every call.
-# The per-n bounds below draw their channel gains once, at offset(0): the
-# channel streams depend on the bound alone, so a one-point grid gives that
-# n's row of any grid, and the gains are freed when the grid is done.
+# The per-n bounds below draw their channel gains once, on the bound's key:
+# the channel streams depend on the bound alone, so a one-point grid gives
+# that n's row of any grid, and the gains are freed when the grid is done.
 def _kappa_beta(cov):
-    def evaluate(req, offset):
-        gains = og.gain_sample(req.spec, cov, req.mc, offset(0))
+    def evaluate(req, key):
+        gains = og.gain_sample(req.spec, cov, req.mc, key)
         return [
-            ach.rate_lower_bound(req.spec, n, req.epsilon, req.tau, req.mc, offset(n), gains)
+            ach.rate_lower_bound(req.spec, n, req.epsilon, req.tau, req.mc, (*key, n), gains)
             for n in req.n_grid
         ]
 
     return evaluate
 
 
-def _converse_iso(req, offset):
-    gains = cv.iso_gains(req.spec, req.mc, offset(0))
-    return [cv.converse_iso(req.spec, n, req.epsilon, req.mc, offset(n), gains) for n in req.n_grid]
+def _converse_iso(req, key):
+    gains = cv.iso_gains(req.spec, req.mc, key)
+    return [cv.converse_iso(req.spec, n, req.epsilon, req.mc, (*key, n), gains) for n in req.n_grid]
 
 
-def _csir_kappa_beta(req, offset):
+def _csir_kappa_beta(req, key):
     return [ach.csir_kappa_beta_simo(req.spec, n, req.epsilon, req.tau) for n in req.n_grid]
 
 
-def _converse_simo(req, offset):
+def _converse_simo(req, key):
     return [cv.converse_simo(req.spec, n, req.epsilon) for n in req.n_grid]
 
 
@@ -86,37 +86,37 @@ def _estimate(rate):
     return rate, (rate, rate)
 
 
-def _normal(req, offset):
+def _normal(req, key):
     # one set of nodes serves the whole grid: at t = 1 the gain-law cells,
     # which draw nothing, and at t >= 2 one channel sample
-    approx = ap.NormalApprox(req.spec, req.cov, req.epsilon, req.mc, stream_offset=offset(0))
+    approx = ap.NormalApprox(req.spec, req.cov, req.epsilon, req.mc, key)
     return [_estimate(approx.rate(n)) for n in req.n_grid]
 
 
-def _awgn(req, offset):
+def _awgn(req, key):
     return [_estimate(ap.awgn_reference_rate(req.spec.snr, n, req.epsilon)) for n in req.n_grid]
 
 
-# outage and eps-capacity do not depend on n: each draws once, on the stream
-# of the grid's first n, and its pair is repeated over the grid
-def _outage(req, offset):
-    _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, stream_offset=offset(req.n_grid[0]))
+# outage and eps-capacity do not depend on n: each draws once, on the bound's
+# key, and its pair is repeated over the grid
+def _outage(req, key):
+    _, ci = og.outage_probability(req.spec, req.cov, req.rate_nats, req.mc, key)
     return [(req.rate_nats, ci)] * len(req.n_grid)
 
 
-def _eps_capacity(req, offset):
-    value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, stream_offset=offset(req.n_grid[0]))
+def _eps_capacity(req, key):
+    value, (lo, hi) = og.epsilon_capacity(req.spec, req.cov, req.epsilon, req.mc, key)
     if hi - lo < 1e-9 * max(1.0, abs(value)):
         print("warning: capacity quantile is epsilon-independent (degenerate fading?)", file=sys.stderr)
     return [(value, (lo, hi))] * len(req.n_grid)
 
 
-# Every bound name. The position of a name fixes its stream offset, so new
+# Every bound name. A name's position b gives its stream key (b,), so new
 # names go at the end.
 BOUNDS = {
     "ach-csit": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower"),
     "ach-nocsi": Bound(_kappa_beta(ch.Isotropic()), "bound", "lower"),
-    # the t = 1 case of ach-csit, under its own stream offset
+    # the t = 1 case of ach-csit, under its own stream key
     "ach-simo": Bound(_kappa_beta(ch.WaterFill()), "bound", "lower", t1_only=True),
     "ach-csir-kb": Bound(_csir_kappa_beta, "bound", "lower", t1_only=True),
     "conv-simo": Bound(_converse_simo, "bound", "upper", t1_only=True),

@@ -32,11 +32,6 @@ __all__ = [
     "iso_statistic_sampler",
 ]
 
-# disjoint substream bases so selection and evaluation never share draws
-_SEL_STREAM = 1 << 33
-_EVAL_STREAM = 1 << 34
-
-
 def _tail_end(k, delta, log_mass, side):
     """The point nearest the mean of chi'2_k(delta) where the Chernoff bound
     on its `side` tail beyond the point falls to e^log_mass."""
@@ -208,18 +203,15 @@ def converse_simo(spec, n, epsilon):
     return rate, (-table.log_mean_q_l(gamma_up, "upper") / n, rate)
 
 
-def iso_gains(spec, cfg, stream_offset):
+def iso_gains(spec, cfg, key):
     """The (selection, evaluation) samples of isotropic mode gains of `converse_iso`.
 
     Each is the effective eigenvalues of cfg.samples channel draws, shape
-    (samples, min(t, r)), from its own channel stream of `stream_offset`,
-    which no per-n stream shares: two independent samples that serve every
-    n of a grid (docs/DECISIONS.md, section 9).
+    (samples, min(t, r)), on the stream key (*key, 0) or (*key, 1), which
+    holds no blocklength: two independent samples that serve every n of a
+    grid (docs/DECISIONS.md, section 9).
     """
-    return tuple(
-        og.gain_sample(spec, ch.Isotropic(), cfg, stream_offset + s)
-        for s in (_SEL_STREAM, _EVAL_STREAM)
-    )
+    return tuple(og.gain_sample(spec, ch.Isotropic(), cfg, (*key, s)) for s in (0, 1))
 
 
 def _iso_modes(lam):
@@ -316,23 +308,24 @@ def _iso_log_tail_sampler(spec, n, gamma):
     return draw
 
 
-def converse_iso(spec, n, epsilon, cfg, stream_offset, gains):
+def converse_iso(spec, n, epsilon, cfg, key, gains):
     """Upper bound on the rate of isotropic codebooks at blocklength n, as
     (rate, (nominal, rate)) with nominal the log-mean estimate at the same
     threshold. The order-statistic threshold and the log-mean bound each
     spend half of cfg.confidence_delta. `gains` are the channel's
     `iso_gains`, which a blocklength grid shares; the statistics are drawn
-    given them from the streams of `stream_offset`."""
+    given them on the stream keys (*key, 0) and (*key, 1), where `key`
+    holds n."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0, 1)")
     if n < 1:
         raise DomainError("requires n >= 1")
     sel, ev = gains
-    values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, stream_offset + _SEL_STREAM, sel))
+    values = np.sort(mc.sample_values(iso_statistic_sampler(spec, n), cfg, (*key, 0), sel))
     half = 0.5 * cfg.confidence_delta
     k = mc.quantile_order_indices(cfg.samples, epsilon, "upper", half)
     gamma = float(values[k - 1])
-    log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, stream_offset + _EVAL_STREAM, ev)
+    log_q = mc.sample_values(_iso_log_tail_sampler(spec, n, gamma), cfg, (*key, 1), ev)
     log_mean, log_lo = mc.log_mean_bound(log_q, half)
     rate = float(-log_lo / n)
     return rate, (float(-log_mean / n), rate)

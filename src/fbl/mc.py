@@ -1,9 +1,9 @@
 """Deterministic, parallelizable Monte Carlo engine.
 
-Work is split into chunks of `CHUNK` draws; chunk i always draws from the
-counter-based substream (seed, stream_offset + i), so results are
-bit-identical for any worker-thread count. Reductions are order-independent
-(results are stored by chunk index before combining).
+Work is split into chunks of `CHUNK` draws; chunk i of a call on stream key
+`key` always draws from `rng(seed, *key, i)`, so results are bit-identical
+for any worker-thread count. Reductions are order-independent (results are
+stored by chunk index before combining).
 
 `sample_values` is the one entry point that draws; each estimator applies
 its own statistic to the flat sample. The confidence tools are exact
@@ -31,7 +31,6 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 __all__ = [
     "MCConfig",
     "rng",
-    "substream_index",
     "worker_count",
     "sample_values",
     "quantile_order_indices",
@@ -62,18 +61,11 @@ class MCConfig:
             raise ConfigurationError("confidence_delta must be in (0, 0.05]")
 
 
-def rng(seed, stream_index):
-    """Counter-based substream generator: its draws depend only on (seed, stream_index)."""
-    key = np.array([int(seed) % 2**64, int(stream_index) % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def substream_index(*indices):
-    """Mix a tuple of small nonnegative indices into one 64-bit stream index."""
-    h = 0
-    for i in indices:
-        h = (h * 0x100000001B3 + int(i) + 1) & 0xFFFFFFFFFFFFFFFF
-    return h
+def rng(seed, *key):
+    """The generator of stream `key`, a tuple of nonnegative integers: numpy's
+    SeedSequence spawn key under the seed, so that distinct keys, of any
+    lengths, give independent streams (docs/DECISIONS.md, section 9)."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed) % 2**64, spawn_key=key))
 
 
 def worker_count():
@@ -113,15 +105,15 @@ def cp_upper(successes, trials, delta):
 
 
 # draws per chunk of `sample_values`: the seed, the sample count and the
-# stream offset then fix every draw
+# stream key then fix every draw
 CHUNK = 4096
 
 
-def sample_values(value_sampler, cfg, stream_offset=0, given=None):
+def sample_values(value_sampler, cfg, key=(), given=None):
     """Draw cfg.samples values deterministically; returns one flat array.
 
     value_sampler(rng, size) must return `size` values (or rows) computed
-    from the rng alone. With `given`, an array of cfg.samples rows drawn
+    from the rng alone; chunk i draws from rng(cfg.seed, *key, i). With `given`, an array of cfg.samples rows drawn
     under the same cfg (a `sample_values` result), chunk i calls
     value_sampler(rng, size, rows) with rows the chunk's own rows of
     `given`: one sample, such as the channel draws of a blocklength grid,
@@ -138,7 +130,7 @@ def sample_values(value_sampler, cfg, stream_offset=0, given=None):
         extra = [(rows,) for rows in np.split(given, np.cumsum(sizes)[:-1])]
 
     def work(i):
-        results[i] = np.asarray(value_sampler(rng(cfg.seed, stream_offset + i), sizes[i], *extra[i]))
+        results[i] = np.asarray(value_sampler(rng(cfg.seed, *key, i), sizes[i], *extra[i]))
 
     threads = worker_count()
     if threads == 1 or len(sizes) == 1:

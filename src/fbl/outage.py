@@ -17,7 +17,6 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "water_fill_batch",
     "mode_gains",
-    "CHANNEL_STREAM",
     "gain_sample",
     "capacity_dispersion",
     "capacity_sampler",
@@ -58,17 +57,11 @@ def mode_gains(spec, cov, rng, size):
     return lam
 
 
-# The substream base of the channel draws that a bound shares across its
-# blocklength grid. The per-n streams of a bound lie at
-# offset(n) + base + chunk with base below 2**36, so none reaches this one.
-CHANNEL_STREAM = 1 << 40
-
-
-def gain_sample(spec, cov, cfg, stream_offset):
-    """`mode_gains` of cfg.samples channel draws, shape (samples, m), from
-    the channel stream of `stream_offset`, which no per-n stream shares: one
-    sample serves every n of a grid."""
-    return mc.sample_values(lambda rng, size: mode_gains(spec, cov, rng, size), cfg, stream_offset + CHANNEL_STREAM)
+def gain_sample(spec, cov, cfg, key):
+    """`mode_gains` of cfg.samples channel draws, shape (samples, m), on the
+    stream key `key`, which holds no blocklength: one sample serves every n
+    of a grid."""
+    return mc.sample_values(lambda rng, size: mode_gains(spec, cov, rng, size), cfg, key)
 
 
 def capacity_dispersion(gains):
@@ -100,7 +93,7 @@ def capacity_sampler(spec, cov):
     return draw
 
 
-def outage_probability(spec, cov, rate, cfg, stream_offset=0):
+def outage_probability(spec, cov, rate, cfg, key=()):
     """Monte Carlo estimate of P[C(H) < rate], with its Clopper-Pearson interval.
 
     Returns (p_hat, (cp_lower, cp_upper)), each end at confidence_delta / 2.
@@ -112,13 +105,13 @@ def outage_probability(spec, cov, rate, cfg, stream_offset=0):
     def event(rng, size):
         return sampler(rng, size) < rate
 
-    hits = np.count_nonzero(mc.sample_values(event, cfg, stream_offset))
+    hits = np.count_nonzero(mc.sample_values(event, cfg, key))
     n = cfg.samples
     half = 0.5 * cfg.confidence_delta
     return hits / n, (mc.cp_lower(hits, n, half), mc.cp_upper(hits, n, half))
 
 
-def epsilon_capacity(spec, cov, epsilon, cfg, stream_offset=0):
+def epsilon_capacity(spec, cov, epsilon, cfg, key=()):
     """Empirical epsilon-quantile of C(H) in nats, with an order-statistic CI.
 
     Returns (value, (ci_lo, ci_hi)), each end at confidence_delta / 2.
@@ -127,7 +120,7 @@ def epsilon_capacity(spec, cov, epsilon, cfg, stream_offset=0):
         raise DomainError("epsilon must be in (0, 1)")
     if epsilon * cfg.samples < 50:
         raise ConfigurationError("epsilon * samples < 50: quantile too unstable")
-    values = np.sort(mc.sample_values(capacity_sampler(spec, cov), cfg, stream_offset))
+    values = np.sort(mc.sample_values(capacity_sampler(spec, cov), cfg, key))
     n = cfg.samples
     k = max(1, math.ceil(epsilon * n))
     half = 0.5 * cfg.confidence_delta

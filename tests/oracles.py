@@ -12,7 +12,7 @@ Chernoff bounds, the rank-one binomial sum and an mpmath matrix
 exponential that referee the beta-product tail, water-filling of one
 eigenvalue vector, log-domain incomplete and multivariate gamma functions
 with the asymptotic converse constants built on them, the Monte Carlo
-bounds at one stream offset with their channel gains drawn there, the
+bounds on the stream keys of a table bound without its position, the
 complex-array forms of the elementwise kernels (einsum Gram, divided pivots
 and rows, axis sums, masked normal error, a + 1j*b draws) and the masked
 water-filling whose bits the kernels must give, and small helpers the tests share. Nothing in `fbl`
@@ -406,23 +406,25 @@ def sample_sin2_statistic(spec, cov, n, rng):
     return float(plain_sin2_sampler(spec, cov, n)(rng, 1)[0])
 
 
-def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, stream_offset=0):
+def gamma_n_ach(spec, cov, n, epsilon, tau, cfg, key=()):
     """Conservative threshold: P[statistic <= gamma_n] >= 1 - eps + tau w.h.p."""
     ach._taus(n, epsilon, tau)
     sampler = plain_sin2_sampler(spec, cov, n)
-    values = np.sort(mc.sample_values(sampler, cfg, stream_offset + ach._STAT_STREAM))
+    values = np.sort(mc.sample_values(sampler, cfg, key))
     k = mc.quantile_order_indices(cfg.samples, 1.0 - epsilon + tau, "upper", cfg.confidence_delta)
     return float(values[k - 1])
 
 
 def kappa_beta_rate(spec, cov, n, epsilon, tau, cfg):
-    """`ach.rate_lower_bound` at stream offset 0, given the `og.gain_sample` drawn there."""
-    return ach.rate_lower_bound(spec, n, epsilon, tau, cfg, 0, og.gain_sample(spec, cov, cfg, 0))
+    """`ach.rate_lower_bound` on the stream key (n,), given the `og.gain_sample`
+    of the key (): a table bound's keys (b, n) and (b,) without the b."""
+    return ach.rate_lower_bound(spec, n, epsilon, tau, cfg, (n,), og.gain_sample(spec, cov, cfg, ()))
 
 
 def converse_iso_rate(spec, n, epsilon, cfg):
-    """`cv.converse_iso` at stream offset 0, given the `cv.iso_gains` drawn there."""
-    return cv.converse_iso(spec, n, epsilon, cfg, 0, cv.iso_gains(spec, cfg, 0))
+    """`cv.converse_iso` on the stream key (n,), given the `cv.iso_gains` of
+    the key (): a table bound's keys (b, n) and (b,) without the b."""
+    return cv.converse_iso(spec, n, epsilon, cfg, (n,), cv.iso_gains(spec, cfg, ()))
 
 
 def iso_aux_statistic_sampler(spec, n):
@@ -640,7 +642,7 @@ def _log_bracket(p, x):
     return float(np.logaddexp(first, log_upper_inc_gamma(p, x)))
 
 
-def log_c_csirt(spec, n, cfg, stream_offset=0):
+def log_c_csirt(spec, n, cfg, key=()):
     """log of the CSIRT converse constant at blocklength n (Monte Carlo mean)."""
     if n < 1:
         raise DomainError("requires n >= 1")
@@ -653,11 +655,11 @@ def log_c_csirt(spec, n, cfg, stream_offset=0):
         eye = np.eye(spec.t)
         return np.linalg.det(eye + spec.snr * gram).real
 
-    vals = mc.sample_values(det_sampler, cfg, stream_offset)
+    vals = mc.sample_values(det_sampler, cfg, key)
     return float(m * bracket + math.log(np.mean(vals)))
 
 
-def log_c_csir(spec, n, cfg, stream_offset=0):
+def log_c_csir(spec, n, cfg, key=()):
     """log of the CSIR converse constant at blocklength n (Monte Carlo mean)."""
     r = spec.r
     if n < r:
@@ -669,7 +671,7 @@ def log_c_csir(spec, n, cfg, stream_offset=0):
         fro2 = np.sum(np.abs(h) ** 2, axis=(-2, -1))
         return (1.0 + spec.snr * fro2) ** expo
 
-    vals = mc.sample_values(moment_sampler, cfg, stream_offset)
+    vals = mc.sample_values(moment_sampler, cfg, key)
     total = (
         r * (r - 1) * math.log(math.pi)
         - log_complex_multivariate_gamma(r, float(n))

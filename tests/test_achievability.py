@@ -153,10 +153,10 @@ class TestSin2Statistic:
             cfg = mc.MCConfig(seed=400 + case, samples=draws)
             for n in (t + r + 1, 20, 100, 500):
                 closed = ach.sin2_statistic_sampler(spec, n)
-                gains = og.gain_sample(spec, ch.Isotropic(), cfg, n)
+                gains = og.gain_sample(spec, ch.Isotropic(), cfg, (n,))
                 qr = oracles.qr_sin2_sampler(spec, ch.Isotropic(), n)
                 pvalue = stats.ks_2samp(
-                    np.exp(mc.sample_values(closed, cfg, n, gains)), mc.sample_values(qr, cfg, 1000 + n)
+                    np.exp(mc.sample_values(closed, cfg, (n, 0), gains)), mc.sample_values(qr, cfg, (n, 1))
                 ).pvalue
                 if pvalue < 1e-3:
                     failures.append(f"(t, r, n) = ({t}, {r}, {n}): p = {pvalue:.1e}")

@@ -153,11 +153,11 @@ class TestMonteCarloPath:
         assert cli.main(["figure", "fig3", "--seed", "7", "--samples", "20000", "--n-grid", "20,40"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
             "ach-nocsi,20,0,0,0,0,lower,7,20000",
-            "ach-nocsi,40,0.0801935967641,0.115694904363,0.0801935967641,0.0801935967641,lower,7,20000",
-            "conv-iso,20,0.920567245699,1.32809780017,0.905296438367,0.920567245699,upper,7,20000",
-            "conv-iso,40,0.884237225264,1.27568465986,0.870595717535,0.884237225264,upper,7,20000",
-            "normal,20,0.586807839702,0.846584760293,0.586807839702,0.586807839702,estimate,7,20000",
-            "normal,40,0.659447781692,0.951382044373,0.659447781692,0.659447781692,estimate,7,20000",
+            "ach-nocsi,40,0.105191741874,0.151759604344,0.105191741874,0.105191741874,lower,7,20000",
+            "conv-iso,20,0.931395865195,1.34372019582,0.917799899389,0.931395865195,upper,7,20000",
+            "conv-iso,40,0.875674350241,1.26333104253,0.860269816061,0.875674350241,upper,7,20000",
+            "normal,20,0.591480485581,0.853325963331,0.591480485581,0.591480485581,estimate,7,20000",
+            "normal,40,0.660001350819,0.952180675807,0.660001350819,0.660001350819,estimate,7,20000",
         ]
 
 

